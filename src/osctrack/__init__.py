@@ -35,10 +35,6 @@ from .controller import (
     CoefficientVector,
     ControllerParams,
     coefficients,
-    control,
-    control_degree1,
-    control_degree2,
-    control_profile,
     make_control_function,
 )
 from .curves import (
@@ -66,7 +62,6 @@ from .metrics import (
     GapReport,
     StabilityReport,
     admissible_vs_nonadmissible_gap,
-    dist_to_family,
     entry_time,
     stability_report,
     steady_amplitude,

@@ -27,7 +27,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +48,6 @@ from .errors import (
     UnsupportedSchemeError,
     UsageError,
 )
-from .expressions import curve_from_expression
 from .integrator import SamplerGrid, Trajectory, classic_solution_simulate, simulate
 from .metrics import stability_report
 from .scenarios import SCENARIO_REGISTRY, Scenario, get_scenario
@@ -151,19 +150,12 @@ def _parse_floats(text: str, label: str) -> tuple[float, ...]:
     return parts
 
 
-def resolve_curve(spec: str, horizon: float) -> ReferenceCurve:
-    """Registry names take priority; anything else is parsed as an expression."""
-    if spec in CURVE_REGISTRY:
-        return get_curve(spec, horizon=horizon)
-    return curve_from_expression(spec, horizon=horizon)
-
-
 def resolve_run(config: RunConfig) -> tuple[Scenario, ReferenceCurve,
                                             ControllerParams, np.ndarray, SamplerGrid]:
     scenario = get_scenario(config.scenario)
     horizon = config.horizon if config.horizon is not None else scenario.horizon
     curve_spec = config.curve if config.curve is not None else scenario.default_curve
-    curve = resolve_curve(curve_spec, horizon)
+    curve = get_curve(curve_spec, horizon=horizon)
     if curve.dim != scenario.system.n:
         raise DimensionMismatchError(
             f"curve {curve.name!r} has dimension {curve.dim}, "
@@ -332,30 +324,21 @@ def cmd_certify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sweep_row(task: tuple) -> dict:
-    """Worker for one sweep cell.  Takes primitives only so it pickles cleanly."""
-    (scenario_name, curve_spec, alpha, epsilon, horizon,
-     substeps, rho, semantics, x0) = task
-    row = {"alpha": alpha, "epsilon": epsilon, "status": "ok",
+def _sweep_row(config: RunConfig) -> dict:
+    """Worker for one sweep cell: the sweep's config at the cell's alpha and epsilon."""
+    row = {"alpha": config.alpha, "epsilon": config.epsilon, "status": "ok",
            "steady_amplitude": "", "entry_time": "", "fitted_lambda": "", "flag": ""}
     try:
-        scenario = get_scenario(scenario_name)
-        hor = horizon if horizon is not None else scenario.horizon
-        curve = resolve_curve(
-            curve_spec if curve_spec is not None else scenario.default_curve, hor)
-        params = ControllerParams(alpha=alpha, epsilon=epsilon)
-        start = (np.asarray(x0, dtype=float) if x0 is not None
-                 else np.asarray(scenario.default_x0, dtype=float))
-        grid = SamplerGrid(epsilon=epsilon, horizon=hor, substeps=substeps)
-        integrate = simulate if semantics == "sampled" else classic_solution_simulate
-        traj = integrate(scenario.system, scenario.scheme, params, curve, start, grid)
-        rep = stability_report(traj, rho)
+        scenario, curve, params, x0, grid = resolve_run(config)
+        integrate = simulate if config.semantics == "sampled" else classic_solution_simulate
+        traj = integrate(scenario.system, scenario.scheme, params, curve, x0, grid)
+        rep = stability_report(traj, config.rho)
         row["steady_amplitude"] = f"{rep.steady_amplitude:.17g}"
         row["entry_time"] = ("" if rep.entry_time is None or not math.isfinite(rep.entry_time)
                              else f"{rep.entry_time:.17g}")
         row["fitted_lambda"] = ("" if rep.fitted_lambda is None
                                 else f"{rep.fitted_lambda:.17g}")
-        if alpha <= curve.nu / rho:
+        if config.alpha <= curve.nu / config.rho:
             row["flag"] = "alpha<=nu/rho"
     except OscTrackError as exc:
         row["status"] = f"error: {exc}"
@@ -364,16 +347,14 @@ def _sweep_row(task: tuple) -> dict:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = build_run_config(args)
-    scenario, curve, _, x0, _ = resolve_run(config)
+    resolve_run(config)  # rejects a bad scenario, curve or x0 before any worker starts
     out_dir = output_directory(config)
     alphas = _parse_floats(args.alphas, "alphas") if args.alphas else ()
     epsilons = _parse_floats(args.epsilons, "epsilons") if args.epsilons else ()
     if not alphas or not epsilons:
         raise UsageError("sweep needs nonempty --alphas and --epsilons lists")
 
-    tasks = [(config.scenario, curve.name if config.curve is None else config.curve,
-              a, e, config.horizon, config.substeps, config.rho,
-              config.semantics, tuple(float(v) for v in x0))
+    tasks = [replace(config, alpha=a, epsilon=e)
              for a, e in itertools.product(alphas, epsilons)]
     jobs = args.jobs if args.jobs else min(len(tasks), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -79,55 +79,18 @@ def coefficients(sys: ControlSystem, scheme: BracketScheme,
     return CoefficientVector(np.linalg.solve(gain, rhs), scheme)
 
 
-def control_degree1(scheme: BracketScheme, params: ControllerParams,
-                    t: float, coeffs: CoefficientVector) -> np.ndarray:
-    """Degree-1 control terms at absolute time t.
-
-    Sums the constant components over the directly actuated channels
-    and the sqrt-amplitude sinusoids over the bracket pairs.  Nested
-    terms declared by the scheme are left out; ``control_degree2``
-    includes them.
-    """
-    u = np.zeros(scheme.m)
-    for i, a in zip(scheme.s1, coeffs.first_order):
-        u[i - 1] += a
-    omega0 = 2.0 * np.pi / params.epsilon
-    root = np.sqrt(4.0 * np.pi / params.epsilon)
-    for (i, j), kap, a in zip(scheme.s2, scheme.kappa, coeffs.pair):
-        amp = root * np.sqrt(kap * abs(a))
-        u[i - 1] += amp * np.cos(kap * omega0 * t)
-        u[j - 1] += amp * np.sign(a) * np.sin(kap * omega0 * t)
-    return u
-
-
-def control_degree2(scheme: BracketScheme, params: ControllerParams,
-                    t: float, coeffs: CoefficientVector) -> np.ndarray:
-    """Full control at absolute time t, nested-bracket terms included.
-
-    The cube-root amplitude keeps the sign of the nested coefficient,
-    so a negative coefficient flips the whole oscillation.
-    """
-    u = control_degree1(scheme, params, t, coeffs)
-    omega0 = 2.0 * np.pi / params.epsilon
-    for term, a in zip(scheme.degree2, coeffs.nested):
-        j1, j2, _ = term.triple
-        amp = np.cbrt(16.0 * np.pi ** 2 * (term.k2 ** 2 - term.k1 ** 2)
-                      * a / params.epsilon ** 2)
-        s2 = np.sin(term.k2 * omega0 * t)
-        u[j1 - 1] += amp * np.cos(term.k1 * omega0 * t) * (1.0 + s2)
-        u[j2 - 1] += amp * s2
-    return u
-
-
 def make_control_function(scheme: BracketScheme, params: ControllerParams,
                           coeffs: CoefficientVector
-                          ) -> Callable[[float], np.ndarray]:
+                          ) -> Callable[[float | np.ndarray], np.ndarray]:
     """Control u(t) realizing the solved coefficients over one period.
 
-    The returned closure takes absolute time (the trigonometric phases
-    are not reset at sampling instants) and returns the m-vector of
-    control values.  All amplitudes are precomputed; only the sines and
-    cosines are evaluated per call.
+    The returned function takes absolute time (the trigonometric phases
+    are not reset at sampling instants): a scalar t gives the m-vector
+    of control values, an array of times of shape (k,) gives shape
+    (k, m).  All amplitudes are precomputed; only the sines and cosines
+    are evaluated per call.  The cube-root amplitude of a nested term
+    keeps the sign of its coefficient, so a negative coefficient flips
+    the whole oscillation.
     """
     m = scheme.m
     static = np.zeros(m)
@@ -148,52 +111,16 @@ def make_control_function(scheme: BracketScheme, params: ControllerParams,
                       * a / params.epsilon ** 2)
         deg2.append((j1 - 1, j2 - 1, term.k1 * omega0, term.k2 * omega0, amp))
 
-    def control(t: float) -> np.ndarray:
-        u = static.copy()
+    def control(t: float | np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        u = np.broadcast_to(static, t.shape + (m,)).copy()
         for i, j, w, amp, sgn in osc:
-            u[i] += amp * np.cos(w * t)
-            u[j] += amp * sgn * np.sin(w * t)
+            u[..., i] += amp * np.cos(w * t)
+            u[..., j] += amp * sgn * np.sin(w * t)
         for j1, j2, w1, w2, amp in deg2:
             s2 = np.sin(w2 * t)
-            u[j1] += amp * np.cos(w1 * t) * (1.0 + s2)
-            u[j2] += amp * s2
+            u[..., j1] += amp * np.cos(w1 * t) * (1.0 + s2)
+            u[..., j2] += amp * s2
         return u
 
     return control
-
-
-def control_profile(scheme: BracketScheme, params: ControllerParams,
-                    coeffs: CoefficientVector, ts: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation of the control over an array of times.
-
-    Returns an array of shape (len(ts), m).  Used for plotting, for
-    recording control histories, and for bounding |u| over an interval.
-    """
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    m = scheme.m
-    u = np.zeros((ts.size, m))
-    for i, a in zip(scheme.s1, coeffs.first_order):
-        u[:, i - 1] += a
-
-    omega0 = 2.0 * np.pi / params.epsilon
-    root = np.sqrt(4.0 * np.pi / params.epsilon)
-    for (i, j), kap, a in zip(scheme.s2, scheme.kappa, coeffs.pair):
-        amp = root * np.sqrt(kap * abs(a))
-        u[:, i - 1] += amp * np.cos(kap * omega0 * ts)
-        u[:, j - 1] += amp * np.sign(a) * np.sin(kap * omega0 * ts)
-
-    for term, a in zip(scheme.degree2, coeffs.nested):
-        j1, j2, _ = term.triple
-        amp = np.cbrt(16.0 * np.pi ** 2 * (term.k2 ** 2 - term.k1 ** 2)
-                      * a / params.epsilon ** 2)
-        s2 = np.sin(term.k2 * omega0 * ts)
-        u[:, j1 - 1] += amp * np.cos(term.k1 * omega0 * ts) * (1.0 + s2)
-        u[:, j2 - 1] += amp * s2
-    return u
-
-
-def control(sys: ControlSystem, scheme: BracketScheme, params: ControllerParams,
-            t: float, x_sample: np.ndarray, gamma_sample: np.ndarray) -> np.ndarray:
-    """One-call convenience: solve coefficients at the sample, evaluate u(t)."""
-    coeffs = coefficients(sys, scheme, params, x_sample, gamma_sample)
-    return make_control_function(scheme, params, coeffs)(t)

@@ -251,14 +251,9 @@ CURVE_REGISTRY: dict[str, Callable[[float], ReferenceCurve]] = {
 
 
 def get_curve(name: str, horizon: float = 40.0) -> ReferenceCurve:
-    """Look up a named curve or build one from an ``expr:`` string."""
-    if name.startswith("expr:"):
-        from .expressions import curve_from_expression
-        return curve_from_expression(name[len("expr:"):], horizon=horizon)
-    try:
-        factory = CURVE_REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(CURVE_REGISTRY))
-        raise UsageError(f"unknown curve {name!r}; known curves: {known}, "
-                         "or an expr:... component list") from None
-    return factory(horizon)
+    """Build the curve a spec names: a registry name first, otherwise a
+    component expression in t, with or without an ``expr:`` prefix."""
+    if name in CURVE_REGISTRY:
+        return CURVE_REGISTRY[name](horizon)
+    from .expressions import curve_from_expression
+    return curve_from_expression(name.removeprefix("expr:"), horizon=horizon)

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .curves import ReferenceCurve, velocity_bound
+from .curves import CURVE_REGISTRY, ReferenceCurve, _stack_components, velocity_bound
 from .errors import UsageError
 
 _FUNCTIONS = {
@@ -84,7 +84,9 @@ def _compile_node(node: ast.AST) -> Callable[[np.ndarray], np.ndarray]:
         if node.id in _CONSTANTS:
             value = _CONSTANTS[node.id]
             return lambda t: np.broadcast_to(value, np.shape(t))
-        raise UsageError(f"unknown name {node.id!r} in curve expression")
+        known = ", ".join(sorted(CURVE_REGISTRY))
+        raise UsageError(f"unknown name {node.id!r} in curve expression; a curve "
+                         f"is a registry name ({known}) or an expression in t")
     if isinstance(node, ast.UnaryOp):
         operand = _compile_node(node.operand)
         if isinstance(node.op, ast.USub):
@@ -130,20 +132,24 @@ def compile_component(src: str) -> Callable[[np.ndarray], np.ndarray]:
 
 def curve_from_expression(src: str, horizon: float = 40.0,
                           name: str | None = None) -> ReferenceCurve:
-    """Build a ReferenceCurve from a component expression string."""
-    funcs = [compile_component(p) for p in split_components(src)]
-    n = len(funcs)
+    """Build a ReferenceCurve from a component expression string.
 
-    def ev(t):
-        t_arr = np.asarray(t, dtype=float)
-        cols = [np.broadcast_to(np.asarray(f(t_arr), dtype=float), t_arr.shape)
-                for f in funcs]
-        return np.stack(cols, axis=-1)
+    Values and speed must be finite on the velocity-bound grid over
+    [0, horizon], so a singular expression fails here, not mid-run.
+    """
+    funcs = [compile_component(p) for p in split_components(src)]
+    ev = _stack_components(funcs)
 
     def dv(t):
         t_arr = np.asarray(t, dtype=float)
         h = 1e-6 * np.maximum(1.0, np.abs(t_arr))
         return (ev(t_arr + h) - ev(t_arr - h)) / (2.0 * h)[..., None]
 
-    nu = velocity_bound(dv, horizon)
-    return ReferenceCurve(n, ev, dv, nu, name=name or f"expr:{src}")
+    n_samples = 100_000
+    with np.errstate(all="ignore"):
+        nu = velocity_bound(dv, horizon, n_samples)
+        values = ev(np.linspace(0.0, horizon, n_samples))
+    if not (np.isfinite(nu) and np.isfinite(values).all()):
+        raise UsageError(f"curve expression {src!r} or its speed is not finite "
+                         f"somewhere on [0, {horizon:g}]")
+    return ReferenceCurve(len(funcs), ev, dv, nu, name=name or f"expr:{src}")

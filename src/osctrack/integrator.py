@@ -110,6 +110,37 @@ class Trajectory:
         return float(self.times[-1])
 
 
+def _drift(fields, u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Right-hand side u_1 f_1(x) + u_2 f_2(x) + ..., summed left to right."""
+    out = u[0] * fields[0].eval(x)
+    for i in range(1, len(fields)):
+        out = out + u[i] * fields[i].eval(x)
+    return out
+
+
+def _from_table(u: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """Sampled semantics: the stage control was tabulated for the interval."""
+    return u
+
+
+def _rk4_step(fields, x: np.ndarray, h: float, stages, control: Callable,
+              control_out: np.ndarray) -> np.ndarray:
+    """One classical Runge-Kutta step of length h from x.
+
+    ``stages`` has one entry each for the left node, the midpoint and the
+    right node; ``control(entry, state)`` turns an entry into a control.
+    The left-node control is recorded in ``control_out`` first, so a step
+    that fails on a later stage still leaves it in the trace.
+    """
+    control_out[:] = control(stages[0], x)
+    k1 = _drift(fields, control_out, x)
+    xa = x + 0.5 * h * k1
+    k2 = _drift(fields, control(stages[1], xa), xa)
+    xb = x + 0.5 * h * k2
+    k3 = _drift(fields, control(stages[1], xb), xb)
+    xc = x + h * k3
+    k4 = _drift(fields, control(stages[2], xc), xc)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerParams,
@@ -141,12 +172,6 @@ def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerPara
     semantics = "sampled" if freeze else "classic"
     eval_count = 0
 
-    def drift_from(u: np.ndarray, x: np.ndarray) -> np.ndarray:
-        out = u[0] * fields[0].eval(x)
-        for i in range(1, len(fields)):
-            out = out + u[i] * fields[i].eval(x)
-        return out
-
     def partial_abort(reason: str, msg: str, last_good: int, t_fail: float):
         kept = last_good + 1
         traj = Trajectory(
@@ -158,9 +183,20 @@ def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerPara
             coefficient_evals=eval_count, semantics=semantics)
         raise SimulationError(msg, reason=reason, time=t_fail, partial=traj)
 
+    def solve(t, state):
+        # Classic semantics: coefficients from the stage's own state and time.
+        nonlocal eval_count
+        c = coefficients(sys, scheme, params, state, curve.eval(t))
+        eval_count += 1
+        return make_control_function(scheme, params, c)(t)
+
+    control = _from_table if freeze else solve
     x = x0.copy()
     for j in range(n_int):
         base = j * substeps
+        # Row k: the left node, midpoint and right node of step k.
+        left = times[base:base + substeps]
+        stages = np.stack((left, left + 0.5 * h, left + h), axis=1)
         if freeze:
             try:
                 coeffs = coefficients(sys, scheme, params, x, gamma_all[base])
@@ -176,32 +212,14 @@ def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerPara
             if on_coefficients is not None:
                 on_coefficients(j, float(times[base]), x.copy(), coeffs)
             u_func = make_control_function(scheme, params, coeffs)
-
-            def control_at(t, state):
-                return u_func(t)
-        else:
-            def control_at(t, state):
-                nonlocal eval_count
-                gamma_t = np.asarray(curve.eval(t), dtype=float)
-                c = coefficients(sys, scheme, params, state, gamma_t)
-                eval_count += 1
-                return make_control_function(scheme, params, c)(t)
+            stages = u_func(stages)
 
         for k in range(substeps):
             i = base + k
             t = float(times[i])
             states[i] = x
             try:
-                u1 = control_at(t, x)
-                controls[i] = u1
-                k1 = drift_from(u1, x)
-                xa = x + 0.5 * h * k1
-                k2 = drift_from(control_at(t + 0.5 * h, xa), xa)
-                xb = x + 0.5 * h * k2
-                k3 = drift_from(control_at(t + 0.5 * h, xb), xb)
-                xc = x + h * k3
-                k4 = drift_from(control_at(t + h, xc), xc)
-                x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                x = _rk4_step(fields, x, h, stages[k], control, controls[i])
             except DomainError:
                 partial_abort("domain-exit",
                               f"state left the domain near t={t:.6g}", i, t)
@@ -218,7 +236,7 @@ def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerPara
 
     states[-1] = x
     try:
-        controls[-1] = control_at(float(times[-1]), x)
+        controls[-1] = u_func(times[-1]) if freeze else solve(times[-1], x)
     except (DomainError, RankConditionError):
         controls[-1] = controls[-2]
 

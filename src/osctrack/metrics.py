@@ -98,11 +98,6 @@ def stability_report(traj: Trajectory, rho: float) -> StabilityReport:
     )
 
 
-# Alias: the report quantifies the distance to the moving family of balls
-# around the reference, and some call sites read better under that name.
-dist_to_family = stability_report
-
-
 @dataclass(frozen=True)
 class GapReport:
     """Steady-state error comparison between two runs on the same grid."""

@@ -28,11 +28,11 @@ from osctrack import (
     constant_curve,
     contraction_check,
     control_magnitude_constants,
-    control_profile,
     curve_gamma1,
     coefficients,
     estimate_sup_bounds,
     lemma1_growth_check,
+    make_control_function,
     sigma_value,
     simulate,
     volterra_residual,
@@ -307,7 +307,7 @@ def test_control_magnitude_bound_random_states(unicycle, gamma1):
         err *= rng.uniform(0.05, 2.5) / np.linalg.norm(err)
         coeff = coefficients(unicycle, UNICYCLE_SCHEME, params,
                              gamma + err, gamma)
-        profile = control_profile(UNICYCLE_SCHEME, params, coeff, ts)
+        profile = make_control_function(UNICYCLE_SCHEME, params, coeff)(ts)
         worst = float(np.max(np.sum(np.abs(profile), axis=1)))
         e_norm = float(np.linalg.norm(err))
         bound = c1 * e_norm + c2 / math.sqrt(params.epsilon) * math.sqrt(e_norm)

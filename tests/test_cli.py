@@ -130,6 +130,14 @@ class TestValidationErrors:
         assert run_cli(tmp_path, *args) == 1
         assert capsys.readouterr().err != ""
 
+    def test_singular_expression_curve(self, tmp_path, capsys):
+        """The input curve is at fault, so the run is refused before it starts."""
+        code = run_cli(tmp_path, "run", "--scenario", "unicycle",
+                       "--curve", "sqrt(t-5),0,0", "--horizon", "10")
+        assert code == 1
+        assert "not finite" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
+
 
 class TestCertify:
     ANALYTIC = ["certify", "--scenario", "unicycle", "--alpha", "15",
@@ -206,6 +214,13 @@ class TestSweep:
         code = run_cli(tmp_path, "sweep", "--scenario", "unicycle",
                        "--alphas", "", "--epsilons", "0.1")
         assert code == 1
+
+    def test_nonpositive_grid_value_rejected(self, tmp_path):
+        """Each cell is a RunConfig, so a bad gain fails before any run."""
+        code = run_cli(tmp_path, "sweep", "--scenario", "unicycle",
+                       "--alphas=-1,15", "--epsilons", "0.1", "--horizon", "0.5")
+        assert code == 1
+        assert not (tmp_path / "sweep_summary.csv").exists()
 
 
 class TestListings:

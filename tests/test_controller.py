@@ -14,10 +14,6 @@ from osctrack import (
     VectorField,
     build_gain_matrix,
     coefficients,
-    control,
-    control_degree1,
-    control_degree2,
-    control_profile,
     make_control_function,
 )
 
@@ -133,7 +129,7 @@ def test_zero_pair_coefficient_is_silent(unicycle):
     params = ControllerParams(alpha=15.0, epsilon=0.1)
     c = CoefficientVector(np.array([1.5, 0.5, 0.0]), scheme)
     ts = np.linspace(0, 0.1, 101)
-    prof = control_profile(scheme, params, c, ts)
+    prof = make_control_function(scheme, params, c)(ts)
     assert np.all(np.isfinite(prof))
     assert np.allclose(prof, np.array([1.5, 0.5]), atol=1e-14)
 
@@ -181,38 +177,33 @@ def test_oscillations_average_out(car):
     params = ControllerParams(alpha=5.0, epsilon=eps)
     c = CoefficientVector(np.array([0.7, -0.2, 1.3, -0.8]), scheme)
     ts = np.linspace(0.0, eps, 4097)
-    prof = control_profile(scheme, params, c, ts)
+    prof = make_control_function(scheme, params, c)(ts)
     means = np.trapezoid(prof, ts, axis=0) / eps
     assert np.allclose(means, [0.7, -0.2], atol=1e-9)
 
 
 def test_profile_matches_pointwise_closure(car):
+    """An array of times gives exactly the stacked scalar calls."""
     _, scheme = car
     params = ControllerParams(alpha=5.0, epsilon=0.5)
     c = CoefficientVector(np.array([0.3, 0.9, -1.1, 0.4]), scheme)
     u = make_control_function(scheme, params, c)
     ts = np.random.default_rng(9).uniform(0, 2, size=50)
-    prof = control_profile(scheme, params, c, ts)
+    prof = u(ts)
+    assert prof.shape == (50, 2)
+    assert u(0.3).shape == (2,)
     stacked = np.stack([u(t) for t in ts])
-    assert np.allclose(prof, stacked, atol=1e-12)
+    assert np.array_equal(prof, stacked)
+    # A 2-d array of times keeps its shape in front of the control index.
+    assert np.array_equal(u(ts.reshape(5, 10)), stacked.reshape(5, 10, 2))
 
 
 def test_control_degree1_spot_value(unicycle):
     _, scheme = unicycle
     params = ControllerParams(alpha=15.0, epsilon=0.1)
     c = CoefficientVector(np.array([2.0, 0.0, 0.25]), scheme)
-    u = control_degree1(scheme, params, 0.0, c)
+    u = make_control_function(scheme, params, c)(0.0)
     assert np.allclose(u, [2.0 + np.sqrt(10 * np.pi), 0.0], atol=1e-12)
-
-
-def test_control_degree1_matches_closure(unicycle):
-    """On a pair-only scheme the closure is exactly the degree-1 sum."""
-    _, scheme = unicycle
-    params = ControllerParams(alpha=15.0, epsilon=0.1)
-    c = CoefficientVector(np.array([0.6, -1.2, 0.8]), scheme)
-    u = make_control_function(scheme, params, c)
-    for t in (0.0, 0.021, 0.05, 0.4):
-        assert np.allclose(control_degree1(scheme, params, t, c), u(t), atol=1e-12)
 
 
 def test_control_degree2_spot_value_and_split(car):
@@ -220,25 +211,8 @@ def test_control_degree2_spot_value_and_split(car):
     eps = 0.5
     params = ControllerParams(alpha=5.0, epsilon=eps)
     c = CoefficientVector(np.array([0.0, 0.0, 0.0, -1.0]), scheme)
-    # Degree-1 evaluation never sees the nested coefficient.
-    assert np.allclose(control_degree1(scheme, params, 0.0, c), [0.0, 0.0], atol=1e-14)
-    u = control_degree2(scheme, params, 0.0, c)
+    u = make_control_function(scheme, params, c)(0.0)
     assert np.allclose(u, [-np.cbrt(192 * np.pi ** 2), 0.0], atol=1e-12)
-
-    full = make_control_function(scheme, params, c)
-    for t in (0.0, 0.07, 0.125, 1.3):
-        assert np.allclose(control_degree2(scheme, params, t, c), full(t), atol=1e-12)
-
-
-def test_control_dispatcher_matches_composition(unicycle):
-    sys, scheme = unicycle
-    params = ControllerParams(alpha=15.0, epsilon=0.1)
-    x = np.array([0.4, -0.2, 0.6])
-    gamma = np.array([0.1, 0.1, 0.0])
-    c = coefficients(sys, scheme, params, x, gamma)
-    u = make_control_function(scheme, params, c)
-    for t in (0.0, 0.037, 0.1):
-        assert np.allclose(control(sys, scheme, params, t, x, gamma), u(t), atol=1e-14)
 
 
 def test_phases_use_absolute_time(unicycle):

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from osctrack import (
+    CURVE_REGISTRY,
     DegenerateCurveError,
     ReferenceCurve,
     UsageError,
@@ -173,3 +174,20 @@ def test_registry_expression_dispatch():
     curve = get_curve("expr:cos(t), sin(t)", horizon=10.0)
     assert curve.dim == 2
     assert np.allclose(curve(0.0), [1.0, 0.0])
+
+
+def test_expression_spec_with_or_without_prefix():
+    bare = get_curve("cos(t), sin(t)", horizon=10.0)
+    prefixed = get_curve("expr:cos(t), sin(t)", horizon=10.0)
+    assert bare.name == prefixed.name == "expr:cos(t), sin(t)"
+    assert bare.dim == prefixed.dim == 2
+    assert bare.nu == prefixed.nu
+    ts = np.linspace(0.0, 10.0, 41)
+    assert np.array_equal(bare(ts), prefixed(ts))
+
+
+def test_unknown_curve_lists_the_registry():
+    with pytest.raises(UsageError) as exc:
+        get_curve("gamma99")
+    for name in CURVE_REGISTRY:
+        assert name in str(exc.value)

@@ -84,3 +84,14 @@ def test_unparseable_component():
 def test_empty_component_rejected():
     with pytest.raises(UsageError):
         curve_from_expression("cos(t);; sin(t)")
+
+
+@pytest.mark.parametrize("src", [
+    "sqrt(t-5), 0, 0",   # nan before t=5
+    "pow(10, t*40)",     # overflows to inf inside the horizon
+    "1/t",               # infinite at t=0, with a finite difference quotient there
+    "sqrt(t)",           # finite values, but the speed at t=0 is nan
+])
+def test_singular_expression_rejected_when_built(src):
+    with pytest.raises(UsageError, match="finite"):
+        curve_from_expression(src, horizon=10.0)

@@ -23,6 +23,7 @@ from osctrack import (
     coefficients,
     constant_curve,
     curve_gamma1,
+    curve_gamma4_car,
     default_substeps,
     make_control_function,
     simulate,
@@ -193,6 +194,37 @@ def test_coefficients_frozen_once_per_interval():
     assert traj.semantics == "sampled"
 
 
+def make_car():
+    f1, f2 = car_fields()
+    sys = ControlSystem(4, 2, (f1, f2), domain=lambda x: abs(x[2]) < np.pi / 2)
+    scheme = BracketScheme(m=2, s1=(1, 2), s2=((1, 2),), kappa=(3,),
+                           degree2=(NestedBracketTerm((1, 2, 1), 1, 2),))
+    return sys, scheme
+
+
+@pytest.mark.parametrize("system, curve, x0, params, substeps", [
+    (make_unicycle(), curve_gamma1(), np.array([0.5, 1.2, 0.3]),
+     ControllerParams(alpha=15.0, epsilon=0.1), 40),
+    (make_car(), curve_gamma4_car(), np.array([0.5, 0.0, 0.0, 0.0]),
+     ControllerParams(alpha=10.0, epsilon=0.05), 120),
+], ids=["unicycle", "car"])
+def test_recorded_controls_are_the_interval_synthesis(system, curve, x0, params,
+                                                      substeps):
+    """Each interval's recorded control rows are exactly its own synthesis
+    evaluated at the interval's grid times, the last row included."""
+    sys, scheme = system
+    seen = []
+    traj = simulate(sys, scheme, params, curve, x0,
+                    SamplerGrid(params.epsilon, 0.5, substeps=substeps),
+                    on_coefficients=lambda j, t, x, c: seen.append(c))
+    assert len(seen) == traj.n_intervals
+    for j, coeffs in enumerate(seen):
+        rows = slice(j * substeps, (j + 1) * substeps)
+        u = make_control_function(scheme, params, coeffs)
+        assert np.array_equal(traj.controls[rows], u(traj.times[rows]))
+    assert np.array_equal(traj.controls[-1], u(traj.times[-1]))
+
+
 def test_sample_grid_times_are_exact():
     sys, scheme = make_unicycle()
     params = ControllerParams(alpha=15.0, epsilon=0.1)
@@ -280,10 +312,7 @@ def test_blow_up_aborts_with_partial_trajectory():
 
 def test_domain_exit_aborts_with_partial_trajectory():
     """Driving the car's steering column toward its joint limit."""
-    f1, f2 = car_fields()
-    sys = ControlSystem(4, 2, (f1, f2), domain=lambda x: abs(x[2]) < np.pi / 2)
-    scheme = BracketScheme(m=2, s1=(1, 2), s2=((1, 2),), kappa=(3,),
-                           degree2=(NestedBracketTerm((1, 2, 1), 1, 2),))
+    sys, scheme = make_car()
     params = ControllerParams(alpha=2.0, epsilon=0.1)
     target = constant_curve(np.array([0.0, 0.0, 2.0, 0.0]))
     with pytest.raises(SimulationError) as exc:

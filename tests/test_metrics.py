@@ -165,12 +165,3 @@ def test_gap_report_rejects_mismatched_grids():
     c = synthetic_trajectory(np.linspace(0.0, 8.1, 9), np.zeros(9))
     with pytest.raises(UsageError):
         admissible_vs_nonadmissible_gap(a, c)
-
-
-def test_dist_to_family_is_the_report_constructor():
-    from osctrack import dist_to_family, stability_report
-
-    times = np.linspace(0.0, 8.0, 9)
-    traj = synthetic_trajectory(times, np.full(9, 0.2))
-    assert dist_to_family is stability_report
-    assert dist_to_family(traj, 0.5) == stability_report(traj, 0.5)

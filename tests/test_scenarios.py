@@ -221,14 +221,14 @@ class TestUnderwaterScenario:
     def test_channel_two_never_oscillates(self):
         # Index 2 appears in no bracket pair, so its control is the bare
         # coefficient: constant across one period.
-        from osctrack import ControllerParams, coefficients, control_profile
+        from osctrack import coefficients, make_control_function
         scenario = get_scenario("underwater")
         params = scenario.default_params
         gamma = np.zeros(6)
         x = scenario.default_x0
         coeff = coefficients(scenario.system, scenario.scheme, params, x, gamma)
         ts = np.linspace(0.0, params.epsilon, 301)
-        profile = control_profile(scenario.scheme, params, coeff, ts)
+        profile = make_control_function(scenario.scheme, params, coeff)(ts)
         assert np.ptp(profile[:, 1]) == 0.0
         assert np.ptp(profile[:, 0]) > 0.0
 
