@@ -279,18 +279,21 @@ def estimate_sup_bounds(sys: ControlSystem, scheme: BracketScheme,
     radii = delta_prime * rng.uniform(0.0, 1.0, n_samples) ** (1.0 / n)
     xs = np.asarray(curve.eval(ts), dtype=float) + radii[:, None] * dirs
 
+    def lie_table(x):
+        """Field values, Jacobians, and L_{f_j} f_i = Jf_i @ f_j for each ordered pair."""
+        vals = np.stack([f.eval(x) for f in sys.fields])
+        jacs = np.stack([f.jacobian(x) for f in sys.fields])
+        return vals, jacs, np.einsum("ikl,jl->ijk", jacs, vals)
+
     m1 = m2 = m3 = lip = mu = 0.0
     for x in xs:
         if not sys.in_domain(x):
             raise CertificationError(
                 f"tube sample {x} leaves the system domain; "
                 "shrink delta_prime or the horizon")
-        vals = np.stack([f.eval(x) for f in sys.fields])
-        jacs = np.stack([f.jacobian(x) for f in sys.fields])
+        vals, jacs, first = lie_table(x)
         m1 = max(m1, float(np.max(np.linalg.norm(vals, axis=1))))
         lip = max(lip, float(np.max(np.linalg.svd(jacs, compute_uv=False)[:, 0])))
-        # L_{f_j} f_i = Jf_i @ f_j for every ordered pair.
-        first = np.einsum("ikl,jl->ijk", jacs, vals)
         m2 = max(m2, float(np.max(np.linalg.norm(first, axis=2))))
 
         # Directional derivative of x -> (L_{f_j2} f_j1)(x) along f_j3.
@@ -302,14 +305,8 @@ def estimate_sup_bounds(sys: ControlSystem, scheme: BracketScheme,
                 continue
             step = 1e-5 * max(1.0, float(np.linalg.norm(x)))
             offset = (step / wn) * w
-            xp, xm = x + offset, x - offset
-            vp = np.stack([f.eval(xp) for f in sys.fields])
-            jp = np.stack([f.jacobian(xp) for f in sys.fields])
-            vm = np.stack([f.eval(xm) for f in sys.fields])
-            jm = np.stack([f.jacobian(xm) for f in sys.fields])
-            gp = np.einsum("ikl,jl->ijk", jp, vp)
-            gm = np.einsum("ikl,jl->ijk", jm, vm)
-            deriv = (gp - gm) * (wn / (2.0 * step))
+            gap = lie_table(x + offset)[2] - lie_table(x - offset)[2]
+            deriv = gap * (wn / (2.0 * step))
             total += float(np.sum(np.linalg.norm(deriv, axis=2)))
         m3 = max(m3, total / 6.0)
 

@@ -67,7 +67,7 @@ class RunConfig:
     ``curve`` is either a registry name or a comma-separated component
     expression in the variable ``t``.  ``x0``, ``horizon``, ``alpha``,
     ``epsilon``, and ``substeps`` fall back to the scenario defaults when
-    left unset.
+    left unset; ``ControllerParams`` and ``SamplerGrid`` check their ranges.
     """
 
     scenario: str
@@ -83,16 +83,8 @@ class RunConfig:
     semantics: str = "sampled"
 
     def __post_init__(self) -> None:
-        if self.alpha is not None and self.alpha <= 0.0:
-            raise UsageError("alpha must be positive")
-        if self.epsilon is not None and self.epsilon <= 0.0:
-            raise UsageError("epsilon must be positive")
-        if self.rho <= 0.0:
-            raise UsageError("rho must be positive")
-        if self.horizon is not None and self.horizon <= 0.0:
-            raise UsageError("horizon must be positive")
-        if self.substeps is not None and self.substeps < 1:
-            raise UsageError("substeps must be a positive integer")
+        if not 0.0 < self.rho < math.inf:
+            raise UsageError(f"rho must be finite and positive, got {self.rho}")
         if self.seed < 0:
             raise UsageError("seed must be a nonnegative integer")
         if self.semantics not in _SEMANTICS:
@@ -100,8 +92,23 @@ class RunConfig:
                 f"unknown semantics {self.semantics!r}; choose from {_SEMANTICS}")
 
 
+def _is_number(value) -> bool:
+    return type(value) in (int, float)  # JSON true and false are not numbers
+
+
+# The JSON values each RunConfig annotation accepts.
+_CONFIG_TYPES = {
+    "str": lambda v: type(v) is str,
+    "float": _is_number,
+    "int": lambda v: type(v) is int,
+    "tuple[float, ...]": lambda v: type(v) is list and all(map(_is_number, v)),
+    "None": lambda v: v is None,
+}
+
+
 def load_config_file(path: str) -> dict:
-    """Read a JSON config document and reject keys RunConfig does not have."""
+    """Read a JSON config document; reject keys RunConfig does not have and
+    values of the wrong JSON type."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -111,10 +118,13 @@ def load_config_file(path: str) -> dict:
         raise UsageError(f"config file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError("config file must contain a JSON object")
-    known = {f.name for f in fields(RunConfig)}
-    unknown = sorted(set(data) - known)
+    annotations = {f.name: f.type for f in fields(RunConfig)}
+    unknown = sorted(set(data) - annotations.keys())
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(unknown)}")
+    for key, value in data.items():
+        if not any(_CONFIG_TYPES[t](value) for t in annotations[key].split(" | ")):
+            raise UsageError(f"config key {key!r} has the wrong type: {value!r}")
     return data
 
 
@@ -123,20 +133,12 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     values: dict = {}
     if getattr(args, "config", None):
         values.update(load_config_file(args.config))
-    for name in ("scenario", "curve", "alpha", "epsilon", "horizon",
-                 "substeps", "rho", "seed", "output_dir", "semantics"):
-        flag = getattr(args, name, None)
+    for f in fields(RunConfig):
+        flag = getattr(args, f.name, None)
         if flag is not None:
-            values[name] = flag
-    if getattr(args, "x0", None) is not None:
-        values["x0"] = _parse_floats(args.x0, "x0")
-    elif "x0" in values and values["x0"] is not None:
-        values["x0"] = tuple(float(v) for v in values["x0"])
-    if "scenario" not in values or values["scenario"] is None:
+            values[f.name] = _parse_floats(flag, "x0") if f.name == "x0" else flag
+    if values.get("scenario") is None:
         raise UsageError("a scenario name is required (flag --scenario or config file)")
-    values.setdefault("rho", 0.5)
-    values.setdefault("seed", 0)
-    values.setdefault("semantics", "sampled")
     return RunConfig(**values)
 
 
@@ -153,24 +155,24 @@ def _parse_floats(text: str, label: str) -> tuple[float, ...]:
 def resolve_run(config: RunConfig) -> tuple[Scenario, ReferenceCurve,
                                             ControllerParams, np.ndarray, SamplerGrid]:
     scenario = get_scenario(config.scenario)
+    alpha = config.alpha if config.alpha is not None else scenario.default_params.alpha
+    epsilon = (config.epsilon if config.epsilon is not None
+               else scenario.default_params.epsilon)
+    params = ControllerParams(alpha=alpha, epsilon=epsilon)
     horizon = config.horizon if config.horizon is not None else scenario.horizon
+    grid = SamplerGrid(epsilon=epsilon, horizon=horizon, substeps=config.substeps)
     curve_spec = config.curve if config.curve is not None else scenario.default_curve
     curve = get_curve(curve_spec, horizon=horizon)
     if curve.dim != scenario.system.n:
         raise DimensionMismatchError(
             f"curve {curve.name!r} has dimension {curve.dim}, "
             f"scenario {scenario.name!r} needs {scenario.system.n}")
-    alpha = config.alpha if config.alpha is not None else scenario.default_params.alpha
-    epsilon = (config.epsilon if config.epsilon is not None
-               else scenario.default_params.epsilon)
-    params = ControllerParams(alpha=alpha, epsilon=epsilon)
     x0 = (np.asarray(config.x0, dtype=float) if config.x0 is not None
           else np.asarray(scenario.default_x0, dtype=float))
     if x0.shape != (scenario.system.n,):
         raise DimensionMismatchError(
             f"x0 has {x0.size} components, scenario {scenario.name!r} "
             f"needs {scenario.system.n}")
-    grid = SamplerGrid(epsilon=epsilon, horizon=horizon, substeps=config.substeps)
     return scenario, curve, params, x0, grid
 
 
@@ -356,6 +358,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     tasks = [replace(config, alpha=a, epsilon=e)
              for a, e in itertools.product(alphas, epsilons)]
+    for task in tasks:  # a bad gain or period fails before any worker starts
+        ControllerParams(alpha=task.alpha, epsilon=task.epsilon)
     jobs = args.jobs if args.jobs else min(len(tasks), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         rows = list(pool.map(_sweep_row, tasks))

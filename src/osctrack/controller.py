@@ -21,16 +21,16 @@ from .systems import BracketScheme, ControlSystem, build_gain_matrix
 
 @dataclass(frozen=True)
 class ControllerParams:
-    """Feedback gain alpha and sampling period epsilon."""
+    """Feedback gain alpha and sampling period epsilon, both finite and positive."""
 
     alpha: float
     epsilon: float
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise UsageError(f"alpha must be positive, got {self.alpha}")
-        if not self.epsilon > 0:
-            raise UsageError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.alpha < np.inf:
+            raise UsageError(f"alpha must be finite and positive, got {self.alpha}")
+        if not 0 < self.epsilon < np.inf:
+            raise UsageError(f"epsilon must be finite and positive, got {self.epsilon}")
 
 
 @dataclass(frozen=True)

@@ -53,8 +53,8 @@ class SimulationError(OscTrackError):
     Attributes
     ----------
     reason : str
-        Machine-readable cause, e.g. ``"domain-exit"`` or
-        ``"non-finite-state"``.
+        Machine-readable cause: ``"domain-exit"``, ``"non-finite-state"``
+        or ``"rank-deficient"``.
     time : float
         Time at which integration stopped.
     partial : Trajectory or None

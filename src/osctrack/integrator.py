@@ -48,6 +48,7 @@ def default_substeps(scheme: BracketScheme) -> int:
 class SamplerGrid:
     """Sampling period, horizon, and integration resolution.
 
+    ``epsilon`` and ``horizon`` must be finite and positive.
     ``substeps`` is the number of integration nodes per sampling
     interval; None picks a default from the scheme's fastest frequency.
     """
@@ -57,10 +58,10 @@ class SamplerGrid:
     substeps: int | None = None
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise UsageError(f"epsilon must be positive, got {self.epsilon}")
-        if not self.horizon > 0:
-            raise UsageError(f"horizon must be positive, got {self.horizon}")
+        if not 0 < self.epsilon < np.inf:
+            raise UsageError(f"epsilon must be finite and positive, got {self.epsilon}")
+        if not 0 < self.horizon < np.inf:
+            raise UsageError(f"horizon must be finite and positive, got {self.horizon}")
         if self.substeps is not None and self.substeps < 1:
             raise UsageError(f"substeps must be positive, got {self.substeps}")
 
@@ -87,7 +88,8 @@ class Trajectory:
     sampling instants that is the incoming interval's value (the record
     is right-continuous), except for the very last row, which keeps the
     final interval's control.  ``dist`` is the raw distance to the
-    reference, row by row.
+    reference, row by row.  In the partial trace of a failed run the last
+    row holds the state reached and NaN for any control never computed.
     """
 
     times: np.ndarray
@@ -160,28 +162,30 @@ def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerPara
 
     eps = params.epsilon
     h = eps / substeps
-    n_int = int(np.ceil(grid.horizon / eps - 1e-9))
+    n_int = max(1, int(np.ceil(grid.horizon / eps - 1e-9)))
     rows = n_int * substeps + 1
     idx = np.arange(rows)
     times = (idx // substeps) * eps + (idx % substeps) * h
     gamma_all = np.asarray(curve.eval(times), dtype=float)
 
-    states = np.empty((rows, sys.n))
-    controls = np.empty((rows, scheme.m))
+    # NaN-filled, so a partial trace never shows a value that was not computed.
+    states = np.full((rows, sys.n), np.nan)
+    controls = np.full((rows, scheme.m), np.nan)
     fields = sys.fields
     semantics = "sampled" if freeze else "classic"
     eval_count = 0
 
-    def partial_abort(reason: str, msg: str, last_good: int, t_fail: float):
-        kept = last_good + 1
-        traj = Trajectory(
+    def record(kept: int, n_intervals: int) -> Trajectory:
+        return Trajectory(
             times=times[:kept], states=states[:kept], reference=gamma_all[:kept],
             controls=controls[:kept],
             dist=np.linalg.norm(states[:kept] - gamma_all[:kept], axis=1),
-            epsilon=eps, substeps=substeps,
-            n_intervals=last_good // substeps + 1,
+            epsilon=eps, substeps=substeps, n_intervals=n_intervals,
             coefficient_evals=eval_count, semantics=semantics)
-        raise SimulationError(msg, reason=reason, time=t_fail, partial=traj)
+
+    def fail(reason: str, what: str, kept: int, t_fail: float):
+        raise SimulationError(f"{what} t={t_fail:.6g}", reason=reason, time=t_fail,
+                              partial=record(kept, (kept - 1) // substeps + 1))
 
     def solve(t, state):
         # Classic semantics: coefficients from the stage's own state and time.
@@ -191,65 +195,43 @@ def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerPara
         return make_control_function(scheme, params, c)(t)
 
     control = _from_table if freeze else solve
-    x = x0.copy()
-    for j in range(n_int):
-        base = j * substeps
-        # Row k: the left node, midpoint and right node of step k.
-        left = times[base:base + substeps]
-        stages = np.stack((left, left + 0.5 * h, left + h), axis=1)
-        if freeze:
-            try:
+    x = states[0] = x0
+    i = 0  # the row being computed
+    try:
+        for j in range(n_int):
+            base = i = j * substeps
+            # Row k: the left node, midpoint and right node of step k.
+            left = times[base:base + substeps]
+            stages = np.stack((left, left + 0.5 * h, left + h), axis=1)
+            if freeze:
                 coeffs = coefficients(sys, scheme, params, x, gamma_all[base])
-            except DomainError:
-                partial_abort("domain-exit",
-                              f"state left the domain at sampling instant t={times[base]:.6g}",
-                              base, float(times[base]))
-            except RankConditionError:
-                partial_abort("rank-deficient",
-                              f"gain matrix singular at sampling instant t={times[base]:.6g}",
-                              base, float(times[base]))
-            eval_count += 1
-            if on_coefficients is not None:
-                on_coefficients(j, float(times[base]), x.copy(), coeffs)
-            u_func = make_control_function(scheme, params, coeffs)
-            stages = u_func(stages)
+                eval_count += 1
+                if on_coefficients is not None:
+                    on_coefficients(j, float(times[base]), x.copy(), coeffs)
+                u_func = make_control_function(scheme, params, coeffs)
+                stages = u_func(stages)
 
-        for k in range(substeps):
-            i = base + k
-            t = float(times[i])
-            states[i] = x
-            try:
+            for k in range(substeps):
+                i = base + k
                 x = _rk4_step(fields, x, h, stages[k], control, controls[i])
-            except DomainError:
-                partial_abort("domain-exit",
-                              f"state left the domain near t={t:.6g}", i, t)
-            except RankConditionError:
-                partial_abort("rank-deficient",
-                              f"gain matrix singular near t={t:.6g}", i, t)
-            t_next = float(times[i + 1])
-            if not np.all(np.isfinite(x)):
-                partial_abort("non-finite-state",
-                              f"state became non-finite by t={t_next:.6g}", i, t_next)
-            if not sys.in_domain(x):
-                partial_abort("domain-exit",
-                              f"state left the domain by t={t_next:.6g}", i, t_next)
+                states[i + 1] = x
+                t_next = float(times[i + 1])
+                if not np.all(np.isfinite(x)):
+                    fail("non-finite-state", "state became non-finite by", i + 1, t_next)
+                if not sys.in_domain(x):
+                    fail("domain-exit", "state left the domain by", i + 1, t_next)
+    except DomainError:
+        fail("domain-exit", "state left the domain near", i + 1, float(times[i]))
+    except RankConditionError:
+        fail("rank-deficient", "gain matrix singular near", i + 1, float(times[i]))
 
-    states[-1] = x
     try:
         controls[-1] = u_func(times[-1]) if freeze else solve(times[-1], x)
     except (DomainError, RankConditionError):
         controls[-1] = controls[-2]
 
     keep = int(np.searchsorted(times, grid.horizon + 1e-9, side="right"))
-    times = times[:keep]
-    states = states[:keep]
-    gamma_all = gamma_all[:keep]
-    controls = controls[:keep]
-    return Trajectory(
-        times=times, states=states, reference=gamma_all, controls=controls,
-        dist=np.linalg.norm(states - gamma_all, axis=1),
-        epsilon=eps, substeps=substeps, n_intervals=n_int,
-        coefficient_evals=eval_count, semantics=semantics)
+    return record(keep, n_int)
 
 
 def simulate(sys: ControlSystem, scheme: BracketScheme, params: ControllerParams,

@@ -44,8 +44,7 @@ def entry_time(traj: Trajectory, rho: float) -> float:
 
 def steady_amplitude(traj: Trajectory) -> float:
     """Largest raw distance over the last quarter of the record."""
-    t_cut = 0.75 * traj.times[-1]
-    return float(np.max(traj.dist[traj.times >= t_cut]))
+    return tail_error(traj, 0.75 * traj.times[-1])
 
 
 def tail_error(traj: Trajectory, t_start: float) -> float:

@@ -125,10 +125,30 @@ class TestValidationErrors:
         ["run", "--scenario", "unicycle", "--x0", "1,2"],
         ["run", "--scenario", "unicycle", "--semantics", "averaged"],
         ["run"],
+        ["run", "--scenario", "unicycle", "--horizon", "inf"],
+        ["run", "--scenario", "unicycle", "--epsilon", "inf"],
+        ["run", "--scenario", "unicycle", "--curve", "gamma3", "--horizon", "inf"],
+        ["certify", "--scenario", "unicycle", "--empirical", "--horizon", "inf"],
+        ["run", "--scenario", "unicycle", "--alpha", "inf"],
+        ["run", "--scenario", "unicycle", "--rho", "nan"],
     ])
     def test_exit_code_one(self, tmp_path, capsys, args):
         assert run_cli(tmp_path, *args) == 1
-        assert capsys.readouterr().err != ""
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("entry", [
+        {"alpha": "15"},
+        {"x0": "0,0,1"},
+        {"substeps": 200.5},
+        {"rho": None},
+    ])
+    def test_config_value_of_wrong_type(self, tmp_path, capsys, entry):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": "unicycle", **entry}))
+        assert run_cli(tmp_path, "run", "--config", str(cfg)) == 1
+        (key,) = entry
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(key) in err
 
     def test_singular_expression_curve(self, tmp_path, capsys):
         """The input curve is at fault, so the run is refused before it starts."""
@@ -216,9 +236,15 @@ class TestSweep:
         assert code == 1
 
     def test_nonpositive_grid_value_rejected(self, tmp_path):
-        """Each cell is a RunConfig, so a bad gain fails before any run."""
+        """Every cell's gain is checked before any run."""
         code = run_cli(tmp_path, "sweep", "--scenario", "unicycle",
                        "--alphas=-1,15", "--epsilons", "0.1", "--horizon", "0.5")
+        assert code == 1
+        assert not (tmp_path / "sweep_summary.csv").exists()
+
+    def test_non_finite_grid_value_rejected(self, tmp_path):
+        code = run_cli(tmp_path, "sweep", "--scenario", "unicycle",
+                       "--alphas", "nan,15", "--epsilons", "0.1", "--horizon", "0.5")
         assert code == 1
         assert not (tmp_path / "sweep_summary.csv").exists()
 

@@ -43,6 +43,11 @@ def test_params_validation():
         ControllerParams(alpha=0.0, epsilon=0.1)
     with pytest.raises(UsageError):
         ControllerParams(alpha=1.0, epsilon=-0.1)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(UsageError):
+            ControllerParams(alpha=bad, epsilon=0.1)
+        with pytest.raises(UsageError):
+            ControllerParams(alpha=1.0, epsilon=bad)
 
 
 def test_unicycle_coefficients_closed_form(unicycle):

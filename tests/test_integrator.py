@@ -247,6 +247,16 @@ def test_horizon_truncation_mid_interval():
     assert traj.states.shape[0] == traj.times.size
 
 
+def test_horizon_below_grid_tolerance_keeps_initial_row():
+    """A horizon that rounds to zero intervals still runs one and records t = 0."""
+    sys, scheme = make_unicycle()
+    traj = simulate(sys, scheme, ControllerParams(alpha=15.0, epsilon=0.1),
+                    curve_gamma1(), np.zeros(3), SamplerGrid(0.1, 1e-12))
+    assert traj.times.tolist() == [0.0]
+    assert traj.n_intervals == 1
+    assert np.all(np.isfinite(traj.controls))
+
+
 def test_substep_refinement_converges():
     sys, scheme = make_unicycle()
     params = ControllerParams(alpha=15.0, epsilon=0.1)
@@ -267,6 +277,11 @@ def test_grid_validation():
         SamplerGrid(0.0, 1.0)
     with pytest.raises(UsageError):
         SamplerGrid(0.1, -1.0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(UsageError):
+            SamplerGrid(bad, 1.0)
+        with pytest.raises(UsageError):
+            SamplerGrid(0.1, bad)
     with pytest.raises(UsageError):
         simulate(sys, scheme, params, curve_gamma1(), np.zeros(3),
                  SamplerGrid(0.2, 1.0))  # epsilon mismatch
@@ -323,3 +338,56 @@ def test_domain_exit_aborts_with_partial_trajectory():
     assert err.partial is not None
     assert abs(err.partial.states[-1][2]) < np.pi / 2
     assert err.time <= 20.0
+
+
+def make_vanishing_bracket():
+    """[f1, f2] = (0, 0, 2 x1) spans the third direction except on x1 = 0."""
+    f1 = VectorField(3, lambda x: np.array([1.0, 0.0, 0.0]),
+                     jacobian=lambda x: np.zeros((3, 3)))
+    f2 = VectorField(3, lambda x: np.array([0.0, 1.0, x[0] ** 2]),
+                     jacobian=lambda x: np.array([[0.0, 0.0, 0.0],
+                                                  [0.0, 0.0, 0.0],
+                                                  [2.0 * x[0], 0.0, 0.0]]))
+    sys = ControlSystem(3, 2, (f1, f2), name="vanishing-bracket")
+    scheme = BracketScheme(m=2, s1=(1, 2), s2=((1, 2),), kappa=(1,))
+    return sys, scheme
+
+
+def _assert_rows_before_failure_complete(partial):
+    assert np.all(np.isfinite(partial.states[:-1]))
+    assert np.all(np.isfinite(partial.controls[:-1]))
+
+
+@pytest.mark.parametrize("integrate", [simulate, classic_solution_simulate])
+def test_rank_failure_at_start_keeps_initial_state(integrate):
+    """A singular gain matrix at x0 leaves a one-row trace holding x0 itself."""
+    sys, scheme = make_vanishing_bracket()
+    params = ControllerParams(alpha=1.0, epsilon=0.1)
+    x0 = np.zeros(3)
+    with pytest.raises(SimulationError) as exc:
+        integrate(sys, scheme, params, constant_curve(np.zeros(3)), x0,
+                  SamplerGrid(0.1, 1.0))
+    err = exc.value
+    assert err.reason == "rank-deficient"
+    assert err.time == 0.0
+    assert err.partial.times.size == 1
+    np.testing.assert_array_equal(err.partial.states[0], x0)
+    assert np.all(np.isnan(err.partial.controls[0]))
+
+
+def test_rank_failure_at_sampling_instant_keeps_reached_state():
+    """alpha * epsilon = 1 drives x1 to zero in one interval, where the
+    bracket vanishes, while x2 and x3 already sit on the target; the
+    failing row holds that reached state, not stale memory."""
+    sys, scheme = make_vanishing_bracket()
+    params = ControllerParams(alpha=10.0, epsilon=0.1)
+    target = np.array([0.0, 0.5, 0.5])
+    with pytest.raises(SimulationError) as exc:
+        simulate(sys, scheme, params, constant_curve(target),
+                 np.array([0.3, 0.5, 0.5]), SamplerGrid(0.1, 1.0))
+    err = exc.value
+    assert err.reason == "rank-deficient"
+    assert err.time == pytest.approx(0.1)
+    assert err.partial.times.size == default_substeps(scheme) + 1
+    np.testing.assert_allclose(err.partial.states[-1], target, rtol=0, atol=1e-12)
+    _assert_rows_before_failure_complete(err.partial)
