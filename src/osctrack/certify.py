@@ -24,12 +24,11 @@ from .controller import ControllerParams
 from .curves import ReferenceCurve
 from .errors import (
     CertificationError,
-    RankConditionError,
     UnsupportedSchemeError,
     UsageError,
 )
 from .integrator import SamplerGrid, Trajectory, simulate
-from .systems import BracketScheme, ControlSystem, build_gain_matrix
+from .systems import BracketScheme, ControlSystem, gain_matrices
 
 # Lipschitz constants below this are treated as the zero-derivative
 # limit (constant fields), where the growth bound degenerates smoothly.
@@ -265,10 +264,13 @@ def estimate_sup_bounds(sys: ControlSystem, scheme: BracketScheme,
     horizon and radius distributed so points fill the ball uniformly.
     Second Lie derivatives are taken by central differences along the
     field directions.  All five outputs carry the inflation factor; the
-    certificate they feed should be labeled "empirical".
+    certificate they feed should be labeled "empirical".  The whole
+    sample batch is evaluated at once; a sample outside the domain or
+    with a singular gain matrix aborts the estimate, and the first such
+    sample is the one reported.
     """
-    if delta_prime <= 0 or horizon <= 0:
-        raise UsageError("delta_prime and horizon must be positive")
+    if not (0 < delta_prime < np.inf and 0 < horizon < np.inf):
+        raise UsageError("delta_prime and horizon must be finite and positive")
     if n_samples < 1:
         raise UsageError("need at least one sample")
     rng = np.random.default_rng(seed)
@@ -279,47 +281,53 @@ def estimate_sup_bounds(sys: ControlSystem, scheme: BracketScheme,
     radii = delta_prime * rng.uniform(0.0, 1.0, n_samples) ** (1.0 / n)
     xs = np.asarray(curve.eval(ts), dtype=float) + radii[:, None] * dirs
 
+    inside = np.broadcast_to(sys.in_domain(xs), (n_samples,))
+    n_inside = n_samples if inside.all() else int(np.argmin(inside))
+    gains = gain_matrices(sys, scheme, xs[:n_inside])
+    singular = np.flatnonzero(gains.singular)
+    if singular.size:
+        raise CertificationError(
+            f"gain matrix singular inside the tube at {xs[singular[0]]}; "
+            "certification impossible for this curve and radius")
+    if n_inside < n_samples:
+        raise CertificationError(
+            f"tube sample {xs[n_inside]} leaves the system domain; "
+            "shrink delta_prime or the horizon")
+
     def lie_table(x):
-        """Field values, Jacobians, and L_{f_j} f_i = Jf_i @ f_j for each ordered pair."""
-        vals = np.stack([f.eval(x) for f in sys.fields])
-        jacs = np.stack([f.jacobian(x) for f in sys.fields])
-        return vals, jacs, np.einsum("ikl,jl->ijk", jacs, vals)
+        """Field values (B, m, n), Jacobians (B, m, n, n), and
+        L_{f_j} f_i = Jf_i @ f_j (B, m, m, n) for each ordered pair."""
+        vals = np.stack([f.eval(x) for f in sys.fields], axis=1)
+        jacs = np.stack([f.jacobian(x) for f in sys.fields], axis=1)
+        return vals, jacs, np.einsum("bikl,bjl->bijk", jacs, vals)
 
-    m1 = m2 = m3 = lip = mu = 0.0
-    for x in xs:
-        if not sys.in_domain(x):
-            raise CertificationError(
-                f"tube sample {x} leaves the system domain; "
-                "shrink delta_prime or the horizon")
-        vals, jacs, first = lie_table(x)
-        m1 = max(m1, float(np.max(np.linalg.norm(vals, axis=1))))
-        lip = max(lip, float(np.max(np.linalg.svd(jacs, compute_uv=False)[:, 0])))
-        m2 = max(m2, float(np.max(np.linalg.norm(first, axis=2))))
+    vals, jacs, first = lie_table(xs)
+    m1 = np.max(np.linalg.norm(vals, axis=2))
+    lip = np.max(np.linalg.svd(jacs, compute_uv=False)[..., 0])
+    m2 = np.max(np.linalg.norm(first, axis=3))
 
-        # Directional derivative of x -> (L_{f_j2} f_j1)(x) along f_j3.
-        total = 0.0
-        for j3 in range(sys.m):
-            w = vals[j3]
-            wn = np.linalg.norm(w)
-            if wn == 0.0:
-                continue
-            step = 1e-5 * max(1.0, float(np.linalg.norm(x)))
-            offset = (step / wn) * w
-            gap = lie_table(x + offset)[2] - lie_table(x - offset)[2]
-            deriv = gap * (wn / (2.0 * step))
-            total += float(np.sum(np.linalg.norm(deriv, axis=2)))
-        m3 = max(m3, total / 6.0)
+    def norms(v):
+        """Row norms via the dot product, as np.linalg.norm takes them of one row."""
+        return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
-        try:
-            gain = build_gain_matrix(sys, scheme, x)
-        except RankConditionError as exc:
-            raise CertificationError(
-                f"gain matrix singular inside the tube at {x}; "
-                "certification impossible for this curve and radius") from exc
-        mu = max(mu, 1.0 / float(np.linalg.svd(gain, compute_uv=False)[-1]))
+    # Directional derivative of x -> (L_{f_j2} f_j1)(x) along f_j3; a
+    # vanishing f_j3 gets a zero offset and so contributes nothing.
+    step = 1e-5 * np.maximum(1.0, norms(xs))
+    total = np.zeros(n_samples)
+    for j3 in range(sys.m):
+        w = vals[:, j3]
+        wn = norms(w)
+        scale = np.divide(step, wn, out=np.zeros(n_samples), where=wn != 0.0)
+        offset = scale[:, None] * w
+        gap = lie_table(xs + offset)[2] - lie_table(xs - offset)[2]
+        deriv = gap * (wn / (2.0 * step))[:, None, None, None]
+        total += np.sum(np.linalg.norm(deriv, axis=3), axis=(1, 2))
+    m3 = np.max(total / 6.0)
+    mu = np.max(1.0 / gains.singular_values[:, -1])
 
-    return SupBounds(M1=inflation * m1, M2=inflation * m2, M3=inflation * m3,
-                     L=inflation * lip, mu=inflation * mu)
+    return SupBounds(M1=inflation * float(m1), M2=inflation * float(m2),
+                     M3=inflation * float(m3), L=inflation * float(lip),
+                     mu=inflation * float(mu))
 
 
 @dataclass(frozen=True)

@@ -60,8 +60,8 @@ def velocity_bound(deriv, horizon: float, n_samples: int = 100_000,
 
     The margin covers what a finite sample can miss between grid points.
     """
-    if horizon <= 0:
-        raise UsageError(f"horizon must be positive, got {horizon}")
+    if not 0 < horizon < np.inf:
+        raise UsageError(f"horizon must be finite and positive, got {horizon}")
     ts = np.linspace(0.0, horizon, n_samples)
     speeds = np.linalg.norm(np.asarray(deriv(ts), dtype=float), axis=-1)
     return margin * float(np.max(speeds))
@@ -131,8 +131,8 @@ def curve_gamma3_admissible(base: ReferenceCurve, gamma3_0: float | None = None,
     """
     if base.deriv2 is None:
         raise UsageError("heading construction needs second derivatives of the base curve")
-    if horizon <= 0 or step <= 0:
-        raise UsageError("horizon and step must be positive")
+    if not (0 < horizon < np.inf and 0 < step < np.inf):
+        raise UsageError("horizon and step must be finite and positive")
 
     t_end = horizon + 0.05 * horizon + 2.0
     n_grid = int(np.ceil(t_end / step)) + 1

@@ -12,7 +12,7 @@ assumption.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,38 +34,41 @@ NEAR_SINGULAR_COND = 1e8
 
 def finite_difference_jacobian(func: Callable[[np.ndarray], np.ndarray],
                                x: np.ndarray,
-                               step: float | None = None) -> np.ndarray:
-    """Central-difference Jacobian of ``func`` at ``x``.
+                               step: float | np.ndarray | None = None) -> np.ndarray:
+    """Central-difference Jacobian of ``func`` at states ``x`` of shape (..., n).
 
-    The default step scales with the magnitude of ``x`` so that the
-    approximation stays balanced between truncation and round-off.
+    ``func`` maps (..., n) to (..., p) and the result has shape
+    (..., p, n).  The default step scales with the magnitude of each
+    state so that the approximation stays balanced between truncation
+    and round-off.
     """
     x = np.asarray(x, dtype=float)
     if step is None:
-        step = 1e-6 * max(1.0, float(np.linalg.norm(x)))
-    f0 = np.asarray(func(x), dtype=float)
-    jac = np.empty((f0.size, x.size))
-    for k in range(x.size):
-        e = np.zeros_like(x)
-        e[k] = step
-        jac[:, k] = (np.asarray(func(x + e), dtype=float)
-                     - np.asarray(func(x - e), dtype=float)) / (2.0 * step)
-    return jac
+        step = 1e-6 * np.maximum(1.0, np.linalg.norm(x, axis=-1))
+    h = np.broadcast_to(step, x.shape[:-1])[..., None]
+    cols = []
+    for e in np.eye(x.shape[-1]):
+        cols.append((np.asarray(func(x + h * e), dtype=float)
+                     - np.asarray(func(x - h * e), dtype=float)) / (2.0 * h))
+    return np.stack(cols, axis=-1)
 
 
 @dataclass(frozen=True)
 class VectorField:
     """A smooth vector field on R^n with an (optionally analytic) Jacobian.
 
+    Both callables take a batch of states of shape (..., n), a single
+    state being the batch shape (n,).
+
     Parameters
     ----------
     dim : int
         Dimension n of the state space.
     eval : callable
-        Maps a state (n,) to the field value (n,).
+        Maps states (..., n) to the field values (..., n).
     jacobian : callable, optional
-        Maps a state to the n-by-n Jacobian matrix.  When omitted a
-        central finite-difference fallback is installed.
+        Maps states (..., n) to the Jacobian matrices (..., n, n).  When
+        omitted a central finite-difference fallback is installed.
     name : str
         Label used in error messages.
     """
@@ -87,19 +90,20 @@ class VectorField:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
+        if x.shape[-1:] != (self.dim,):
             raise DimensionMismatchError(
-                f"field {self.name or '?'} expects shape ({self.dim},), got {x.shape}")
+                f"field {self.name or '?'} expects shape (..., {self.dim}), "
+                f"got {x.shape}")
         return np.asarray(self.eval(x), dtype=float)
 
 
 def lie_bracket(f: VectorField, g: VectorField, x: np.ndarray) -> np.ndarray:
-    """Value of [f, g](x) = Dg(x) f(x) - Df(x) g(x)."""
+    """Value of [f, g](x) = Dg(x) f(x) - Df(x) g(x) at states x of shape (..., n)."""
     if f.dim != g.dim:
         raise DimensionMismatchError(
             f"bracket of fields with dims {f.dim} and {g.dim}")
     x = np.asarray(x, dtype=float)
-    return g.jacobian(x) @ f(x) - f.jacobian(x) @ g(x)
+    return (g.jacobian(x) @ f(x)[..., None] - f.jacobian(x) @ g(x)[..., None])[..., 0]
 
 
 def bracket_field(f: VectorField, g: VectorField, name: str = "") -> VectorField:
@@ -123,15 +127,16 @@ def bracket_field(f: VectorField, g: VectorField, name: str = "") -> VectorField
 class ControlSystem:
     """Driftless control-affine system dx/dt = sum u_i f_i(x).
 
-    ``domain`` is a predicate returning True while the state stays in the
-    open set where the fields are defined; integration aborts when it
-    turns False.
+    ``domain`` maps states (..., n) to booleans broadcastable to (...),
+    True where the state lies in the open set where the fields are
+    defined; integration aborts when it turns False.  The default domain
+    is the whole space.
     """
 
     n: int
     m: int
     fields: tuple[VectorField, ...]
-    domain: Callable[[np.ndarray], bool] = field(default=lambda x: True)
+    domain: Callable[[np.ndarray], np.ndarray | bool] = field(default=lambda x: True)
     name: str = ""
 
     def __post_init__(self):
@@ -151,8 +156,9 @@ class ControlSystem:
             raise UsageError(f"field index {i} outside 1..{self.m}")
         return self.fields[i - 1]
 
-    def in_domain(self, x: np.ndarray) -> bool:
-        return bool(self.domain(np.asarray(x, dtype=float)))
+    def in_domain(self, x: np.ndarray) -> np.ndarray | bool:
+        """Domain membership of states (..., n), broadcastable to (...)."""
+        return self.domain(np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -245,42 +251,72 @@ class BracketScheme:
         return max(freqs, default=1)
 
 
-def build_gain_matrix(sys: ControlSystem, scheme: BracketScheme,
-                      x: np.ndarray) -> np.ndarray:
-    """Columns [f_i | [f_i, f_j] | [[f_j1, f_j2], f_j1]] evaluated at x.
+class GainMatrices(NamedTuple):
+    """Gain matrices at a batch of states and their singular values."""
 
-    Raises DomainError if x has left the system domain and
-    RankConditionError if the matrix is singular to working precision.
+    matrices: np.ndarray
+    singular_values: np.ndarray
+
+    @property
+    def singular(self) -> np.ndarray:
+        """True where the smallest singular value falls below
+        SINGULARITY_RTOL times the largest column norm; shape (...)."""
+        col_norm = np.max(np.linalg.norm(self.matrices, axis=-2), axis=-1)
+        floor = SINGULARITY_RTOL * np.maximum(col_norm, 1e-300)
+        return self.singular_values[..., -1] < floor
+
+
+def gain_matrices(sys: ControlSystem, scheme: BracketScheme,
+                  xs: np.ndarray) -> GainMatrices:
+    """Columns [f_i | [f_i, f_j] | [[f_j1, f_j2], f_j1]] at states xs (..., n).
+
+    Returns the matrices (..., n, n) with their singular values (..., n),
+    largest first, from one batched SVD.  Raises DomainError naming the
+    first state outside the system domain.
     """
     if scheme.m != sys.m:
         raise UsageError(f"scheme is for m={scheme.m}, system has m={sys.m}")
     if scheme.n_columns != sys.n:
         raise UsageError(
             f"scheme spans {scheme.n_columns} directions, state space has n={sys.n}")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (sys.n,):
-        raise DimensionMismatchError(f"state must have shape ({sys.n},), got {x.shape}")
-    if not sys.in_domain(x):
+    xs = np.asarray(xs, dtype=float)
+    if xs.shape[-1:] != (sys.n,):
+        raise DimensionMismatchError(
+            f"states must have shape (..., {sys.n}), got {xs.shape}")
+    outside = ~np.broadcast_to(sys.in_domain(xs), xs.shape[:-1]).reshape(-1)
+    if outside.any():
+        x = xs.reshape(-1, sys.n)[np.argmax(outside)]
         raise DomainError(f"state {x} outside the system domain")
 
     cols = []
     for i in scheme.s1:
-        cols.append(sys.field(i)(x))
+        cols.append(sys.field(i)(xs))
     for (i, j) in scheme.s2:
-        cols.append(lie_bracket(sys.field(i), sys.field(j), x))
+        cols.append(lie_bracket(sys.field(i), sys.field(j), xs))
     for term in scheme.degree2:
         j1, j2, _ = term.triple
         inner = bracket_field(sys.field(j1), sys.field(j2))
-        cols.append(lie_bracket(inner, sys.field(j1), x))
-    gain = np.column_stack(cols)
+        cols.append(lie_bracket(inner, sys.field(j1), xs))
+    gain = np.stack(cols, axis=-1)
+    return GainMatrices(gain, np.linalg.svd(gain, compute_uv=False))
 
-    svals = np.linalg.svd(gain, compute_uv=False)
-    col_norm = float(np.max(np.linalg.norm(gain, axis=0)))
-    if svals[-1] < SINGULARITY_RTOL * max(col_norm, 1e-300):
+
+def build_gain_matrix(sys: ControlSystem, scheme: BracketScheme,
+                      x: np.ndarray) -> np.ndarray:
+    """The gain matrix of ``gain_matrices`` at the single state x (n,).
+
+    Raises DomainError if x has left the system domain and
+    RankConditionError if the matrix is singular to working precision.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape != (sys.n,):
+        raise DimensionMismatchError(f"state must have shape ({sys.n},), got {x.shape}")
+    gains = gain_matrices(sys, scheme, x)
+    if gains.singular:
         raise RankConditionError(
             f"gain matrix singular at state {x} "
-            f"(smallest singular value {svals[-1]:.3e})", state=x)
-    return gain
+            f"(smallest singular value {gains.singular_values[-1]:.3e})", state=x)
+    return gains.matrices
 
 
 @dataclass(frozen=True)
@@ -297,7 +333,7 @@ class RankConditionReport:
 
 def check_rank_condition(sys: ControlSystem, scheme: BracketScheme,
                          samples: np.ndarray) -> RankConditionReport:
-    """Evaluate the gain matrix on each sample state and grade the batch.
+    """Evaluate the gain matrix on a batch of sample states and grade it.
 
     Samples where the smallest singular value drops below the hard
     threshold are failures; samples whose condition number reaches
@@ -312,25 +348,16 @@ def check_rank_condition(sys: ControlSystem, scheme: BracketScheme,
         raise DimensionMismatchError(
             f"samples must have {sys.n} columns, got {samples.shape[1]}")
 
-    sigmas = np.empty(samples.shape[0])
-    failed = []
-    near = []
-    for idx, x in enumerate(samples):
-        try:
-            gain = build_gain_matrix(sys, scheme, x)
-        except RankConditionError:
-            sigmas[idx] = 0.0
-            failed.append(idx)
-            continue
-        svals = np.linalg.svd(gain, compute_uv=False)
-        sigmas[idx] = svals[-1]
-        if svals[0] >= NEAR_SINGULAR_COND * svals[-1]:
-            near.append(idx)
+    gains = gain_matrices(sys, scheme, samples)
+    svals = gains.singular_values
+    failed = gains.singular
+    sigmas = np.where(failed, 0.0, svals[:, -1])
+    near = ~failed & (svals[:, 0] >= NEAR_SINGULAR_COND * svals[:, -1])
     return RankConditionReport(
-        ok=not failed,
+        ok=not failed.any(),
         n_samples=samples.shape[0],
         min_singular_value=float(np.min(sigmas)),
         singular_values=sigmas,
-        failed_indices=tuple(failed),
-        near_singular_indices=tuple(near),
+        failed_indices=tuple(np.flatnonzero(failed).tolist()),
+        near_singular_indices=tuple(np.flatnonzero(near).tolist()),
     )

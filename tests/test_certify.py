@@ -25,12 +25,15 @@ from osctrack import (
     UsageError,
     VectorField,
     bound_constants,
+    build_gain_matrix,
     constant_curve,
     contraction_check,
     control_magnitude_constants,
     curve_gamma1,
     coefficients,
     estimate_sup_bounds,
+    get_curve,
+    get_scenario,
     lemma1_growth_check,
     make_control_function,
     sigma_value,
@@ -38,7 +41,7 @@ from osctrack import (
     volterra_residual,
     volterra_scaling,
 )
-from tests.test_systems import unicycle_fields
+from tests.test_systems import components, constant, unicycle_fields, zero_jacobian
 
 UNICYCLE_SCHEME = BracketScheme(m=2, s1=(1, 2), s2=((1, 2),), kappa=(1,))
 
@@ -61,10 +64,8 @@ def unicycle_inputs(gamma1):
 
 
 def translation_system():
-    one = VectorField(dim=2, eval=lambda x: np.array([1.0, 0.0]),
-                      jacobian=lambda x: np.zeros((2, 2)), name="e1")
-    two = VectorField(dim=2, eval=lambda x: np.array([0.0, 1.0]),
-                      jacobian=lambda x: np.zeros((2, 2)), name="e2")
+    one = VectorField(dim=2, eval=constant(1.0, 0.0), jacobian=zero_jacobian, name="e1")
+    two = VectorField(dim=2, eval=constant(0.0, 1.0), jacobian=zero_jacobian, name="e2")
     return ControlSystem(n=2, m=2, fields=(one, two), name="translation")
 
 
@@ -219,9 +220,9 @@ def test_certificate_as_dict(unicycle, unicycle_inputs):
 
 def test_degree2_scheme_rejected(unicycle_inputs):
     car = ControlSystem(n=4, m=2, fields=(
-        VectorField(dim=4, eval=lambda x: np.array(
-            [np.cos(x[3]), np.sin(x[3]), 0.0, np.tan(x[2])])),
-        VectorField(dim=4, eval=lambda x: np.array([0.0, 0.0, 1.0, 0.0])),
+        VectorField(dim=4, eval=lambda x: components(
+            np.cos(x[..., 3]), np.sin(x[..., 3]), 0.0, np.tan(x[..., 2]))),
+        VectorField(dim=4, eval=constant(0.0, 0.0, 1.0, 0.0)),
     ), name="car")
     scheme = BracketScheme(m=2, s1=(1, 2), s2=((1, 2),), kappa=(3,),
                            degree2=(NestedBracketTerm((1, 2, 1), 1, 2),))
@@ -352,37 +353,122 @@ def test_estimate_sup_bounds_unicycle(unicycle, gamma1):
         [1.1, 1.1, 1.1 / 6.0, 1.1, 1.1], rtol=1e-5)
 
 
+def tube_samples(n, curve, *, delta_prime, horizon, n_samples, seed):
+    """The tube states estimate_sup_bounds draws: same generator, same order."""
+    rng = np.random.default_rng(seed)
+    ts = rng.uniform(0.0, horizon, n_samples)
+    dirs = rng.normal(size=(n_samples, n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    radii = delta_prime * rng.uniform(0.0, 1.0, n_samples) ** (1.0 / n)
+    return np.asarray(curve.eval(ts), dtype=float) + radii[:, None] * dirs
+
+
+def reference_sup_bounds(sys, scheme, curve, *, delta_prime, horizon,
+                         n_samples, seed, inflation=1.1):
+    """Oracle: the sup bounds taken one tube sample at a time."""
+    xs = tube_samples(sys.n, curve, delta_prime=delta_prime, horizon=horizon,
+                      n_samples=n_samples, seed=seed)
+
+    def lie_table(x):
+        vals = np.stack([f.eval(x) for f in sys.fields])
+        jacs = np.stack([f.jacobian(x) for f in sys.fields])
+        return vals, jacs, np.einsum("ikl,jl->ijk", jacs, vals)
+
+    m1 = m2 = m3 = lip = mu = 0.0
+    for x in xs:
+        assert sys.in_domain(x)
+        vals, jacs, first = lie_table(x)
+        m1 = max(m1, float(np.max(np.linalg.norm(vals, axis=1))))
+        lip = max(lip, float(np.max(np.linalg.svd(jacs, compute_uv=False)[:, 0])))
+        m2 = max(m2, float(np.max(np.linalg.norm(first, axis=2))))
+        total = 0.0
+        for j3 in range(sys.m):
+            w = vals[j3]
+            wn = np.linalg.norm(w)
+            if wn == 0.0:
+                continue
+            step = 1e-5 * max(1.0, float(np.linalg.norm(x)))
+            offset = (step / wn) * w
+            gap = lie_table(x + offset)[2] - lie_table(x - offset)[2]
+            total += float(np.sum(np.linalg.norm(gap * (wn / (2.0 * step)), axis=2)))
+        m3 = max(m3, total / 6.0)
+        gain = build_gain_matrix(sys, scheme, x)
+        mu = max(mu, 1.0 / float(np.linalg.svd(gain, compute_uv=False)[-1]))
+    return np.array([m1, m2, m3, lip, mu]) * inflation
+
+
+@pytest.mark.parametrize("name, delta_prime", [
+    ("unicycle", 2.5), ("underwater", 0.5), ("car", 0.5)])
+def test_estimate_sup_bounds_matches_per_sample_oracle(name, delta_prime):
+    scenario = get_scenario(name)
+    curve = get_curve(scenario.default_curve, horizon=20.0)
+    kwargs = dict(delta_prime=delta_prime, horizon=20.0, n_samples=300, seed=5)
+    got = estimate_sup_bounds(scenario.system, scenario.scheme, curve, **kwargs)
+    want = reference_sup_bounds(scenario.system, scenario.scheme, curve, **kwargs)
+    np.testing.assert_allclose(list(got), want, rtol=1e-12, atol=0.0)
+
+
 def test_estimate_sup_bounds_validation(unicycle, gamma1):
-    with pytest.raises(UsageError):
-        estimate_sup_bounds(unicycle, UNICYCLE_SCHEME, gamma1,
-                            delta_prime=0.0, horizon=40.0)
-    with pytest.raises(UsageError):
-        estimate_sup_bounds(unicycle, UNICYCLE_SCHEME, gamma1,
-                            delta_prime=2.5, horizon=40.0, n_samples=0)
+    for overrides in ({"delta_prime": 0.0}, {"delta_prime": -1.0},
+                      {"delta_prime": np.inf}, {"delta_prime": np.nan},
+                      {"horizon": 0.0}, {"horizon": np.inf}, {"horizon": np.nan},
+                      {"n_samples": 0}):
+        kwargs = {"delta_prime": 2.5, "horizon": 40.0, **overrides}
+        with pytest.raises(UsageError):
+            estimate_sup_bounds(unicycle, UNICYCLE_SCHEME, gamma1, **kwargs)
 
 
 def test_estimate_sup_bounds_singular_gain():
     # Second column is x1 times the first: the gain matrix is singular
-    # everywhere, which certification must refuse.
-    f1 = VectorField(dim=2, eval=lambda x: np.array([1.0, 0.0]),
-                     jacobian=lambda x: np.zeros((2, 2)))
-    f2 = VectorField(dim=2, eval=lambda x: np.array([x[0], 0.0]),
-                     jacobian=lambda x: np.array([[1.0, 0.0], [0.0, 0.0]]))
+    # everywhere, which certification must refuse at the first sample.
+    f1 = VectorField(dim=2, eval=constant(1.0, 0.0), jacobian=zero_jacobian)
+    f2 = VectorField(dim=2, eval=lambda x: components(x[..., 0], 0.0),
+                     jacobian=lambda x: np.broadcast_to([[1.0, 0.0], [0.0, 0.0]],
+                                                        x.shape + (2,)))
     sys_bad = ControlSystem(n=2, m=2, fields=(f1, f2))
     scheme = BracketScheme(m=2, s1=(1, 2))
     curve = constant_curve(np.zeros(2))
-    with pytest.raises(CertificationError):
+    with pytest.raises(CertificationError, match="gain matrix singular") as exc:
         estimate_sup_bounds(sys_bad, scheme, curve, delta_prime=0.5,
                             horizon=1.0, n_samples=50)
+    xs = tube_samples(2, curve, delta_prime=0.5, horizon=1.0, n_samples=50, seed=0)
+    assert str(xs[0]) in str(exc.value)
 
 
 def test_estimate_sup_bounds_domain_exit(gamma1):
     fields = unicycle_fields()
     sys_small = ControlSystem(n=3, m=2, fields=fields,
-                              domain=lambda x: bool(np.linalg.norm(x) < 1.0))
-    with pytest.raises(CertificationError):
+                              domain=lambda x: np.linalg.norm(x, axis=-1) < 1.0)
+    with pytest.raises(CertificationError, match="leaves the system domain") as exc:
         estimate_sup_bounds(sys_small, UNICYCLE_SCHEME, gamma1,
                             delta_prime=2.5, horizon=40.0, n_samples=50)
+    xs = tube_samples(3, gamma1, delta_prime=2.5, horizon=40.0, n_samples=50, seed=0)
+    first = int(np.argmax(np.linalg.norm(xs, axis=1) >= 1.0))
+    assert str(xs[first]) in str(exc.value)
+
+
+def test_estimate_sup_bounds_reports_the_first_offending_sample():
+    """Singular where x1 <= 0, outside the domain where x2 >= 0.3: the
+    sample reported is the first of either kind, in sample order."""
+    f1 = VectorField(dim=2, eval=constant(1.0, 0.0))
+    f2 = VectorField(dim=2, eval=lambda x: components(0.0, np.maximum(x[..., 0], 0.0)))
+    sys_mixed = ControlSystem(n=2, m=2, fields=(f1, f2),
+                              domain=lambda x: x[..., 1] < 0.3)
+    scheme = BracketScheme(m=2, s1=(1, 2))
+    curve = constant_curve(np.zeros(2))
+    kinds = set()
+    for seed in range(8):
+        xs = tube_samples(2, curve, delta_prime=0.5, horizon=1.0, n_samples=20,
+                          seed=seed)
+        outside = xs[:, 1] >= 0.3
+        first = int(np.argmax(outside | (xs[:, 0] <= 0.0)))
+        kind = "leaves the system domain" if outside[first] else "gain matrix singular"
+        kinds.add(kind)
+        with pytest.raises(CertificationError, match=kind) as exc:
+            estimate_sup_bounds(sys_mixed, scheme, curve, delta_prime=0.5,
+                                horizon=1.0, n_samples=20, seed=seed)
+        assert str(xs[first]) in str(exc.value)
+    assert len(kinds) == 2
 
 
 def test_volterra_residual_zero_at_reference(unicycle):

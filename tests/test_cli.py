@@ -77,7 +77,10 @@ class TestRun:
         assert [float(v) for v in first[1:4]] == [1.0, 1.0, 0.0]
 
     def test_simulation_failure_flags_partial_output(self, tmp_path):
-        code = run_cli(tmp_path, "run", "--scenario", "car", "--horizon", "3")
+        # alpha * epsilon = 2.5: the sampled error map overshoots and the
+        # car leaves its steering chart at t = 1.0225.
+        code = run_cli(tmp_path, "run", "--scenario", "car", "--horizon", "3",
+                       "--alpha", "5", "--epsilon", "0.5")
         assert code == 2
         meta = json.loads((tmp_path / "run_metadata.json").read_text())
         assert meta["partial_output"] is True

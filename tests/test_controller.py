@@ -17,7 +17,7 @@ from osctrack import (
     make_control_function,
 )
 
-from test_systems import car_fields, unicycle_fields
+from test_systems import car_domain, car_fields, unicycle_fields
 
 
 @pytest.fixture
@@ -32,7 +32,7 @@ def unicycle():
 def car():
     f1, f2 = car_fields()
     sys = ControlSystem(4, 2, (f1, f2),
-                        domain=lambda x: abs(x[2]) < np.pi / 2, name="car")
+                        domain=car_domain, name="car")
     scheme = BracketScheme(m=2, s1=(1, 2), s2=((1, 2),), kappa=(3,),
                            degree2=(NestedBracketTerm((1, 2, 1), 1, 2),))
     return sys, scheme

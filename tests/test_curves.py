@@ -191,3 +191,17 @@ def test_unknown_curve_lists_the_registry():
         get_curve("gamma99")
     for name in CURVE_REGISTRY:
         assert name in str(exc.value)
+
+
+@pytest.mark.parametrize("name", [*CURVE_REGISTRY, "cos(t), sin(t)"])
+@pytest.mark.parametrize("horizon", [0.0, -1.0, np.inf, np.nan])
+def test_nonfinite_or_nonpositive_horizon_rejected(name, horizon):
+    with pytest.raises(UsageError, match="horizon"):
+        get_curve(name, horizon=horizon)
+
+
+def test_admissible_companion_rejects_nonfinite_horizon():
+    base = curve_gamma1(horizon=5.0)
+    for horizon in (np.inf, np.nan):
+        with pytest.raises(UsageError, match="horizon"):
+            curve_gamma3_admissible(base, horizon=horizon)

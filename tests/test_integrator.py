@@ -29,7 +29,14 @@ from osctrack import (
     simulate,
 )
 
-from test_systems import car_fields, unicycle_fields
+from test_systems import (
+    car_domain,
+    car_fields,
+    components,
+    constant,
+    unicycle_fields,
+    zero_jacobian,
+)
 
 
 def make_unicycle():
@@ -41,10 +48,8 @@ def make_unicycle():
 
 def make_translation():
     """Two decoupled integrators: constant fields, no brackets needed."""
-    f1 = VectorField(2, lambda x: np.array([1.0, 0.0]),
-                     jacobian=lambda x: np.zeros((2, 2)))
-    f2 = VectorField(2, lambda x: np.array([0.0, 1.0]),
-                     jacobian=lambda x: np.zeros((2, 2)))
+    f1 = VectorField(2, constant(1.0, 0.0), jacobian=zero_jacobian)
+    f2 = VectorField(2, constant(0.0, 1.0), jacobian=zero_jacobian)
     sys = ControlSystem(2, 2, (f1, f2), name="translation")
     scheme = BracketScheme(m=2, s1=(1, 2))
     return sys, scheme
@@ -196,7 +201,7 @@ def test_coefficients_frozen_once_per_interval():
 
 def make_car():
     f1, f2 = car_fields()
-    sys = ControlSystem(4, 2, (f1, f2), domain=lambda x: abs(x[2]) < np.pi / 2)
+    sys = ControlSystem(4, 2, (f1, f2), domain=car_domain)
     scheme = BracketScheme(m=2, s1=(1, 2), s2=((1, 2),), kappa=(3,),
                            degree2=(NestedBracketTerm((1, 2, 1), 1, 2),))
     return sys, scheme
@@ -301,7 +306,7 @@ def test_default_substeps_scale_with_frequency():
 
 def test_initial_state_outside_domain():
     f1, f2 = car_fields()
-    sys = ControlSystem(4, 2, (f1, f2), domain=lambda x: abs(x[2]) < np.pi / 2)
+    sys = ControlSystem(4, 2, (f1, f2), domain=car_domain)
     scheme = BracketScheme(m=2, s1=(1, 2), s2=((1, 2),), kappa=(3,),
                            degree2=(NestedBracketTerm((1, 2, 1), 1, 2),))
     params = ControllerParams(alpha=1.0, epsilon=0.1)
@@ -342,12 +347,14 @@ def test_domain_exit_aborts_with_partial_trajectory():
 
 def make_vanishing_bracket():
     """[f1, f2] = (0, 0, 2 x1) spans the third direction except on x1 = 0."""
-    f1 = VectorField(3, lambda x: np.array([1.0, 0.0, 0.0]),
-                     jacobian=lambda x: np.zeros((3, 3)))
-    f2 = VectorField(3, lambda x: np.array([0.0, 1.0, x[0] ** 2]),
-                     jacobian=lambda x: np.array([[0.0, 0.0, 0.0],
-                                                  [0.0, 0.0, 0.0],
-                                                  [2.0 * x[0], 0.0, 0.0]]))
+    def f2_jac(x):
+        jac = np.zeros(x.shape + (3,))
+        jac[..., 2, 0] = 2.0 * x[..., 0]
+        return jac
+
+    f1 = VectorField(3, constant(1.0, 0.0, 0.0), jacobian=zero_jacobian)
+    f2 = VectorField(3, lambda x: components(0.0, 1.0, x[..., 0] ** 2),
+                     jacobian=f2_jac)
     sys = ControlSystem(3, 2, (f1, f2), name="vanishing-bracket")
     scheme = BracketScheme(m=2, s1=(1, 2), s2=((1, 2),), kappa=(1,))
     return sys, scheme

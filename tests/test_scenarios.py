@@ -269,8 +269,9 @@ class TestCarScenario:
 
     def test_default_parameters(self):
         scenario = get_scenario("car")
-        assert scenario.default_params.alpha == 5.0
-        assert scenario.default_params.epsilon == 0.5
+        # Criterion 5's regime: alpha * epsilon = 0.2 < 1.
+        assert scenario.default_params.alpha == 10.0
+        assert scenario.default_params.epsilon == 0.02
         assert scenario.default_curve == "gamma4_car"
         assert scenario.horizon == 60.0
         np.testing.assert_allclose(scenario.default_x0, [8.0, 0.0, 0.0, 0.0])

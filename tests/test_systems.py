@@ -24,55 +24,75 @@ from osctrack import (
 )
 
 
-def fd_bracket(f, g, x, h=1e-5):
-    """Oracle: [f, g] from raw central differences, no library Jacobians."""
+def fd_jacobian(f, x, h=1e-5):
+    """Oracle: the Jacobian of f at one state from raw central differences."""
     x = np.asarray(x, dtype=float)
     n = x.size
-    jf = np.empty((n, n))
-    jg = np.empty((n, n))
+    jac = np.empty((n, n))
     for k in range(n):
         e = np.zeros(n)
         e[k] = h
-        jf[:, k] = (f(x + e) - f(x - e)) / (2 * h)
-        jg[:, k] = (g(x + e) - g(x - e)) / (2 * h)
-    return jg @ f(x) - jf @ g(x)
+        jac[:, k] = (f(x + e) - f(x - e)) / (2 * h)
+    return jac
+
+
+def fd_bracket(f, g, x, h=1e-5):
+    """Oracle: [f, g] from raw central differences, no library Jacobians."""
+    x = np.asarray(x, dtype=float)
+    return fd_jacobian(g, x, h) @ f(x) - fd_jacobian(f, x, h) @ g(x)
+
+
+def constant(*values):
+    """Batch-form eval of a constant field: states (..., n) to (..., n)."""
+    return lambda x: np.broadcast_to(np.array(values), x.shape)
+
+
+def zero_jacobian(x):
+    return np.zeros(x.shape + x.shape[-1:])
+
+
+def components(*values):
+    """Stack scalar or (...)-shaped components along a new last axis."""
+    return np.stack(np.broadcast_arrays(*values), axis=-1)
 
 
 def unicycle_fields():
+    def f1_jac(x):
+        jac = np.zeros(x.shape + (3,))
+        jac[..., 0, 2] = -np.sin(x[..., 2])
+        jac[..., 1, 2] = np.cos(x[..., 2])
+        return jac
+
     f1 = VectorField(
         3,
-        lambda x: np.array([np.cos(x[2]), np.sin(x[2]), 0.0]),
-        jacobian=lambda x: np.array([
-            [0.0, 0.0, -np.sin(x[2])],
-            [0.0, 0.0, np.cos(x[2])],
-            [0.0, 0.0, 0.0],
-        ]),
+        lambda x: components(np.cos(x[..., 2]), np.sin(x[..., 2]), 0.0),
+        jacobian=f1_jac,
         name="drive",
     )
-    f2 = VectorField(
-        3,
-        lambda x: np.array([0.0, 0.0, 1.0]),
-        jacobian=lambda x: np.zeros((3, 3)),
-        name="steer",
-    )
+    f2 = VectorField(3, constant(0.0, 0.0, 1.0), jacobian=zero_jacobian, name="steer")
     return f1, f2
 
 
 def car_fields():
     def f1_eval(x):
-        return np.array([np.cos(x[3]), np.sin(x[3]), 0.0, np.tan(x[2])])
+        th = x[..., 3]
+        return components(np.cos(th), np.sin(th), 0.0, np.tan(x[..., 2]))
 
     def f1_jac(x):
-        jac = np.zeros((4, 4))
-        jac[0, 3] = -np.sin(x[3])
-        jac[1, 3] = np.cos(x[3])
-        jac[3, 2] = 1.0 / np.cos(x[2]) ** 2
+        jac = np.zeros(x.shape + (4,))
+        jac[..., 0, 3] = -np.sin(x[..., 3])
+        jac[..., 1, 3] = np.cos(x[..., 3])
+        jac[..., 3, 2] = 1.0 / np.cos(x[..., 2]) ** 2
         return jac
 
     f1 = VectorField(4, f1_eval, jacobian=f1_jac, name="drive")
-    f2 = VectorField(4, lambda x: np.array([0.0, 0.0, 1.0, 0.0]),
-                     jacobian=lambda x: np.zeros((4, 4)), name="steer")
+    f2 = VectorField(4, constant(0.0, 0.0, 1.0, 0.0), jacobian=zero_jacobian,
+                     name="steer")
     return f1, f2
+
+
+def car_domain(x):
+    return np.abs(x[..., 2]) < np.pi / 2
 
 
 def test_fd_jacobian_matches_analytic():
@@ -95,8 +115,9 @@ def test_unicycle_bracket_analytic():
 
 
 def test_bracket_with_fd_jacobian_fallback():
-    f1_fd = VectorField(3, lambda x: np.array([np.cos(x[2]), np.sin(x[2]), 0.0]))
-    f2_fd = VectorField(3, lambda x: np.array([0.0, 0.0, 1.0]))
+    f1_fd = VectorField(
+        3, lambda x: components(np.cos(x[..., 2]), np.sin(x[..., 2]), 0.0))
+    f2_fd = VectorField(3, constant(0.0, 0.0, 1.0))
     x = np.array([0.3, -0.8, 1.1])
     expected = np.array([np.sin(x[2]), -np.cos(x[2]), 0.0])
     assert np.allclose(lie_bracket(f1_fd, f2_fd, x), expected, atol=1e-6)
@@ -120,9 +141,10 @@ def test_car_brackets_against_fd_oracle():
 
 def test_jacobi_identity_polynomial_fields():
     """Cyclic bracket sum vanishes; quadratic fields keep FD error tiny."""
-    f = VectorField(3, lambda x: np.array([x[1] ** 2, x[0], 1.0]))
-    g = VectorField(3, lambda x: np.array([x[2], x[0] * x[1], -x[0]]))
-    h = VectorField(3, lambda x: np.array([1.0, x[2] ** 2, x[1]]))
+    f = VectorField(3, lambda x: components(x[..., 1] ** 2, x[..., 0], 1.0))
+    g = VectorField(3, lambda x: components(x[..., 2], x[..., 0] * x[..., 1],
+                                            -x[..., 0]))
+    h = VectorField(3, lambda x: components(1.0, x[..., 2] ** 2, x[..., 1]))
     rng = np.random.default_rng(3)
     for x in rng.uniform(-1, 1, size=(10, 3)):
         total = (lie_bracket(f, bracket_field(g, h), x)
@@ -158,7 +180,7 @@ def test_car_gain_matrix_determinant():
 
     f1n, f2n = car_fields()
     sys = ControlSystem(4, 2, (f1n, f2n),
-                        domain=lambda x: abs(x[2]) < np.pi / 2, name="car")
+                        domain=car_domain, name="car")
     scheme = BracketScheme(m=2, s1=(1, 2), s2=((1, 2),), kappa=(3,),
                            degree2=(NestedBracketTerm((1, 2, 1), 1, 2),))
     gain = build_gain_matrix(sys, scheme, np.array([8.0, 0.0, 0.0, 0.0]))
@@ -175,7 +197,7 @@ def test_car_gain_matrix_determinant():
 def test_gain_matrix_rejects_out_of_domain_state():
     f1, f2 = car_fields()
     sys = ControlSystem(4, 2, (f1, f2),
-                        domain=lambda x: abs(x[2]) < np.pi / 2, name="car")
+                        domain=car_domain, name="car")
     scheme = BracketScheme(m=2, s1=(1, 2), s2=((1, 2),), kappa=(3,),
                            degree2=(NestedBracketTerm((1, 2, 1), 1, 2),))
     with pytest.raises(DomainError):
@@ -183,8 +205,8 @@ def test_gain_matrix_rejects_out_of_domain_state():
 
 
 def test_singular_gain_matrix_raises():
-    f1 = VectorField(2, lambda x: np.array([1.0, 0.0]))
-    f2 = VectorField(2, lambda x: np.array([x[0], 0.0]))
+    f1 = VectorField(2, constant(1.0, 0.0))
+    f2 = VectorField(2, lambda x: components(x[..., 0], 0.0))
     sys = ControlSystem(2, 2, (f1, f2))
     scheme = BracketScheme(m=2, s1=(1, 2))
     with pytest.raises(RankConditionError) as exc:
@@ -193,8 +215,8 @@ def test_singular_gain_matrix_raises():
 
 
 def test_rank_report_flags_near_singular_samples():
-    f1 = VectorField(2, lambda x: np.array([1.0, 0.0]))
-    f2 = VectorField(2, lambda x: np.array([0.0, x[0]]))
+    f1 = VectorField(2, constant(1.0, 0.0))
+    f2 = VectorField(2, lambda x: components(0.0, x[..., 0]))
     sys = ControlSystem(2, 2, (f1, f2))
     scheme = BracketScheme(m=2, s1=(1, 2))
     samples = np.array([[1.0, 0.0], [1e-9, 0.0], [0.0, 0.0]])
