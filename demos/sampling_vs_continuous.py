@@ -5,8 +5,8 @@ The sampled loop reads the state once per interval and plays a
 precomputed oscillation; the continuous baseline re-evaluates the
 feedback at every substep.  Their gap is the price of sampling, and it
 shrinks as the period does.  Horizon is kept short because the
-continuous baseline integrates the stiff oscillatory right-hand side
-adaptively and is far slower than the sampled loop.
+continuous baseline is fixed-step RK4 that re-solves the coefficient
+system at every stage, and is far slower than the sampled loop.
 """
 
 import numpy as np

@@ -15,7 +15,7 @@ rationalized, exp(x) - 1 goes through expm1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -103,13 +103,7 @@ class Certificate:
     provenance: str
 
     def as_dict(self) -> dict:
-        return {
-            "C1": self.C1, "C2": self.C2, "sigma": self.sigma,
-            "eps1": self.eps1, "eps2": self.eps2, "eps3": self.eps3,
-            "eps_hat": self.eps_hat, "lam": self.lam,
-            "lam_continuous": self.lam_continuous,
-            "provenance": self.provenance,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .certify import CertificateInputs, bound_constants, estimate_sup_bounds
@@ -176,20 +175,6 @@ def resolve_run(config: RunConfig) -> tuple[Scenario, ReferenceCurve,
     return scenario, curve, params, x0, grid
 
 
-def resolved_config_dict(config: RunConfig, scenario: Scenario,
-                         curve: ReferenceCurve, params: ControllerParams,
-                         x0: np.ndarray, grid: SamplerGrid) -> dict:
-    out = asdict(config)
-    out.update(
-        curve=curve.name,
-        alpha=params.alpha,
-        epsilon=params.epsilon,
-        x0=[float(v) for v in x0],
-        horizon=grid.horizon,
-    )
-    return out
-
-
 def output_directory(config: RunConfig) -> Path:
     if config.output_dir is not None:
         base = Path(config.output_dir)
@@ -212,10 +197,10 @@ def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
               + ["dist"])
     block = np.column_stack([traj.times, traj.states, traj.reference,
                              traj.controls, traj.dist])
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in block:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        fh.writelines(line % tuple(row) for row in block.tolist())
 
 
 def _json_value(value):
@@ -240,7 +225,6 @@ def _metadata(resolved: dict, traj: Trajectory | None, status: str,
         "versions": {
             "osctrack": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
     }
     if traj is not None:
@@ -255,7 +239,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = build_run_config(args)
     scenario, curve, params, x0, grid = resolve_run(config)
     out_dir = output_directory(config)
-    resolved = resolved_config_dict(config, scenario, curve, params, x0, grid)
+    resolved = asdict(replace(config, curve=curve.name, alpha=params.alpha,
+                              epsilon=params.epsilon, x0=[float(v) for v in x0],
+                              horizon=grid.horizon))
     integrate = simulate if config.semantics == "sampled" else classic_solution_simulate
     try:
         traj = integrate(scenario.system, scenario.scheme, params, curve, x0, grid)
@@ -329,17 +315,16 @@ def cmd_certify(args: argparse.Namespace) -> int:
 def _sweep_row(config: RunConfig) -> dict:
     """Worker for one sweep cell: the sweep's config at the cell's alpha and epsilon."""
     row = {"alpha": config.alpha, "epsilon": config.epsilon, "status": "ok",
-           "steady_amplitude": "", "entry_time": "", "fitted_lambda": "", "flag": ""}
+           "steady_amplitude": None, "entry_time": None, "fitted_lambda": None,
+           "flag": None}
     try:
         scenario, curve, params, x0, grid = resolve_run(config)
         integrate = simulate if config.semantics == "sampled" else classic_solution_simulate
         traj = integrate(scenario.system, scenario.scheme, params, curve, x0, grid)
         rep = stability_report(traj, config.rho)
-        row["steady_amplitude"] = f"{rep.steady_amplitude:.17g}"
-        row["entry_time"] = ("" if rep.entry_time is None or not math.isfinite(rep.entry_time)
-                             else f"{rep.entry_time:.17g}")
-        row["fitted_lambda"] = ("" if rep.fitted_lambda is None
-                                else f"{rep.fitted_lambda:.17g}")
+        row["steady_amplitude"] = rep.steady_amplitude
+        row["entry_time"] = rep.entry_time if math.isfinite(rep.entry_time) else None
+        row["fitted_lambda"] = rep.fitted_lambda
         if config.alpha <= curve.nu / config.rho:
             row["flag"] = "alpha<=nu/rho"
     except OscTrackError as exc:
@@ -377,6 +362,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _sweep_cell(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, float):
         return f"{value:.17g}"
     text = str(value)

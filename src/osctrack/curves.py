@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicHermiteSpline
 
 from .errors import DegenerateCurveError, UsageError
 
@@ -120,14 +118,17 @@ def curve_gamma3_admissible(base: ReferenceCurve, gamma3_0: float | None = None,
 
     Keeps the first two components of ``base`` and replaces the third by
     the heading angle of the planar path, so the result can be followed
-    exactly by a unicycle.  The heading rate
+    exactly by a unicycle.  The heading is atan2(y', x') taken on its
+    continuous branch: a fine grid tabulates the unwrapped angle, and at
+    a query time the exact atan2 is shifted by the multiple of 2 pi that
+    puts it nearest the interpolated table.  The start is atan2 at t = 0,
+    or ``gamma3_0`` when given.  Its rate, the heading component of
+    ``deriv``, is
 
-        theta' = (x' y'' - y' x'') / (x'^2 + y'^2)
+        theta' = (x' y'' - y' x'') / (x'^2 + y'^2).
 
-    is integrated by cumulative Simpson quadrature on a fine grid and
-    interpolated with a cubic Hermite spline (exact slopes at the
-    nodes).  The grid extends past the horizon by a safety pad so the
-    closed-loop simulation can sample slightly beyond it.
+    The grid extends past the horizon by a safety pad so the closed-loop
+    simulation can sample slightly beyond it.
     """
     if base.deriv2 is None:
         raise UsageError("heading construction needs second derivatives of the base curve")
@@ -138,18 +139,17 @@ def curve_gamma3_admissible(base: ReferenceCurve, gamma3_0: float | None = None,
     n_grid = int(np.ceil(t_end / step)) + 1
     ts = np.linspace(0.0, t_end, n_grid)
     d = np.asarray(base.deriv(ts), dtype=float)
-    dd = np.asarray(base.deriv2(ts), dtype=float)
-    den = d[:, 0] ** 2 + d[:, 1] ** 2
-    if float(np.min(den)) < 1e-8:
+    if float(np.min(d[:, 0] ** 2 + d[:, 1] ** 2)) < 1e-8:
         raise DegenerateCurveError(
             "planar speed vanishes; the path has no well-defined heading")
-    rate = (d[:, 0] * dd[:, 1] - d[:, 1] * dd[:, 0]) / den
+    branch = np.unwrap(np.arctan2(d[:, 1], d[:, 0]))
+    offset = 0.0 if gamma3_0 is None else gamma3_0 - branch[0]
 
-    if gamma3_0 is None:
-        d0 = np.asarray(base.deriv(0.0), dtype=float)
-        gamma3_0 = float(np.arctan2(d0[1], d0[0]))
-    theta = gamma3_0 + cumulative_simpson(rate, x=ts, initial=0.0)
-    spline = CubicHermiteSpline(ts, theta, rate)
+    def heading(t_arr):
+        dv = np.asarray(base.deriv(t_arr), dtype=float)
+        raw = np.arctan2(dv[..., 1], dv[..., 0])
+        turns = np.round((np.interp(t_arr, ts, branch) - raw) / (2 * np.pi))
+        return raw + 2 * np.pi * turns + offset
 
     def heading_rate(t):
         t_arr = np.asarray(t, dtype=float)
@@ -168,7 +168,7 @@ def curve_gamma3_admissible(base: ReferenceCurve, gamma3_0: float | None = None,
         _check_range(t_arr)
         planar = np.asarray(base.eval(t_arr), dtype=float)[..., :2]
         return np.concatenate(
-            [planar, spline(t_arr)[..., None]], axis=-1)
+            [planar, heading(t_arr)[..., None]], axis=-1)
 
     def dv_full(t):
         t_arr = np.asarray(t, dtype=float)

@@ -134,7 +134,10 @@ def underwater_vehicle() -> Scenario:
             sec5 = 1.0 / np.cos(x.T[4])
             jac = np.zeros(x.shape + (6,))
             d = jac.T
-            d[3, 3], d[4, 3] = b * t5, a * sec5 ** 2
+            # np.square, not ** 2: on a numpy scalar ** 2 calls pow, which
+            # can differ in the last bit from an array's square, and one
+            # state must give the same Jacobian alone as in a batch.
+            d[3, 3], d[4, 3] = b * t5, a * np.square(sec5)
             d[3, 4] = -a
             d[3, 5], d[4, 5] = b * sec5, a * sec5 * t5
             return jac
@@ -188,7 +191,7 @@ def rear_wheel_car() -> Scenario:
         jac = np.zeros(x.shape + (4,))
         d = jac.T
         d[3, 0], d[3, 1] = -np.sin(th), np.cos(th)
-        d[2, 3] = 1.0 / np.cos(x.T[2]) ** 2
+        d[2, 3] = 1.0 / np.square(np.cos(x.T[2]))  # not ** 2: see underwater_vehicle
         return jac
 
     system = ControlSystem(

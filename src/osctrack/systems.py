@@ -272,7 +272,7 @@ def gain_matrices(sys: ControlSystem, scheme: BracketScheme,
 
     Returns the matrices (..., n, n) with their singular values (..., n),
     largest first, from one batched SVD.  Raises DomainError naming the
-    first state outside the system domain.
+    first state that is not finite or lies outside the system domain.
     """
     if scheme.m != sys.m:
         raise UsageError(f"scheme is for m={scheme.m}, system has m={sys.m}")
@@ -283,7 +283,7 @@ def gain_matrices(sys: ControlSystem, scheme: BracketScheme,
     if xs.shape[-1:] != (sys.n,):
         raise DimensionMismatchError(
             f"states must have shape (..., {sys.n}), got {xs.shape}")
-    outside = ~np.broadcast_to(sys.in_domain(xs), xs.shape[:-1]).reshape(-1)
+    outside = ~(np.isfinite(xs).all(-1) & sys.in_domain(xs)).reshape(-1)
     if outside.any():
         x = xs.reshape(-1, sys.n)[np.argmax(outside)]
         raise DomainError(f"state {x} outside the system domain")

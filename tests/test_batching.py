@@ -16,6 +16,7 @@ from osctrack import (
     SCENARIO_REGISTRY,
     DomainError,
     build_gain_matrix,
+    check_rank_condition,
     finite_difference_jacobian,
     get_scenario,
     lie_bracket,
@@ -66,6 +67,19 @@ def test_fields_on_a_batch_equal_single_state_calls(name, data):
     assert np.array_equal(inside, stacked(system.in_domain, xs))
 
 
+@pytest.mark.parametrize("name, index, angle", [
+    ("car", 2, 0.2943), ("car", 2, -0.5944),
+    ("underwater", 4, 0.155), ("underwater", 4, -0.891)])
+def test_secant_squared_equal_alone_and_in_a_batch(name, index, angle):
+    """Angles at which a numpy scalar's ``** 2`` (pow) and an array's
+    square differ in the last bit; the Jacobians must not."""
+    system = get_scenario(name).system
+    x = np.zeros(system.n)
+    x[index] = angle
+    for f in system.fields:
+        assert np.array_equal(f.jacobian(x[None])[0], f.jacobian(x))
+
+
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
 @PROPERTY
 @given(data=st.data())
@@ -114,3 +128,21 @@ def test_gain_matrices_name_the_first_state_outside_the_domain():
         gain_matrices(scenario.system, scenario.scheme, xs)
     assert str(xs[2]) in str(exc.value)
     assert str(xs[4]) not in str(exc.value)
+
+
+def test_non_finite_state_is_outside_the_domain():
+    """The unicycle's domain is all of R^3, so only the finiteness test
+    stands between a non-finite state and the SVD."""
+    scenario = get_scenario("unicycle")
+    state = np.array([0.0, 0.0, np.inf])
+    with pytest.raises(DomainError, match="outside the system domain") as exc:
+        build_gain_matrix(scenario.system, scenario.scheme, state)
+    assert str(state) in str(exc.value)
+
+    samples = np.zeros((4, 3))
+    samples[1, 2] = np.nan
+    samples[3, 0] = -np.inf
+    with pytest.raises(DomainError, match="outside the system domain") as exc:
+        check_rank_condition(scenario.system, scenario.scheme, samples)
+    assert str(samples[1]) in str(exc.value)
+    assert str(samples[3]) not in str(exc.value)

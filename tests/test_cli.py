@@ -1,10 +1,15 @@
 """Command-line interface: output files, config merging, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import osctrack
 from osctrack.cli import main
 
 RUN_ARGS = ["run", "--scenario", "unicycle", "--curve", "gamma1",
@@ -47,6 +52,14 @@ class TestRun:
         assert rep["rho"] == 0.5
         assert rep["steady_amplitude"] < 0.5
         assert rep["entry_time"] < 2.0
+
+    def test_never_entering_the_tube_writes_inf(self, tmp_path):
+        # alpha = 1 sits below nu/rho: the error never drops under rho.
+        code = run_cli(tmp_path, "run", "--scenario", "unicycle", "--curve", "gamma1",
+                       "--alpha", "1", "--epsilon", "0.1", "--horizon", "1")
+        assert code == 0
+        rep = json.loads((tmp_path / "stability_report.json").read_text())
+        assert rep["entry_time"] == "inf"
 
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -265,3 +278,13 @@ class TestListings:
         for name in ("gamma1", "gamma2", "gamma3", "gamma4_underwater",
                      "gamma4_car"):
             assert name in out
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is a test dependency only; the runtime never imports it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(osctrack.__file__).parents[1]))
+    probe = ("import sys, osctrack.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -1,8 +1,10 @@
 """Reference curves: derivatives, velocity bounds, heading construction."""
 
+import math
+
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 
 from osctrack import (
     CURVE_REGISTRY,
@@ -123,6 +125,22 @@ class TestHeadingCurve:
         sol = solve_ivp(rate, (0, 4 * np.pi), [np.pi / 2], t_eval=t_eval,
                         rtol=1e-11, atol=1e-12)
         assert np.allclose(gamma3(t_eval)[:, 2], sol.y[0], atol=1e-6)
+
+    @pytest.mark.parametrize("t_end", [7.3, 20.0, 39.9])
+    def test_heading_matches_quadrature_of_its_rate(self, gamma3, t_end):
+        """pi/2 plus the integral of theta' over unit pieces, each by
+        adaptive Gauss-Kronrod quadrature."""
+        base = curve_gamma1()
+
+        def rate(t):
+            d = base.deriv(t)
+            dd = base.deriv2(t)
+            return (d[0] * dd[1] - d[1] * dd[0]) / (d[0] ** 2 + d[1] ** 2)
+
+        knots = np.append(np.arange(0.0, t_end, 1.0), t_end)
+        pieces = [quad(rate, a, b, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+                  for a, b in zip(knots[:-1], knots[1:])]
+        assert abs(gamma3(t_end)[2] - (np.pi / 2 + math.fsum(pieces))) < 1e-12
 
     def test_heading_rate_matches_spline_slope(self, gamma3):
         ts = np.linspace(0.5, 39.5, 301)

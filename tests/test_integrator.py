@@ -13,6 +13,7 @@ from osctrack import (
     BracketScheme,
     ControllerParams,
     ControlSystem,
+    DimensionMismatchError,
     DomainError,
     NestedBracketTerm,
     SamplerGrid,
@@ -313,6 +314,17 @@ def test_initial_state_outside_domain():
     with pytest.raises(DomainError):
         simulate(sys, scheme, params, constant_curve(np.zeros(4)),
                  np.array([0.0, 0.0, 2.0, 0.0]), SamplerGrid(0.1, 1.0))
+
+
+@pytest.mark.parametrize("integrate", [simulate, classic_solution_simulate])
+def test_wrong_dimension_inputs_rejected(integrate):
+    sys, scheme = make_unicycle()
+    params = ControllerParams(alpha=1.0, epsilon=0.1)
+    grid = SamplerGrid(0.1, 1.0)
+    with pytest.raises(DimensionMismatchError, match="x0 must have shape"):
+        integrate(sys, scheme, params, curve_gamma1(), np.zeros(4), grid)
+    with pytest.raises(DimensionMismatchError, match="curve has dim 4"):
+        integrate(sys, scheme, params, curve_gamma4_car(), np.zeros(3), grid)
 
 
 def test_blow_up_aborts_with_partial_trajectory():
