@@ -466,25 +466,35 @@ def contraction_check(sys: ControlSystem, scheme: BracketScheme,
 
     Draws x0 = gamma(0) + radius * direction with radius uniform on
     (rho_prime, delta) and direction uniform on the sphere, then runs a
-    single sampling interval per draw.
+    single sampling interval for all draws as one batch.  A draw that
+    stops early raises the ``SimulationError`` of the first such draw;
+    a draw that starts outside the system domain makes ``simulate``
+    refuse the whole batch with ``DomainError``.
     """
     if not 0 < rho_prime < delta:
         raise UsageError("need 0 < rho_prime < delta")
+    if n_draws < 1:
+        raise UsageError(f"need at least one draw, got n_draws={n_draws}")
     rng = np.random.default_rng(seed)
     gamma0 = np.asarray(curve.eval(0.0), dtype=float)
     eps = params.epsilon
     factor = 1.0 - eps * (lam + nu / rho_prime)
-    failed = []
-    worst = 0.0
-    for i in range(n_draws):
+    radii = np.empty(n_draws)
+    starts = np.empty((n_draws, sys.n))
+    for i in range(n_draws):  # per draw a direction, then a radius
         direction = rng.normal(size=sys.n)
         direction /= np.linalg.norm(direction)
-        radius = rng.uniform(rho_prime, delta)
-        x0 = gamma0 + radius * direction
-        traj = simulate(sys, scheme, params, curve, x0,
-                        SamplerGrid(eps, eps, substeps=substeps))
-        lhs = float(np.linalg.norm(traj.states[-1]
-                                   - np.asarray(curve.eval(eps), dtype=float)))
+        radii[i] = rng.uniform(rho_prime, delta)
+        starts[i] = gamma0 + radii[i] * direction
+    traj = simulate(sys, scheme, params, curve, starts,
+                    SamplerGrid(eps, eps, substeps=substeps))
+    if traj.failures:
+        raise traj.failures[min(traj.failures)]
+    gamma_eps = np.asarray(curve.eval(eps), dtype=float)
+    failed = []
+    worst = 0.0
+    for i, (x_eps, radius) in enumerate(zip(traj.states[-1], radii.tolist())):
+        lhs = float(np.linalg.norm(x_eps - gamma_eps))
         rhs = radius * factor + eps * nu
         if lhs > rhs + 1e-12:
             failed.append(i)

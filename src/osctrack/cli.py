@@ -151,21 +151,39 @@ def _parse_floats(text: str, label: str) -> tuple[float, ...]:
     return parts
 
 
-def resolve_run(config: RunConfig) -> tuple[Scenario, ReferenceCurve,
-                                            ControllerParams, np.ndarray, SamplerGrid]:
-    scenario = get_scenario(config.scenario)
+# The scenario and curve of the current sweep, by (scenario, curve spec,
+# horizon).  ``cmd_sweep`` fills it afresh before its pool starts; a
+# worker shares the filled copy (forked) or builds each at most once.
+_SWEEP_BUILDS: dict[tuple, tuple[Scenario, ReferenceCurve]] = {}
+
+
+def resolve_run(config: RunConfig, builds: dict | None = None
+                ) -> tuple[Scenario, ReferenceCurve, ControllerParams, np.ndarray,
+                           SamplerGrid]:
+    """The scenario, curve, gain, start and grid of a run config.
+
+    With ``builds``, the scenario and curve are taken from it when it
+    holds the config's (scenario, curve spec, horizon), and put in it
+    when it does not.
+    """
+    builds = {} if builds is None else builds
+    key = (config.scenario, config.curve, config.horizon)
+    scenario = builds[key][0] if key in builds else get_scenario(config.scenario)
     alpha = config.alpha if config.alpha is not None else scenario.default_params.alpha
     epsilon = (config.epsilon if config.epsilon is not None
                else scenario.default_params.epsilon)
     params = ControllerParams(alpha=alpha, epsilon=epsilon)
     horizon = config.horizon if config.horizon is not None else scenario.horizon
     grid = SamplerGrid(epsilon=epsilon, horizon=horizon, substeps=config.substeps)
-    curve_spec = config.curve if config.curve is not None else scenario.default_curve
-    curve = get_curve(curve_spec, horizon=horizon)
-    if curve.dim != scenario.system.n:
-        raise DimensionMismatchError(
-            f"curve {curve.name!r} has dimension {curve.dim}, "
-            f"scenario {scenario.name!r} needs {scenario.system.n}")
+    if key not in builds:
+        curve_spec = config.curve if config.curve is not None else scenario.default_curve
+        curve = get_curve(curve_spec, horizon=horizon)
+        if curve.dim != scenario.system.n:
+            raise DimensionMismatchError(
+                f"curve {curve.name!r} has dimension {curve.dim}, "
+                f"scenario {scenario.name!r} needs {scenario.system.n}")
+        builds[key] = scenario, curve
+    curve = builds[key][1]
     x0 = (np.asarray(config.x0, dtype=float) if config.x0 is not None
           else np.asarray(scenario.default_x0, dtype=float))
     if x0.shape != (scenario.system.n,):
@@ -318,7 +336,7 @@ def _sweep_row(config: RunConfig) -> dict:
            "steady_amplitude": None, "entry_time": None, "fitted_lambda": None,
            "flag": None}
     try:
-        scenario, curve, params, x0, grid = resolve_run(config)
+        scenario, curve, params, x0, grid = resolve_run(config, _SWEEP_BUILDS)
         integrate = simulate if config.semantics == "sampled" else classic_solution_simulate
         traj = integrate(scenario.system, scenario.scheme, params, curve, x0, grid)
         rep = stability_report(traj, config.rho)
@@ -334,7 +352,9 @@ def _sweep_row(config: RunConfig) -> dict:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = build_run_config(args)
-    resolve_run(config)  # rejects a bad scenario, curve or x0 before any worker starts
+    _SWEEP_BUILDS.clear()
+    # Rejects a bad scenario, curve or x0 before any worker starts.
+    resolve_run(config, _SWEEP_BUILDS)
     out_dir = output_directory(config)
     alphas = _parse_floats(args.alphas, "alphas") if args.alphas else ()
     epsilons = _parse_floats(args.epsilons, "epsilons") if args.epsilons else ()

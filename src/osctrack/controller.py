@@ -38,7 +38,8 @@ class CoefficientVector:
     """Solved direction coefficients, sliced by bracket degree.
 
     ``values`` follows the gain-matrix column order: direct fields
-    first, then first-order bracket pairs, then nested terms.
+    first, then first-order bracket pairs, then nested terms.  It has
+    shape (..., n_columns): one row per state of a batch.
     """
 
     values: np.ndarray
@@ -47,36 +48,40 @@ class CoefficientVector:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
-        if values.shape != (self.scheme.n_columns,):
+        if values.shape[-1:] != (self.scheme.n_columns,):
             raise DimensionMismatchError(
                 f"expected {self.scheme.n_columns} coefficients, got {values.shape}")
 
     @property
     def first_order(self) -> np.ndarray:
-        return self.values[:len(self.scheme.s1)]
+        return self.values[..., :len(self.scheme.s1)]
 
     @property
     def pair(self) -> np.ndarray:
         k = len(self.scheme.s1)
-        return self.values[k:k + len(self.scheme.s2)]
+        return self.values[..., k:k + len(self.scheme.s2)]
 
     @property
     def nested(self) -> np.ndarray:
-        return self.values[len(self.scheme.s1) + len(self.scheme.s2):]
+        return self.values[..., len(self.scheme.s1) + len(self.scheme.s2):]
 
 
 def coefficients(sys: ControlSystem, scheme: BracketScheme,
                  params: ControllerParams, x: np.ndarray,
                  gamma: np.ndarray) -> CoefficientVector:
-    """Solve F(x) a = -alpha (x - gamma) for the direction coefficients."""
+    """Solve F(x) a = -alpha (x - gamma) for the direction coefficients.
+
+    ``x`` holds one state (n,) or a batch (..., n); ``gamma`` has the
+    shape of ``x`` or is one reference point (n,) shared by the batch.
+    """
     x = np.asarray(x, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != x.shape:
+    if gamma.shape not in (x.shape, x.shape[-1:]):
         raise DimensionMismatchError(
             f"state and reference shapes differ: {x.shape} vs {gamma.shape}")
     gain = build_gain_matrix(sys, scheme, x)
     rhs = -params.alpha * (x - gamma)
-    return CoefficientVector(np.linalg.solve(gain, rhs), scheme)
+    return CoefficientVector(np.linalg.solve(gain, rhs[..., None])[..., 0], scheme)
 
 
 def make_control_function(scheme: BracketScheme, params: ControllerParams,
@@ -87,25 +92,28 @@ def make_control_function(scheme: BracketScheme, params: ControllerParams,
     The returned function takes absolute time (the trigonometric phases
     are not reset at sampling instants): a scalar t gives the m-vector
     of control values, an array of times of shape (k,) gives shape
-    (k, m).  All amplitudes are precomputed; only the sines and cosines
-    are evaluated per call.  The cube-root amplitude of a nested term
-    keeps the sign of its coefficient, so a negative coefficient flips
-    the whole oscillation.
+    (k, m).  Coefficients of a batch (B, n_columns) add their batch axis
+    in front of the control index: (B, m) for a scalar t, (k, B, m) for
+    times (k,).  All amplitudes are precomputed; only the sines and
+    cosines are evaluated per call.  The cube-root amplitude of a nested
+    term keeps the sign of its coefficient, so a negative coefficient
+    flips the whole oscillation.
     """
     m = scheme.m
-    static = np.zeros(m)
-    for i, a in zip(scheme.s1, coeffs.first_order):
-        static[i - 1] = a
+    batch = coeffs.values.shape[:-1]
+    static = np.zeros(batch + (m,))
+    for i, a in zip(scheme.s1, np.moveaxis(coeffs.first_order, -1, 0)):
+        static[..., i - 1] = a
 
     omega0 = 2.0 * np.pi / params.epsilon
     root = np.sqrt(4.0 * np.pi / params.epsilon)
     osc = []
-    for (i, j), kap, a in zip(scheme.s2, scheme.kappa, coeffs.pair):
+    for (i, j), kap, a in zip(scheme.s2, scheme.kappa, np.moveaxis(coeffs.pair, -1, 0)):
         amp = root * np.sqrt(kap * abs(a))
-        osc.append((i - 1, j - 1, kap * omega0, amp, float(np.sign(a))))
+        osc.append((i - 1, j - 1, kap * omega0, amp, np.sign(a)))
 
     deg2 = []
-    for term, a in zip(scheme.degree2, coeffs.nested):
+    for term, a in zip(scheme.degree2, np.moveaxis(coeffs.nested, -1, 0)):
         j1, j2, _ = term.triple
         amp = np.cbrt(16.0 * np.pi ** 2 * (term.k2 ** 2 - term.k1 ** 2)
                       * a / params.epsilon ** 2)
@@ -113,7 +121,8 @@ def make_control_function(scheme: BracketScheme, params: ControllerParams,
 
     def control(t: float | np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        u = np.broadcast_to(static, t.shape + (m,)).copy()
+        u = np.broadcast_to(static, t.shape + static.shape).copy()
+        t = t.reshape(t.shape + (1,) * len(batch))  # one column per batch member
         for i, j, w, amp, sgn in osc:
             u[..., i] += amp * np.cos(w * t)
             u[..., j] += amp * sgn * np.sin(w * t)

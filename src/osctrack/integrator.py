@@ -15,7 +15,7 @@ on a fixed grid of ``substeps`` nodes per sampling interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -33,7 +33,7 @@ from .errors import (
     SimulationError,
     UsageError,
 )
-from .systems import BracketScheme, ControlSystem
+from .systems import BracketScheme, ControlSystem, gain_matrices
 
 # Integration nodes per sampling interval must resolve the fastest
 # oscillation with at least this many nodes per period.
@@ -90,6 +90,15 @@ class Trajectory:
     final interval's control.  ``dist`` is the raw distance to the
     reference, row by row.  In the partial trace of a failed run the last
     row holds the state reached and NaN for any control never computed.
+
+    A run of one start has ``states`` (rows, n), ``controls`` (rows, m)
+    and ``dist`` (rows,).  A batch of B starts adds the batch axis after
+    the row axis: ``states[:, b]`` is the run of start b.  A member that
+    stopped early keeps NaN in every row it did not reach, and
+    ``failures[b]`` holds the ``SimulationError`` it raises when run
+    alone, partial trace included; the other members are unaffected.
+    ``coefficient_evals`` counts the solves of each member that reached
+    the horizon.
     """
 
     times: np.ndarray
@@ -102,6 +111,7 @@ class Trajectory:
     n_intervals: int
     coefficient_evals: int
     semantics: str
+    failures: dict[int, SimulationError] = field(default_factory=dict)
 
     def sample_indices(self) -> np.ndarray:
         """Row indices of the sampling instants present in the record."""
@@ -112,8 +122,15 @@ class Trajectory:
         return float(self.times[-1])
 
 
+class _Stopped(Exception):
+    """Every member of the run has stopped."""
+
+
 def _drift(fields, u: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Right-hand side u_1 f_1(x) + u_2 f_2(x) + ..., summed left to right."""
+    """Right-hand side u_1 f_1(x) + u_2 f_2(x) + ..., summed left to right.
+
+    ``u[i]`` is a scalar for one state, a column (B, 1) for states (B, n).
+    """
     out = u[0] * fields[0].eval(x)
     for i in range(1, len(fields)):
         out = out + u[i] * fields[i].eval(x)
@@ -126,16 +143,19 @@ def _from_table(u: np.ndarray, state: np.ndarray) -> np.ndarray:
 
 
 def _rk4_step(fields, x: np.ndarray, h: float, stages, control: Callable,
-              control_out: np.ndarray) -> np.ndarray:
+              control_out: np.ndarray | None = None) -> np.ndarray:
     """One classical Runge-Kutta step of length h from x.
 
     ``stages`` has one entry each for the left node, the midpoint and the
     right node; ``control(entry, state)`` turns an entry into a control.
-    The left-node control is recorded in ``control_out`` first, so a step
-    that fails on a later stage still leaves it in the trace.
+    The left-node control is recorded in ``control_out`` first, when
+    given, so a step that fails on a later stage still leaves it in the
+    trace.
     """
-    control_out[:] = control(stages[0], x)
-    k1 = _drift(fields, control_out, x)
+    u = control(stages[0], x)
+    if control_out is not None:
+        control_out[:] = u
+    k1 = _drift(fields, u, x)
     xa = x + 0.5 * h * k1
     k2 = _drift(fields, control(stages[1], xa), xa)
     xb = x + 0.5 * h * k2
@@ -153,12 +173,19 @@ def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerPara
         raise DimensionMismatchError(
             f"curve has dim {curve.dim}, system has n={sys.n}")
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (sys.n,):
-        raise DimensionMismatchError(f"x0 must have shape ({sys.n},), got {x0.shape}")
-    if not np.all(np.isfinite(x0)):
+    if x0.ndim not in (1, 2) or x0.shape[-1] != sys.n or x0.size == 0:
+        raise DimensionMismatchError(
+            f"x0 must have shape ({sys.n},) or (B, {sys.n}) with B >= 1, got {x0.shape}")
+    batched = x0.ndim == 2
+    if batched and (not freeze or on_coefficients is not None):
+        raise UsageError("classic semantics and on_coefficients take a single start; "
+                         f"x0 must have shape ({sys.n},)")
+    if not np.isfinite(x0).all():
         raise UsageError("x0 must be finite")
-    if not sys.in_domain(x0):
-        raise DomainError(f"initial state {x0} outside the system domain")
+    outside = np.logical_not(sys.in_domain(x0)) & np.ones(x0.shape[:-1], bool)
+    if outside.any():
+        first = x0.reshape(-1, sys.n)[np.argmax(outside)]
+        raise DomainError(f"initial state {first} outside the system domain")
 
     eps = params.epsilon
     h = eps / substeps
@@ -169,23 +196,49 @@ def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerPara
     gamma_all = np.asarray(curve.eval(times), dtype=float)
 
     # NaN-filled, so a partial trace never shows a value that was not computed.
-    states = np.full((rows, sys.n), np.nan)
-    controls = np.full((rows, scheme.m), np.nan)
+    states = np.full((rows,) + x0.shape, np.nan)
+    controls = np.full((rows,) + x0.shape[:-1] + (scheme.m,), np.nan)
     fields = sys.fields
     semantics = "sampled" if freeze else "classic"
+    whole = np.all if batched else bool
     eval_count = 0
+    # The members still running: all of a single run, an index array in a batch.
+    live = np.arange(len(x0)) if batched else slice(None)
+    failures = {}  # the member (0 for a single run) -> its SimulationError
 
-    def record(kept: int, n_intervals: int) -> Trajectory:
+    def record(member, kept: int, n_intervals: int, evals: int, stopped: dict):
+        at = states[:kept, member]
+        ref = gamma_all[:kept, None] if at.ndim == 3 else gamma_all[:kept]
         return Trajectory(
-            times=times[:kept], states=states[:kept], reference=gamma_all[:kept],
-            controls=controls[:kept],
-            dist=np.linalg.norm(states[:kept] - gamma_all[:kept], axis=1),
+            times=times[:kept], states=at, reference=gamma_all[:kept],
+            controls=controls[:kept, member], dist=np.linalg.norm(at - ref, axis=-1),
             epsilon=eps, substeps=substeps, n_intervals=n_intervals,
-            coefficient_evals=eval_count, semantics=semantics)
+            coefficient_evals=evals, semantics=semantics, failures=stopped)
 
-    def fail(reason: str, what: str, kept: int, t_fail: float):
-        raise SimulationError(f"{what} t={t_fail:.6g}", reason=reason, time=t_fail,
-                              partial=record(kept, (kept - 1) // substeps + 1))
+    def stop(bad, reason: str, what: str, kept: int, t_fail: float):
+        """Stop the live members marked in ``bad``, keeping rows up to kept - 1."""
+        if batched:
+            members = live[np.broadcast_to(bad, live.shape)]
+        else:
+            members = [...] if bad else []
+        for b in members:
+            failures[int(b) if batched else 0] = SimulationError(
+                f"{what} t={t_fail:.6g}", reason=reason, time=t_fail,
+                partial=record(b, kept, (kept - 1) // substeps + 1, eval_count, {}))
+        if batched:
+            states[kept:, members] = np.nan
+            controls[kept:, members] = np.nan
+
+    def go_on(keep):
+        """Carry on with the live members marked in ``keep``."""
+        nonlocal x, live, table, u_func
+        if not np.any(keep):
+            raise _Stopped
+        if batched and not np.all(keep):
+            x, live = x[keep], live[keep]
+            if table is not None:
+                table = table[:, :, :, keep]
+                u_func = lambda t, f=u_func: f(t)[..., keep, :]
 
     def solve(t, state):
         # Classic semantics: coefficients from the stage's own state and time.
@@ -196,6 +249,7 @@ def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerPara
 
     control = _from_table if freeze else solve
     x = states[0] = x0
+    table = u_func = None
     i = 0  # the row being computed
     try:
         for j in range(n_int):
@@ -204,34 +258,56 @@ def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerPara
             left = times[base:base + substeps]
             stages = np.stack((left, left + 0.5 * h, left + h), axis=1)
             if freeze:
-                coeffs = coefficients(sys, scheme, params, x, gamma_all[base])
+                while True:  # a member whose gain matrix is singular stops here
+                    try:
+                        coeffs = coefficients(sys, scheme, params, x, gamma_all[base])
+                        break
+                    except RankConditionError:
+                        singular = gain_matrices(sys, scheme, x).singular
+                        stop(singular, "rank-deficient", "gain matrix singular near",
+                             base + 1, float(times[base]))
+                        go_on(~singular)
                 eval_count += 1
                 if on_coefficients is not None:
                     on_coefficients(j, float(times[base]), x.copy(), coeffs)
                 u_func = make_control_function(scheme, params, coeffs)
                 stages = u_func(stages)
+                controls[base:base + substeps, live] = stages[:, 0]
+                if batched:  # per field, a column of member values: (substeps, 3, m, B, 1)
+                    stages = np.moveaxis(stages, -1, 2)[..., None]
+            table = stages
 
             for k in range(substeps):
                 i = base + k
-                x = _rk4_step(fields, x, h, stages[k], control, controls[i])
-                states[i + 1] = x
-                t_next = float(times[i + 1])
-                if not np.all(np.isfinite(x)):
-                    fail("non-finite-state", "state became non-finite by", i + 1, t_next)
-                if not sys.in_domain(x):
-                    fail("domain-exit", "state left the domain by", i + 1, t_next)
+                x_prev, x = x, _rk4_step(fields, x, h, table[k], control,
+                                         None if freeze else controls[i])
+                states[i + 1, live] = x
+                if not (np.isfinite(x).all() and whole(sys.in_domain(x))):
+                    t_next = float(times[i + 1])
+                    finite = np.isfinite(x).all(-1)
+                    inside = finite & np.asarray(
+                        sys.in_domain(np.where(finite[..., None], x, x_prev)))
+                    stop(~finite, "non-finite-state", "state became non-finite by",
+                         i + 1, t_next)
+                    stop(finite & ~inside, "domain-exit", "state left the domain by",
+                         i + 1, t_next)
+                    go_on(inside)
     except DomainError:
-        fail("domain-exit", "state left the domain near", i + 1, float(times[i]))
+        stop(True, "domain-exit", "state left the domain near", i + 1, float(times[i]))
     except RankConditionError:
-        fail("rank-deficient", "gain matrix singular near", i + 1, float(times[i]))
+        stop(True, "rank-deficient", "gain matrix singular near", i + 1, float(times[i]))
+    except _Stopped:
+        pass
+    else:  # the last row keeps the final interval's control
+        try:
+            controls[-1, live] = u_func(times[-1]) if freeze else solve(times[-1], x)
+        except (DomainError, RankConditionError):
+            controls[-1, live] = controls[-2, live]
 
-    try:
-        controls[-1] = u_func(times[-1]) if freeze else solve(times[-1], x)
-    except (DomainError, RankConditionError):
-        controls[-1] = controls[-2]
-
+    if failures and not batched:
+        raise failures[0]
     keep = int(np.searchsorted(times, grid.horizon + 1e-9, side="right"))
-    return record(keep, n_int)
+    return record(..., keep, n_int, eval_count, failures)
 
 
 def simulate(sys: ControlSystem, scheme: BracketScheme, params: ControllerParams,
@@ -242,6 +318,15 @@ def simulate(sys: ControlSystem, scheme: BracketScheme, params: ControllerParams
     Coefficients are solved exactly once per sampling interval, at its
     left endpoint; ``on_coefficients(j, t_j, x_j, coeffs)`` is invoked
     for each solve when given.
+
+    ``x0`` of shape (n,) runs one start and raises ``SimulationError``,
+    with the partial trace, if the run stops early.  ``x0`` of shape
+    (B, n) runs B starts as one batch, with one gain-matrix build, solve
+    and Runge-Kutta step per interval or step for all of them; member b
+    equals the run of ``x0[b]`` alone, to the last bit.  A member that
+    stops early is masked and its error kept in ``failures``; the batch
+    raises only for bad input.  ``on_coefficients`` takes a single
+    start only: a batch refuses it with ``UsageError``.
     """
     return _integrate(sys, scheme, params, curve, x0, grid,
                       freeze=True, on_coefficients=on_coefficients)
@@ -255,6 +340,6 @@ def classic_solution_simulate(sys: ControlSystem, scheme: BracketScheme,
     Every Runge-Kutta stage re-solves the coefficient system at the
     stage's own state and time, so the result converges to the
     classical solution of the instantaneous-feedback ODE as the grid is
-    refined.
+    refined.  It takes a single start x0 (n,).
     """
     return _integrate(sys, scheme, params, curve, x0, grid, freeze=False)

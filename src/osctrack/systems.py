@@ -303,19 +303,22 @@ def gain_matrices(sys: ControlSystem, scheme: BracketScheme,
 
 def build_gain_matrix(sys: ControlSystem, scheme: BracketScheme,
                       x: np.ndarray) -> np.ndarray:
-    """The gain matrix of ``gain_matrices`` at the single state x (n,).
+    """The gain matrices of ``gain_matrices`` at states x (..., n).
 
-    Raises DomainError if x has left the system domain and
-    RankConditionError if the matrix is singular to working precision.
+    Raises DomainError if a state has left the system domain and
+    RankConditionError naming the first state whose matrix is singular
+    to working precision.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (sys.n,):
-        raise DimensionMismatchError(f"state must have shape ({sys.n},), got {x.shape}")
     gains = gain_matrices(sys, scheme, x)
-    if gains.singular:
+    singular = gains.singular.reshape(-1)
+    if singular.any():
+        first = np.argmax(singular)
+        state = x.reshape(-1, sys.n)[first]
+        smallest = gains.singular_values.reshape(-1, sys.n)[first, -1]
         raise RankConditionError(
-            f"gain matrix singular at state {x} "
-            f"(smallest singular value {gains.singular_values[-1]:.3e})", state=x)
+            f"gain matrix singular at state {state} "
+            f"(smallest singular value {smallest:.3e})", state=state)
     return gains.matrices
 
 

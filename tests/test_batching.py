@@ -1,9 +1,11 @@
-"""Fields, brackets and gain matrices on batches of states.
+"""Fields, brackets, gain matrices and simulations on batches of states.
 
 Every scenario's fields take states of shape (..., n).  Property tests
 draw random batches and compare the batched calls with the stacked
 single-state calls (exactly) and with a per-state central-difference
-oracle that uses no library Jacobian.
+oracle that uses no library Jacobian.  A batched ``simulate`` is
+compared with one run per start, to the last bit, including members
+that stop early.
 """
 
 import numpy as np
@@ -14,15 +16,35 @@ from hypothesis.extra.numpy import arrays
 
 from osctrack import (
     SCENARIO_REGISTRY,
+    BracketScheme,
+    ControllerParams,
+    ControlSystem,
+    DimensionMismatchError,
     DomainError,
+    SamplerGrid,
+    SimulationError,
+    UsageError,
+    VectorField,
     build_gain_matrix,
     check_rank_condition,
+    classic_solution_simulate,
+    constant_curve,
+    curve_gamma1,
     finite_difference_jacobian,
+    get_curve,
     get_scenario,
     lie_bracket,
+    simulate,
 )
 from osctrack.systems import gain_matrices
-from tests.test_systems import fd_bracket, fd_jacobian
+from tests.test_systems import (
+    components,
+    constant,
+    fd_bracket,
+    fd_jacobian,
+    unicycle_fields,
+    zero_jacobian,
+)
 
 SCENARIO_NAMES = sorted(SCENARIO_REGISTRY)
 
@@ -146,3 +168,164 @@ def test_non_finite_state_is_outside_the_domain():
         check_rank_condition(scenario.system, scenario.scheme, samples)
     assert str(samples[1]) in str(exc.value)
     assert str(samples[3]) not in str(exc.value)
+
+
+# ---------------------------------------------------------------------------
+# simulate on a batch of starts.
+
+# Horizons of a few sampling intervals at each scenario's default period.
+BATCH_HORIZONS = {"unicycle": 1.0, "underwater": 0.5, "car": 0.2}
+
+
+def run_alone(sys, scheme, params, curve, x0, grid):
+    """The single run of x0: its trajectory, or the SimulationError it raises."""
+    try:
+        return simulate(sys, scheme, params, curve, x0, grid)
+    except SimulationError as exc:
+        return exc
+
+
+def assert_same_run(batch, b, alone):
+    """Member b of a batch equals the run of its start alone, bit for bit."""
+    assert np.array_equal(batch.states[:, b], alone.states)
+    assert np.array_equal(batch.controls[:, b], alone.controls)
+    assert np.array_equal(batch.dist[:, b], alone.dist)
+    assert np.array_equal(batch.times, alone.times)
+    assert np.array_equal(batch.reference, alone.reference)
+    assert batch.n_intervals == alone.n_intervals
+    assert batch.coefficient_evals == alone.coefficient_evals
+
+
+def assert_same_failure(got, want):
+    """A stopped member's error equals the one its start raises alone."""
+    assert (got.reason, got.time, str(got)) == (want.reason, want.time, str(want))
+    a, b = got.partial, want.partial
+    for name in ("times", "states", "reference", "controls", "dist"):
+        assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
+    assert (a.n_intervals, a.coefficient_evals) == (b.n_intervals, b.coefficient_evals)
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_batch_members_equal_single_runs(name):
+    scenario = get_scenario(name)
+    horizon = BATCH_HORIZONS[name]
+    params = scenario.default_params
+    curve = get_curve(scenario.default_curve, horizon=horizon)
+    grid = SamplerGrid(params.epsilon, horizon)
+    rng = np.random.default_rng(7)
+    x0 = scenario.default_x0 + 0.3 * rng.uniform(-1.0, 1.0, (4, scenario.system.n))
+    args = (scenario.system, scenario.scheme, params, curve)
+    batch = simulate(*args, x0, grid)
+    assert batch.states.shape == (batch.times.size, 4, scenario.system.n)
+    assert batch.failures == {}
+    for b in range(4):
+        alone = run_alone(*args, x0[b], grid)
+        assert not isinstance(alone, SimulationError)
+        assert_same_run(batch, b, alone)
+
+
+def test_batch_members_leaving_the_domain_stop_alone():
+    """The car at alpha=5, eps=0.5 leaves its steering chart: from (1, 1, 0, 0)
+    in the first interval, from (0, 0.5, 0, 0) in the second.  The default
+    start (8, 0, 0, 0) exits only after t=1, so it reaches the horizon."""
+    scenario = get_scenario("car")
+    params = ControllerParams(alpha=5.0, epsilon=0.5)
+    curve = get_curve(scenario.default_curve, horizon=1.0)
+    grid = SamplerGrid(0.5, 1.0)
+    x0 = np.array([[1.0, 1.0, 0.0, 0.0], [8.0, 0.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0]])
+    args = (scenario.system, scenario.scheme, params, curve)
+    batch = simulate(*args, x0, grid)
+    assert sorted(batch.failures) == [0, 2]
+    assert_same_run(batch, 1, run_alone(*args, x0[1], grid))
+    for b in (0, 2):
+        alone = run_alone(*args, x0[b], grid)
+        assert isinstance(alone, SimulationError) and alone.reason == "domain-exit"
+        assert_same_failure(batch.failures[b], alone)
+        kept = alone.partial.times.size
+        assert np.isnan(batch.states[kept:, b]).all()
+        assert np.isnan(batch.controls[kept:, b]).all()
+    assert batch.failures[0].time < 0.5 < batch.failures[2].time
+
+
+def make_vanishing_bracket():
+    """[f1, f2] = (0, 0, 2 x1) spans the third direction except on x1 = 0."""
+    def f2_jac(x):
+        jac = np.zeros(x.shape + (3,))
+        jac[..., 2, 0] = 2.0 * x[..., 0]
+        return jac
+
+    f1 = VectorField(3, constant(1.0, 0.0, 0.0), jacobian=zero_jacobian)
+    f2 = VectorField(3, lambda x: components(0.0, 1.0, x[..., 0] ** 2),
+                     jacobian=f2_jac)
+    sys = ControlSystem(3, 2, (f1, f2), name="vanishing-bracket")
+    return sys, BracketScheme(m=2, s1=(1, 2), s2=((1, 2),), kappa=(1,))
+
+
+def test_batch_member_with_a_singular_gain_stops_alone():
+    """x1 = 0 makes the gain matrix singular.  (0, 0, 0) sits there at t=0;
+    with alpha * eps = 1 every other start reaches it at t=0.1, with
+    alpha * eps = 0.5 none does."""
+    sys, scheme = make_vanishing_bracket()
+    curve = constant_curve(np.array([0.0, 0.5, 0.5]))
+    grid = SamplerGrid(0.1, 0.3)
+    x0 = np.array([[0.3, 0.5, 0.5], [0.0, 0.0, 0.0], [0.3, 0.2, 0.4]])
+
+    params = ControllerParams(alpha=10.0, epsilon=0.1)
+    batch = simulate(sys, scheme, params, curve, x0, grid)
+    assert sorted(batch.failures) == [0, 1, 2]
+    for b in range(3):
+        alone = run_alone(sys, scheme, params, curve, x0[b], grid)
+        assert alone.reason == "rank-deficient"
+        assert_same_failure(batch.failures[b], alone)
+    assert [batch.failures[b].time for b in range(3)] == [
+        pytest.approx(0.1), 0.0, pytest.approx(0.1)]
+
+    params = ControllerParams(alpha=5.0, epsilon=0.1)
+    batch = simulate(sys, scheme, params, curve, x0, grid)
+    assert sorted(batch.failures) == [1]
+    assert_same_failure(batch.failures[1],
+                        run_alone(sys, scheme, params, curve, x0[1], grid))
+    for b in (0, 2):
+        assert_same_run(batch, b, run_alone(sys, scheme, params, curve, x0[b], grid))
+
+
+def test_batch_where_every_member_stops():
+    """An absurd gain overflows every start; each keeps its own error."""
+    sys = ControlSystem(3, 2, unicycle_fields(), name="unicycle")
+    scheme = BracketScheme(m=2, s1=(1, 2), s2=((1, 2),), kappa=(1,))
+    params = ControllerParams(alpha=1e160, epsilon=0.1)
+    curve = curve_gamma1()
+    grid = SamplerGrid(0.1, 4.0)
+    x0 = np.array([[0.0, 0.0, 1.0], [0.5, -0.5, 0.2]])
+    with np.errstate(all="ignore"):
+        batch = simulate(sys, scheme, params, curve, x0, grid)
+        for b in range(2):
+            alone = run_alone(sys, scheme, params, curve, x0[b], grid)
+            assert alone.reason == "non-finite-state"
+            assert_same_failure(batch.failures[b], alone)
+    assert np.isnan(batch.controls[-1]).all()
+
+
+def test_batch_input_checks():
+    """A batch is (B, n) with B >= 1, starts inside the domain; only a
+    single start takes on_coefficients or the classic semantics (a batch
+    refuses both with UsageError)."""
+    scenario = get_scenario("car")
+    params = scenario.default_params
+    curve = get_curve(scenario.default_curve, horizon=0.1)
+    grid = SamplerGrid(params.epsilon, 0.1)
+    args = (scenario.system, scenario.scheme, params, curve)
+    x0 = np.array([[8.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    with pytest.raises(UsageError, match="on_coefficients"):
+        simulate(*args, x0, grid, on_coefficients=lambda *a: None)
+    with pytest.raises(UsageError, match="classic semantics"):
+        classic_solution_simulate(*args, x0, grid)
+    for bad in (np.zeros((0, 4)), np.zeros((2, 2, 4)), np.zeros((2, 3))):
+        with pytest.raises(DimensionMismatchError, match="x0 must have shape"):
+            simulate(*args, bad, grid)
+    outside = x0.copy()
+    outside[1, 2] = 1.6
+    with pytest.raises(DomainError, match=r"initial state \[0.  0.  1.6 0. \]"):
+        simulate(*args, outside, grid)
+    with pytest.raises(UsageError, match="finite"):
+        simulate(*args, np.where(outside == 1.6, np.nan, outside), grid)

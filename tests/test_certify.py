@@ -20,6 +20,7 @@ from osctrack import (
     ControlSystem,
     NestedBracketTerm,
     SamplerGrid,
+    SimulationError,
     Trajectory,
     UnsupportedSchemeError,
     UsageError,
@@ -616,3 +617,113 @@ def test_contraction_check_validation(unicycle, gamma1):
     with pytest.raises(UsageError):
         contraction_check(unicycle, UNICYCLE_SCHEME, params, gamma1,
                           lam=1.0, nu=gamma1.nu, rho_prime=1.0, delta=0.5)
+
+
+def reference_contraction_check(sys, scheme, params, curve, *, lam, nu, rho_prime,
+                                delta, n_draws=100, seed=0, substeps=None):
+    """Oracle: the one-step contraction check run one draw at a time."""
+    rng = np.random.default_rng(seed)
+    gamma0 = np.asarray(curve.eval(0.0), dtype=float)
+    eps = params.epsilon
+    factor = 1.0 - eps * (lam + nu / rho_prime)
+    failed = []
+    worst = 0.0
+    for i in range(n_draws):
+        direction = rng.normal(size=sys.n)
+        direction /= np.linalg.norm(direction)
+        radius = rng.uniform(rho_prime, delta)
+        x0 = gamma0 + radius * direction
+        traj = simulate(sys, scheme, params, curve, x0,
+                        SamplerGrid(eps, eps, substeps=substeps))
+        lhs = float(np.linalg.norm(traj.states[-1]
+                                   - np.asarray(curve.eval(eps), dtype=float)))
+        rhs = radius * factor + eps * nu
+        if lhs > rhs + 1e-12:
+            failed.append(i)
+            worst = max(worst, lhs - rhs)
+    return n_draws - len(failed), tuple(failed), worst
+
+
+@pytest.mark.parametrize("eps", ["eps_hat", 0.05, 0.08])
+def test_contraction_check_matches_per_draw_oracle(unicycle, gamma1, unicycle_inputs,
+                                                   eps):
+    """The batched draws give the per-draw loop's verdicts exactly; at 0.05
+    and 0.08 some draws fail, so the failure bookkeeping is exercised."""
+    if eps == "eps_hat":
+        eps = bound_constants(unicycle, UNICYCLE_SCHEME, ControllerParams(15.0, 0.1),
+                              unicycle_inputs).certificate.eps_hat
+    params = ControllerParams(alpha=15.0, epsilon=eps)
+    kwargs = dict(lam=unicycle_inputs.lam, nu=unicycle_inputs.nu,
+                  rho_prime=unicycle_inputs.rho_prime, delta=unicycle_inputs.delta,
+                  n_draws=100, seed=1)
+    rep = contraction_check(unicycle, UNICYCLE_SCHEME, params, gamma1, **kwargs)
+    want = reference_contraction_check(unicycle, UNICYCLE_SCHEME, params, gamma1,
+                                       **kwargs)
+    assert (rep.n_pass, rep.failed_indices, rep.worst_violation) == want
+    assert rep.n_draws == 100 and rep.epsilon == eps
+    assert (rep.n_pass < 100) == (eps > 0.01)
+
+
+def test_contraction_check_raises_the_first_stopped_draw():
+    """With alpha * eps = 2.5 each start x0 overshoots to -1.5 x0, so the
+    draws with radius above 2.2 / 1.5 leave the disc |x| < 2.2 during the
+    interval; the batch raises the loop's error, that of the first one."""
+    one, two = translation_system().fields
+    sys_t = ControlSystem(n=2, m=2, fields=(one, two), name="translation-disc",
+                          domain=lambda x: np.linalg.norm(x, axis=-1) < 2.2)
+    scheme = BracketScheme(m=2, s1=(1, 2))
+    params = ControllerParams(alpha=250.0, epsilon=0.01)
+    curve = constant_curve(np.zeros(2))
+    kwargs = dict(lam=1.0, nu=0.0, rho_prime=0.25, delta=2.0, n_draws=30, seed=3)
+    with pytest.raises(SimulationError) as batched:
+        contraction_check(sys_t, scheme, params, curve, **kwargs)
+    with pytest.raises(SimulationError) as looped:
+        reference_contraction_check(sys_t, scheme, params, curve, **kwargs)
+    got, want = batched.value, looped.value
+    assert got.reason == want.reason == "domain-exit"
+    assert (got.time, str(got)) == (want.time, str(want))
+    assert np.array_equal(got.partial.states, want.partial.states)
+
+
+def empirical_period(scenario, curve, alpha, inputs, *, n_draws=100, seed=0):
+    """eps*: the largest eps on the grid 2^-1, 2^-2, ..., 2^-40 at which
+    every contraction draw passes; a draw that stops early fails the eps.
+    Scanned from the top, so the first eps that passes is eps*."""
+    for eps in 2.0 ** -np.arange(1.0, 41.0):
+        try:
+            rep = contraction_check(
+                scenario.system, scenario.scheme, ControllerParams(alpha, eps), curve,
+                lam=inputs.lam, nu=inputs.nu, rho_prime=inputs.rho_prime,
+                delta=inputs.delta, n_draws=n_draws, seed=seed)
+        except SimulationError:
+            continue
+        if rep.n_pass == rep.n_draws:
+            return float(eps)
+    return 0.0
+
+
+def test_certified_period_within_the_empirical_one(unicycle_inputs):
+    """eps_hat <= eps*: the certificate never promises contraction at a
+    period where the draws show none.  The unicycle uses the analytic
+    inputs, the underwater vehicle the sampled tube bounds of
+    ``osctrack certify --scenario underwater --empirical --bound-samples 500
+    --delta-prime 0.5 --delta 0.4 --rho-prime 0.2 --rho 0.3``."""
+    unicycle = get_scenario("unicycle")
+    cert = bound_constants(unicycle.system, unicycle.scheme, ControllerParams(15.0, 0.1),
+                           unicycle_inputs).certificate
+    eps_star = empirical_period(unicycle, get_curve("gamma1", horizon=1.0), 15.0,
+                                unicycle_inputs)
+    assert cert.eps_hat <= eps_star
+
+    vehicle = get_scenario("underwater")
+    curve = get_curve(vehicle.default_curve, horizon=vehicle.horizon)
+    sup = estimate_sup_bounds(vehicle.system, vehicle.scheme, curve, delta_prime=0.5,
+                              horizon=vehicle.horizon, n_samples=500, seed=0)
+    inputs = CertificateInputs(
+        r=3.0, rho=0.3, rho_prime=0.2, delta=0.4, delta_prime=0.5, mu=sup.mu,
+        nu=curve.nu, M1=sup.M1, M2=sup.M2, M3=sup.M3, L=sup.L, lam=1.0,
+        provenance="empirical")
+    rep = bound_constants(vehicle.system, vehicle.scheme, vehicle.default_params, inputs)
+    assert rep.ok, rep.detail
+    eps_star = empirical_period(vehicle, curve, vehicle.default_params.alpha, inputs)
+    assert rep.certificate.eps_hat <= eps_star

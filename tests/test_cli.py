@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -245,6 +246,35 @@ class TestSweep:
         assert len(lines) == 3
         assert "error" in lines[1] and "left the domain" in lines[1]
         assert ",ok," in lines[2]
+
+    def test_cells_share_one_scenario_and_curve_build(self, monkeypatch):
+        """A worker builds the scenario and curve once for all its cells of
+        one (scenario, curve spec, horizon); the rows are unchanged."""
+        from osctrack import cli
+
+        config = cli.RunConfig(scenario="car", curve="5*sin(t/4), 0, 0, 0",
+                               horizon=0.5, rho=1.0)
+        cells = [replace(config, alpha=a, epsilon=e)
+                 for a, e in ((4.2, 0.1), (9.1, 0.1), (4.2, 0.05))]
+        fresh = []
+        for cell in cells:
+            cli._SWEEP_BUILDS.clear()
+            fresh.append(cli._sweep_row(cell))
+        calls = {"scenario": 0, "curve": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "get_scenario", counted("scenario", cli.get_scenario))
+        monkeypatch.setattr(cli, "get_curve", counted("curve", cli.get_curve))
+        cli._SWEEP_BUILDS.clear()
+        assert [cli._sweep_row(cell) for cell in cells] == fresh
+        assert calls == {"scenario": 1, "curve": 1}
+        assert all(row["status"] == "ok" for row in fresh)
+        cli._SWEEP_BUILDS.clear()
 
     def test_empty_grid_rejected(self, tmp_path):
         code = run_cli(tmp_path, "sweep", "--scenario", "unicycle",
