@@ -361,13 +361,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not alphas or not epsilons:
         raise UsageError("sweep needs nonempty --alphas and --epsilons lists")
 
+    if args.jobs is not None and args.jobs < 1:
+        raise UsageError(f"--jobs must be a positive integer, got {args.jobs}")
     tasks = [replace(config, alpha=a, epsilon=e)
              for a, e in itertools.product(alphas, epsilons)]
-    for task in tasks:  # a bad gain or period fails before any worker starts
-        ControllerParams(alpha=task.alpha, epsilon=task.epsilon)
-    jobs = args.jobs if args.jobs else min(len(tasks), os.cpu_count() or 1)
+    # A bad gain or period fails before any worker starts.
+    grids = [resolve_run(task, _SWEEP_BUILDS)[4] for task in tasks]
+    # Every cell shares the scheme, substeps and horizon, so its cost goes
+    # with its number of sampling intervals.  Longest first (Graham's LPT
+    # list scheduling) keeps the longest cell from running alone at the end;
+    # the sort is stable, so ties keep grid order.
+    order = sorted(range(len(tasks)), key=lambda c: -grids[c].n_intervals)
+    jobs = args.jobs or min(len(tasks), os.cpu_count() or 1)
+    rows = [None] * len(tasks)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        rows = list(pool.map(_sweep_row, tasks))
+        for c, row in zip(order, pool.map(_sweep_row, [tasks[c] for c in order])):
+            rows[c] = row
 
     path = out_dir / "sweep_summary.csv"
     columns = ["alpha", "epsilon", "status", "steady_amplitude",

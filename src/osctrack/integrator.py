@@ -79,6 +79,11 @@ class SamplerGrid:
                 f"{scheme.max_frequency}; need at least {needed}")
         return substeps
 
+    @property
+    def n_intervals(self) -> int:
+        """Sampling intervals a run takes to reach the horizon."""
+        return max(1, int(np.ceil(self.horizon / self.epsilon - 1e-9)))
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -126,43 +131,44 @@ class _Stopped(Exception):
     """Every member of the run has stopped."""
 
 
-def _drift(fields, u: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _drift(terms, u, made, x: np.ndarray) -> np.ndarray:
     """Right-hand side u_1 f_1(x) + u_2 f_2(x) + ..., summed left to right.
 
-    ``u[i]`` is a scalar for one state, a column (B, 1) for states (B, n).
+    ``terms[i]`` is ``(f_i.eval, i)`` for a field that depends on the
+    state and ``(None, j)`` for the j-th constant field, whose term
+    u_i f_i was formed beforehand as ``made[j]``.  ``u[i]`` is a scalar
+    for one state, a column (B, 1) for states (B, n).
     """
-    out = u[0] * fields[0].eval(x)
-    for i in range(1, len(fields)):
-        out = out + u[i] * fields[i].eval(x)
+    out = None
+    for ev, j in terms:
+        term = made[j] if ev is None else u[j] * ev(x)
+        out = term if out is None else out + term
     return out
 
 
-def _from_table(u: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """Sampled semantics: the stage control was tabulated for the interval."""
-    return u
+def _rk4_step(terms, x: np.ndarray, h: float, half_h: float, sixth_h: float,
+              k: int, control: Callable, control_out: np.ndarray | None = None
+              ) -> np.ndarray:
+    """Step k, a classical Runge-Kutta step of length h from x.
 
-
-def _rk4_step(fields, x: np.ndarray, h: float, stages, control: Callable,
-              control_out: np.ndarray | None = None) -> np.ndarray:
-    """One classical Runge-Kutta step of length h from x.
-
-    ``stages`` has one entry each for the left node, the midpoint and the
-    right node; ``control(entry, state)`` turns an entry into a control.
+    ``half_h`` and ``sixth_h`` are 0.5 * h and h / 6.  ``control(k, s,
+    state)`` gives the controls of stage s (0 the left node, 1 the
+    midpoint, 2 the right node) and the constant-field terms they make.
     The left-node control is recorded in ``control_out`` first, when
     given, so a step that fails on a later stage still leaves it in the
     trace.
     """
-    u = control(stages[0], x)
+    u, made = control(k, 0, x)
     if control_out is not None:
         control_out[:] = u
-    k1 = _drift(fields, u, x)
-    xa = x + 0.5 * h * k1
-    k2 = _drift(fields, control(stages[1], xa), xa)
-    xb = x + 0.5 * h * k2
-    k3 = _drift(fields, control(stages[1], xb), xb)
+    k1 = _drift(terms, u, made, x)
+    xa = x + half_h * k1
+    k2 = _drift(terms, *control(k, 1, xa), xa)
+    xb = x + half_h * k2
+    k3 = _drift(terms, *control(k, 1, xb), xb)
     xc = x + h * k3
-    k4 = _drift(fields, control(stages[2], xc), xc)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k4 = _drift(terms, *control(k, 2, xc), xc)
+    return x + sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerParams,
@@ -189,7 +195,8 @@ def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerPara
 
     eps = params.epsilon
     h = eps / substeps
-    n_int = max(1, int(np.ceil(grid.horizon / eps - 1e-9)))
+    half_h, sixth_h = 0.5 * h, h / 6.0
+    n_int = grid.n_intervals
     rows = n_int * substeps + 1
     idx = np.arange(rows)
     times = (idx // substeps) * eps + (idx % substeps) * h
@@ -198,7 +205,12 @@ def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerPara
     # NaN-filled, so a partial trace never shows a value that was not computed.
     states = np.full((rows,) + x0.shape, np.nan)
     controls = np.full((rows,) + x0.shape[:-1] + (scheme.m,), np.nan)
-    fields = sys.fields
+    # Each constant field's term u_i * value is formed from the control
+    # table, once per interval; only the other fields are evaluated per stage.
+    const = [i for i, f in enumerate(sys.fields) if f.value is not None]
+    values = np.array([sys.fields[i].value for i in const]).reshape(-1, sys.n)
+    terms = tuple((None, const.index(i)) if i in const else (f.eval, i)
+                  for i, f in enumerate(sys.fields))
     semantics = "sampled" if freeze else "classic"
     whole = np.all if batched else bool
     eval_count = 0
@@ -231,13 +243,13 @@ def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerPara
 
     def go_on(keep):
         """Carry on with the live members marked in ``keep``."""
-        nonlocal x, live, table, u_func
+        nonlocal x, live, table, made, u_func
         if not np.any(keep):
             raise _Stopped
         if batched and not np.all(keep):
             x, live = x[keep], live[keep]
             if table is not None:
-                table = table[:, :, :, keep]
+                table, made = table[:, :, :, keep], made[:, :, :, keep]
                 u_func = lambda t, f=u_func: f(t)[..., keep, :]
 
     def solve(t, state):
@@ -247,16 +259,26 @@ def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerPara
         eval_count += 1
         return make_control_function(scheme, params, c)(t)
 
-    control = _from_table if freeze else solve
+    def tabulated(k, s, state):
+        # Sampled semantics: the controls and the constant-field terms were
+        # tabulated for the interval.
+        return table[k, s], made[k, s]
+
+    def solved(k, s, state):
+        # Classic semantics: the constant-field terms are formed on the spot.
+        u = solve(table[k, s], state)
+        return u, u[const, None] * values
+
+    control = tabulated if freeze else solved
     x = states[0] = x0
-    table = u_func = None
+    table = made = u_func = None
     i = 0  # the row being computed
     try:
         for j in range(n_int):
             base = i = j * substeps
             # Row k: the left node, midpoint and right node of step k.
             left = times[base:base + substeps]
-            stages = np.stack((left, left + 0.5 * h, left + h), axis=1)
+            stages = np.stack((left, left + half_h, left + h), axis=1)
             if freeze:
                 while True:  # a member whose gain matrix is singular stops here
                     try:
@@ -275,11 +297,14 @@ def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerPara
                 controls[base:base + substeps, live] = stages[:, 0]
                 if batched:  # per field, a column of member values: (substeps, 3, m, B, 1)
                     stages = np.moveaxis(stages, -1, 2)[..., None]
+                    made = stages[:, :, const] * values[:, None]
+                else:
+                    made = stages[:, :, const, None] * values
             table = stages
 
             for k in range(substeps):
                 i = base + k
-                x_prev, x = x, _rk4_step(fields, x, h, table[k], control,
+                x_prev, x = x, _rk4_step(terms, x, h, half_h, sixth_h, k, control,
                                          None if freeze else controls[i])
                 states[i + 1, live] = x
                 if not (np.isfinite(x).all() and whole(sys.in_domain(x))):

@@ -1,7 +1,8 @@
 """Three benchmark systems with analytic fields and ready-to-run defaults.
 
 Each scenario bundles a control system (with hand-written Jacobians; the
-fields, Jacobians and domain predicates all take batches of states), the
+fields, Jacobians and domain predicates all take batches of states; one
+field of each is constant, built from its value), the
 bracket scheme that makes its gain matrix square, default controller
 parameters, a default reference curve name, a default initial state, and
 a simulation horizon.
@@ -27,19 +28,6 @@ class Scenario:
     default_curve: str
     default_x0: np.ndarray
     horizon: float
-
-
-def _unit_field(dim: int, k: int, name: str) -> VectorField:
-    """The constant field e_k (0-based k) with its zero Jacobian."""
-    unit = np.eye(dim)[k]
-
-    def unit_eval(x):
-        out = np.empty(x.shape)
-        out[...] = unit
-        return out
-
-    return VectorField(dim=dim, eval=unit_eval,
-                       jacobian=lambda x: np.zeros(x.shape + (dim,)), name=name)
 
 
 # The fields below take states of shape (..., n).  They read coordinate k
@@ -71,8 +59,8 @@ def unicycle() -> Scenario:
         return jac
 
     f1 = VectorField(dim=3, eval=f1_eval, jacobian=f1_jac, name="forward")
-    system = ControlSystem(n=3, m=2, fields=(f1, _unit_field(3, 2, "turn")),
-                           name="unicycle")
+    turn = VectorField(dim=3, value=np.eye(3)[2], name="turn")
+    system = ControlSystem(n=3, m=2, fields=(f1, turn), name="unicycle")
     scheme = BracketScheme(m=2, s1=(1, 2), s2=((1, 2),), kappa=(1,))
     return Scenario(
         name="unicycle",
@@ -146,7 +134,7 @@ def underwater_vehicle() -> Scenario:
 
     fields = (
         VectorField(dim=6, eval=f1_eval, jacobian=f1_jac, name="surge"),
-        _unit_field(6, 3, "roll"),
+        VectorField(dim=6, value=np.eye(6)[3], name="roll"),
         angular_field("pitch", rotated=False),
         angular_field("yaw", rotated=True),
     )
@@ -197,7 +185,7 @@ def rear_wheel_car() -> Scenario:
     system = ControlSystem(
         n=4, m=2,
         fields=(VectorField(dim=4, eval=f1_eval, jacobian=f1_jac, name="drive"),
-                _unit_field(4, 2, "steer")),
+                VectorField(dim=4, value=np.eye(4)[2], name="steer")),
         domain=lambda x: abs(x.T[2]) < np.pi / 2,
         name="car",
     )

@@ -64,23 +64,49 @@ class VectorField:
     ----------
     dim : int
         Dimension n of the state space.
-    eval : callable
-        Maps states (..., n) to the field values (..., n).
+    eval : callable, optional
+        Maps states (..., n) to the field values (..., n).  It may be
+        omitted for a constant field, whose ``eval`` then returns
+        ``value`` at every state.
     jacobian : callable, optional
         Maps states (..., n) to the Jacobian matrices (..., n, n).  When
-        omitted a central finite-difference fallback is installed.
+        omitted a central finite-difference fallback is installed, or
+        zeros for a constant field.
     name : str
         Label used in error messages.
+    value : array_like, optional
+        The field's value (n,) when it does not depend on the state.  An
+        ``eval`` given with it must return it at every state.  The
+        integrator forms u_i * value once per sampling interval instead
+        of evaluating the field in every Runge-Kutta stage.
     """
 
     dim: int
-    eval: Callable[[np.ndarray], np.ndarray]
+    eval: Callable[[np.ndarray], np.ndarray] | None = None
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None
     name: str = ""
+    value: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.dim <= 0:
             raise UsageError(f"vector field dimension must be positive, got {self.dim}")
+        if self.value is not None:
+            value = np.array(self.value, dtype=float)
+            if value.shape != (self.dim,) or not np.isfinite(value).all():
+                raise UsageError(
+                    f"constant field {self.name or '?'} needs {self.dim} finite "
+                    f"values, got {self.value!r}")
+            value.flags.writeable = False
+            object.__setattr__(self, "value", value)
+            if self.eval is None:
+                object.__setattr__(
+                    self, "eval", lambda x: np.broadcast_to(value, x.shape).copy())
+            if self.jacobian is None:
+                object.__setattr__(
+                    self, "jacobian", lambda x: np.zeros(x.shape + (self.dim,)))
+        if self.eval is None:
+            raise UsageError(
+                f"field {self.name or '?'} needs an eval callable or a constant value")
         if self.jacobian is None:
             func = self.eval
             object.__setattr__(

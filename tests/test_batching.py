@@ -8,6 +8,8 @@ compared with one run per start, to the last bit, including members
 that stop early.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -245,6 +247,84 @@ def test_batch_members_leaving_the_domain_stop_alone():
         assert np.isnan(batch.states[kept:, b]).all()
         assert np.isnan(batch.controls[kept:, b]).all()
     assert batch.failures[0].time < 0.5 < batch.failures[2].time
+
+
+def with_plain_fields(system):
+    """The system with each constant field rebuilt as a plain eval, which the
+    integrator evaluates in every Runge-Kutta stage."""
+    fields = tuple(f if f.value is None else
+                   VectorField(f.dim, constant(*f.value), jacobian=zero_jacobian,
+                               name=f.name)
+                   for f in system.fields)
+    return replace(system, fields=fields)
+
+
+def assert_same_trajectory(got, want):
+    for name in ("states", "controls", "dist"):
+        assert np.array_equal(getattr(got, name), getattr(want, name),
+                              equal_nan=True), name
+    assert sorted(got.failures) == sorted(want.failures)
+    for b, error in want.failures.items():
+        assert_same_failure(got.failures[b], error)
+
+
+@pytest.mark.parametrize("case", ["unicycle", "underwater", "car-batch", "classic"])
+def test_constant_fields_formed_per_interval_equal_plain_evals(case):
+    """Oracle for the constant-field path: the same system with its constant
+    field written as a plain eval gives the same run, bit for bit.  The
+    vehicle's constant field sits between fields that depend on the state,
+    so its term must be added in field order."""
+    scenario = get_scenario({"car-batch": "car", "classic": "unicycle"}.get(case, case))
+    params, horizon, x0 = scenario.default_params, 1.0, scenario.default_x0
+    if case == "car-batch":  # two members leave the chart, as in the test above
+        params = ControllerParams(alpha=5.0, epsilon=0.5)
+        x0 = np.array([[1.0, 1.0, 0.0, 0.0], [8.0, 0.0, 0.0, 0.0],
+                       [0.0, 0.5, 0.0, 0.0]])
+    elif case == "classic":
+        horizon = 0.5
+    system = scenario.system
+    plain = with_plain_fields(system)
+    assert sum(f.value is not None for f in system.fields) == 1
+    assert all(f.value is None for f in plain.fields)
+    curve = get_curve(scenario.default_curve, horizon=horizon)
+    grid = SamplerGrid(params.epsilon, horizon)
+    integrate = classic_solution_simulate if case == "classic" else simulate
+    got, want = (integrate(sys, scenario.scheme, params, curve, x0, grid)
+                 for sys in (system, plain))
+    assert_same_trajectory(got, want)
+    if case == "car-batch":
+        assert sorted(got.failures) == [0, 2]
+
+
+def test_a_wrapped_constant_field_stays_constant():
+    """dataclasses.replace with a new eval and jacobian, as a tracer wraps
+    fields, keeps the value, so the run is unchanged and the field is
+    evaluated only in the gain-matrix builds: as often at 400 substeps as
+    at 200."""
+    scenario = get_scenario("unicycle")
+    params = scenario.default_params
+    curve = get_curve(scenario.default_curve, horizon=1.0)
+    calls = []
+
+    def counted(f):
+        def wrapper(x):
+            calls.append(1)
+            return f(x)
+        return wrapper
+
+    turn = scenario.system.fields[1]
+    wrapped = replace(turn, eval=counted(turn.eval), jacobian=counted(turn.jacobian))
+    assert np.array_equal(wrapped.value, turn.value)
+    system = replace(scenario.system, fields=(scenario.system.fields[0], wrapped))
+    counts = []
+    for substeps in (200, 400):
+        grid = SamplerGrid(params.epsilon, 1.0, substeps=substeps)
+        args = (scenario.scheme, params, curve, scenario.default_x0, grid)
+        calls.clear()
+        got = simulate(system, *args)
+        counts.append(len(calls))
+        assert_same_trajectory(got, simulate(scenario.system, *args))
+    assert counts[0] == counts[1] > 0
 
 
 def make_vanishing_bracket():

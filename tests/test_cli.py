@@ -276,6 +276,69 @@ class TestSweep:
         assert all(row["status"] == "ok" for row in fresh)
         cli._SWEEP_BUILDS.clear()
 
+    def test_cells_start_longest_first_and_rows_keep_grid_order(
+            self, tmp_path, monkeypatch):
+        """Cells reach the pool in decreasing number of sampling intervals
+        ceil(H / eps), ties in grid order; the CSV lists them in grid order,
+        each row equal to a serial _sweep_row call."""
+        from osctrack import cli
+
+        seen = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, tasks):
+                tasks = list(tasks)
+                seen.extend((t.alpha, t.epsilon) for t in tasks)
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        # ceil(0.5 / eps) = 2, 10 and 2: 0.3 and 0.25 tie and keep grid order.
+        code = run_cli(tmp_path, "sweep", "--scenario", "unicycle",
+                       "--alphas", "1,15", "--epsilons", "0.3,0.05,0.25",
+                       "--horizon", "0.5")
+        assert code == 0
+        assert seen == [(1.0, 0.05), (15.0, 0.05), (1.0, 0.3), (1.0, 0.25),
+                        (15.0, 0.3), (15.0, 0.25)]
+
+        config = cli.RunConfig(scenario="unicycle", horizon=0.5,
+                               output_dir=str(tmp_path))
+        columns = ["alpha", "epsilon", "status", "steady_amplitude",
+                   "entry_time", "fitted_lambda", "flag"]
+        lines = []
+        for a in (1.0, 15.0):
+            for e in (0.3, 0.05, 0.25):
+                cli._SWEEP_BUILDS.clear()
+                row = cli._sweep_row(replace(config, alpha=a, epsilon=e))
+                lines.append(",".join(cli._sweep_cell(row[c]) for c in columns))
+        cli._SWEEP_BUILDS.clear()
+        written = (tmp_path / "sweep_summary.csv").read_text().splitlines()
+        assert written[1:] == lines
+
+    @pytest.mark.parametrize("jobs", ["-1", "0"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, monkeypatch, jobs):
+        """Refused with a validation error before any worker starts."""
+        from osctrack import cli
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        code = run_cli(tmp_path, "sweep", "--scenario", "unicycle",
+                       "--alphas", "15", "--epsilons", "0.1", "--horizon", "0.5",
+                       "--jobs", jobs)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --jobs")
+        assert not (tmp_path / "sweep_summary.csv").exists()
+
     def test_empty_grid_rejected(self, tmp_path):
         code = run_cli(tmp_path, "sweep", "--scenario", "unicycle",
                        "--alphas", "", "--epsilons", "0.1")

@@ -4,6 +4,8 @@ Analytic bracket values are checked against a central finite-difference
 oracle evaluated independently of the library's own Jacobian plumbing.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -252,6 +254,26 @@ def test_vector_field_shape_checks():
         f1(np.zeros(4))
     with pytest.raises(UsageError):
         VectorField(0, lambda x: x)
+
+
+def test_constant_field_from_its_value():
+    """A field built from its value returns it at every state, with a zero
+    Jacobian; dataclasses.replace keeps it constant, as a wrapped field
+    needs; a bad value or no eval at all is refused."""
+    f = VectorField(3, value=[0.0, 0.0, 1.0], name="turn")
+    xs = np.arange(12.0).reshape(4, 3)
+    assert np.array_equal(f(xs), np.tile([0.0, 0.0, 1.0], (4, 1)))
+    assert np.array_equal(f.jacobian(xs), np.zeros((4, 3, 3)))
+    assert not f.value.flags.writeable
+    wrapped = replace(f, eval=lambda x: f.eval(x), jacobian=lambda x: f.jacobian(x))
+    assert np.array_equal(wrapped.value, f.value)
+    assert wrapped.eval is not f.eval
+    assert VectorField(3, constant(0.0, 0.0, 1.0)).value is None
+    for bad in ([0.0, 1.0], [0.0, np.nan, 1.0], [[0.0, 0.0, 1.0]]):
+        with pytest.raises(UsageError, match="constant field turn"):
+            VectorField(3, value=bad, name="turn")
+    with pytest.raises(UsageError, match="eval"):
+        VectorField(3)
 
 
 def test_control_system_validation():
