@@ -79,6 +79,10 @@ class CertificateInputs:
             raise UsageError("M2, M3, and L must be nonnegative")
         if self.lam <= 0:
             raise UsageError(f"lam must be positive, got {self.lam}")
+        bounds = (self.M1, self.M2, self.M3, self.L, self.mu, self.nu, self.lam)
+        if not all(np.isfinite(bounds)):
+            raise UsageError(
+                f"M1, M2, M3, L, mu, nu and lam must be finite, got {bounds}")
 
 
 @dataclass(frozen=True)
@@ -238,6 +242,11 @@ def bound_constants(sys: ControlSystem, scheme: BracketScheme,
     return CertificationReport(ok=True, certificate=cert, detail="certified")
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Row norms via the dot product, as np.linalg.norm takes them of one row."""
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
 class SupBounds(NamedTuple):
     """Sampled sup bounds over the delta_prime tube, safety-inflated."""
 
@@ -300,17 +309,13 @@ def estimate_sup_bounds(sys: ControlSystem, scheme: BracketScheme,
     lip = np.max(np.linalg.svd(jacs, compute_uv=False)[..., 0])
     m2 = np.max(np.linalg.norm(first, axis=3))
 
-    def norms(v):
-        """Row norms via the dot product, as np.linalg.norm takes them of one row."""
-        return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
-
     # Directional derivative of x -> (L_{f_j2} f_j1)(x) along f_j3; a
     # vanishing f_j3 gets a zero offset and so contributes nothing.
-    step = 1e-5 * np.maximum(1.0, norms(xs))
+    step = 1e-5 * np.maximum(1.0, _row_norms(xs))
     total = np.zeros(n_samples)
     for j3 in range(sys.m):
         w = vals[:, j3]
-        wn = norms(w)
+        wn = _row_norms(w)
         scale = np.divide(step, wn, out=np.zeros(n_samples), where=wn != 0.0)
         offset = scale[:, None] * w
         gap = lie_table(xs + offset)[2] - lie_table(xs - offset)[2]
@@ -336,28 +341,18 @@ class VolterraReport:
     initial_error_norm: float
 
 
-def volterra_residual(sys: ControlSystem, scheme: BracketScheme,
-                      params: ControllerParams, x0: np.ndarray,
-                      gamma0: np.ndarray, traj: Trajectory, *,
+def volterra_residual(traj: Trajectory, alpha: float, *,
                       sigma: float) -> VolterraReport:
     """Check ||x(eps) - x0 + eps*alpha*(x0 - gamma0)|| against the sigma bound.
 
-    The trajectory must start at (x0, gamma0) and contain at least one
+    x0, gamma0 and eps are the start, the reference start and the
+    sampling period of the trajectory, which must contain at least one
     full sampling interval.
     """
-    x0 = np.asarray(x0, dtype=float)
-    gamma0 = np.asarray(gamma0, dtype=float)
     if traj.times.size <= traj.substeps:
         raise UsageError("trajectory does not contain a full sampling interval")
-    if abs(traj.epsilon - params.epsilon) > 1e-12 * max(1.0, params.epsilon):
-        raise UsageError("trajectory was recorded with a different epsilon")
-    if not np.allclose(traj.states[0], x0, atol=1e-9) or \
-            not np.allclose(traj.reference[0], gamma0, atol=1e-9):
-        raise UsageError("trajectory does not start at the given (x0, gamma0)")
-
-    eps = params.epsilon
-    x_eps = traj.states[traj.substeps]
-    residual = x_eps - x0 + eps * params.alpha * (x0 - gamma0)
+    x0, gamma0, eps = traj.states[0], traj.reference[0], traj.epsilon
+    residual = traj.states[traj.substeps] - x0 + eps * alpha * (x0 - gamma0)
     err0 = float(np.linalg.norm(x0 - gamma0))
     r_norm = float(np.linalg.norm(residual))
     bound = float(sigma * eps ** 1.5 * err0 ** 1.5)
@@ -389,9 +384,7 @@ def volterra_scaling(sys: ControlSystem, scheme: BracketScheme, alpha: float,
         params = ControllerParams(alpha=alpha, epsilon=eps)
         traj = simulate(sys, scheme, params, curve, x0,
                         SamplerGrid(eps, eps, substeps=substeps))
-        reports.append(volterra_residual(
-            sys, scheme, params, x0, np.asarray(curve.eval(0.0), dtype=float),
-            traj, sigma=sigma))
+        reports.append(volterra_residual(traj, alpha, sigma=sigma))
     norms = [rep.residual_norm for rep in reports]
     slope = float(np.polyfit(np.log(list(epsilons)), np.log(norms), 1)[0])
     return VolterraScalingReport(
@@ -409,8 +402,8 @@ class GrowthReport:
     u_sups: np.ndarray
 
 
-def lemma1_growth_check(sys: ControlSystem, traj: Trajectory, M1: float,
-                        L: float, tol: float = 1e-8) -> GrowthReport:
+def lemma1_growth_check(traj: Trajectory, M1: float, L: float,
+                        tol: float = 1e-8) -> GrowthReport:
     """Verify the growth bound pointwise on every interval of a trajectory.
 
     U is the largest l1 control norm recorded on the interval; since the
@@ -490,15 +483,10 @@ def contraction_check(sys: ControlSystem, scheme: BracketScheme,
                     SamplerGrid(eps, eps, substeps=substeps))
     if traj.failures:
         raise traj.failures[min(traj.failures)]
-    gamma_eps = np.asarray(curve.eval(eps), dtype=float)
-    failed = []
-    worst = 0.0
-    for i, (x_eps, radius) in enumerate(zip(traj.states[-1], radii.tolist())):
-        lhs = float(np.linalg.norm(x_eps - gamma_eps))
-        rhs = radius * factor + eps * nu
-        if lhs > rhs + 1e-12:
-            failed.append(i)
-            worst = max(worst, lhs - rhs)
-    return ContractionReport(n_draws=n_draws, n_pass=n_draws - len(failed),
-                             failed_indices=tuple(failed), epsilon=eps,
-                             worst_violation=worst)
+    lhs = _row_norms(traj.states[-1] - np.asarray(curve.eval(eps), dtype=float))
+    rhs = radii * factor + eps * nu
+    failed = lhs > rhs + 1e-12
+    return ContractionReport(
+        n_draws=n_draws, n_pass=n_draws - int(failed.sum()),
+        failed_indices=tuple(np.flatnonzero(failed).tolist()), epsilon=eps,
+        worst_violation=float(np.max(lhs[failed] - rhs[failed], initial=0.0)))

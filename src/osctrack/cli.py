@@ -283,7 +283,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     config = build_run_config(args)
-    scenario, curve, params, x0, grid = resolve_run(config)
+    scenario, curve, params, _, grid = resolve_run(config)
     out_dir = output_directory(config)
 
     nu = args.nu if args.nu is not None else curve.nu
@@ -431,15 +431,18 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="curve registry name or component expression in t")
     parser.add_argument("--alpha", type=float, help="feedback gain")
     parser.add_argument("--epsilon", type=float, help="sampling period")
-    parser.add_argument("--x0", help="initial state, comma separated")
     parser.add_argument("--horizon", type=float, help="simulation end time")
-    parser.add_argument("--substeps", type=int,
-                        help="integration substeps per sampling interval")
     parser.add_argument("--rho", type=float, help="tube radius for reports")
-    parser.add_argument("--seed", type=int, help="seed for randomized checks")
     parser.add_argument("--output-dir", dest="output_dir",
                         help="directory for output files "
                              "(default: $OSCTRACK_OUTPUT_DIR or the working directory)")
+
+
+def _add_simulation(parser: argparse.ArgumentParser) -> None:
+    """The flags only subcommands that simulate read."""
+    parser.add_argument("--x0", help="initial state, comma separated")
+    parser.add_argument("--substeps", type=int,
+                        help="integration substeps per sampling interval")
     parser.add_argument("--semantics", choices=_SEMANTICS,
                         help="sampled (coefficients frozen per interval) or classic")
 
@@ -451,10 +454,12 @@ def build_parser() -> _Parser:
 
     p_run = sub.add_parser("run", help="simulate one configuration")
     _add_common(p_run)
+    _add_simulation(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_cert = sub.add_parser("certify", help="evaluate the sampling-period certificate")
     _add_common(p_cert)
+    p_cert.add_argument("--seed", type=int, help="seed for --empirical sampling")
     p_cert.add_argument("--r", type=float, default=3.0, help="outer working radius")
     p_cert.add_argument("--rho-prime", dest="rho_prime", type=float, default=0.25)
     p_cert.add_argument("--delta", type=float, default=2.0)
@@ -476,6 +481,7 @@ def build_parser() -> _Parser:
 
     p_sweep = sub.add_parser("sweep", help="grid of runs over alpha and epsilon")
     _add_common(p_sweep)
+    _add_simulation(p_sweep)
     p_sweep.add_argument("--alphas", help="comma-separated gain list")
     p_sweep.add_argument("--epsilons", help="comma-separated sampling-period list")
     p_sweep.add_argument("--jobs", type=int, help="worker processes")

@@ -24,15 +24,13 @@ class DomainError(OscTrackError):
 class RankConditionError(OscTrackError):
     """The bracket-extended gain matrix is singular at some state.
 
-    Carries the offending state (and the time it was reached, when known)
-    so callers can report where the scheme degenerates.
+    Carries the offending state so callers can report where the scheme
+    degenerates.
     """
 
-    def __init__(self, message: str, state: np.ndarray | None = None,
-                 time: float | None = None):
+    def __init__(self, message: str, state: np.ndarray | None = None):
         super().__init__(message)
         self.state = state
-        self.time = time
 
 
 class UnsupportedSchemeError(OscTrackError):

@@ -146,28 +146,21 @@ def _drift(terms, u, made, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rk4_step(terms, x: np.ndarray, h: float, half_h: float, sixth_h: float,
-              k: int, control: Callable, control_out: np.ndarray | None = None
-              ) -> np.ndarray:
-    """Step k, a classical Runge-Kutta step of length h from x.
+def _rk4_step(rhs: Callable, x: np.ndarray, h: float, half_h: float,
+              sixth_h: float) -> np.ndarray:
+    """A classical Runge-Kutta step of length h from x.
 
-    ``half_h`` and ``sixth_h`` are 0.5 * h and h / 6.  ``control(k, s,
-    state)`` gives the controls of stage s (0 the left node, 1 the
-    midpoint, 2 the right node) and the constant-field terms they make.
-    The left-node control is recorded in ``control_out`` first, when
-    given, so a step that fails on a later stage still leaves it in the
-    trace.
+    ``half_h`` and ``sixth_h`` are 0.5 * h and h / 6.  ``rhs(s, state)``
+    is the right-hand side at stage s: 0 the left node, 1 the midpoint,
+    2 the right node.
     """
-    u, made = control(k, 0, x)
-    if control_out is not None:
-        control_out[:] = u
-    k1 = _drift(terms, u, made, x)
+    k1 = rhs(0, x)
     xa = x + half_h * k1
-    k2 = _drift(terms, *control(k, 1, xa), xa)
+    k2 = rhs(1, xa)
     xb = x + half_h * k2
-    k3 = _drift(terms, *control(k, 1, xb), xb)
+    k3 = rhs(1, xb)
     xc = x + h * k3
-    k4 = _drift(terms, *control(k, 2, xc), xc)
+    k4 = rhs(2, xc)
     return x + sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -259,17 +252,20 @@ def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerPara
         eval_count += 1
         return make_control_function(scheme, params, c)(t)
 
-    def tabulated(k, s, state):
-        # Sampled semantics: the controls and the constant-field terms were
-        # tabulated for the interval.
-        return table[k, s], made[k, s]
+    def sampled(s, state):
+        # The controls and constant-field terms were tabulated for the interval.
+        return _drift(terms, table[k, s], made[k, s], state)
 
-    def solved(k, s, state):
-        # Classic semantics: the constant-field terms are formed on the spot.
+    def classic(s, state):
+        # The constant-field terms are formed on the spot; the left-node
+        # control is recorded first, so a step that fails on a later stage
+        # still leaves it in the trace.
         u = solve(table[k, s], state)
-        return u, u[const, None] * values
+        if s == 0:
+            controls[i] = u
+        return _drift(terms, u, u[const, None] * values, state)
 
-    control = tabulated if freeze else solved
+    rhs = sampled if freeze else classic
     x = states[0] = x0
     table = made = u_func = None
     i = 0  # the row being computed
@@ -280,15 +276,14 @@ def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerPara
             left = times[base:base + substeps]
             stages = np.stack((left, left + half_h, left + h), axis=1)
             if freeze:
-                while True:  # a member whose gain matrix is singular stops here
-                    try:
-                        coeffs = coefficients(sys, scheme, params, x, gamma_all[base])
-                        break
-                    except RankConditionError:
-                        singular = gain_matrices(sys, scheme, x).singular
-                        stop(singular, "rank-deficient", "gain matrix singular near",
-                             base + 1, float(times[base]))
-                        go_on(~singular)
+                try:
+                    coeffs = coefficients(sys, scheme, params, x, gamma_all[base])
+                except RankConditionError:  # the singular members stop here
+                    singular = gain_matrices(sys, scheme, x).singular
+                    stop(singular, "rank-deficient", "gain matrix singular near",
+                         base + 1, float(times[base]))
+                    go_on(~singular)
+                    coeffs = coefficients(sys, scheme, params, x, gamma_all[base])
                 eval_count += 1
                 if on_coefficients is not None:
                     on_coefficients(j, float(times[base]), x.copy(), coeffs)
@@ -304,8 +299,7 @@ def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerPara
 
             for k in range(substeps):
                 i = base + k
-                x_prev, x = x, _rk4_step(terms, x, h, half_h, sixth_h, k, control,
-                                         None if freeze else controls[i])
+                x_prev, x = x, _rk4_step(rhs, x, h, half_h, sixth_h)
                 states[i + 1, live] = x
                 if not (np.isfinite(x).all() and whole(sys.in_domain(x))):
                     t_next = float(times[i + 1])

@@ -352,14 +352,13 @@ def test_criterion_08_interval_growth_bound(criterion_report, gamma1_run,
     for label, run in (("gamma1", gamma1_run), ("gamma2", gamma2_run),
                        ("gamma1@40", gamma1_sharp_run),
                        ("gamma3@40", gamma3_sharp_run)):
-        rep = lemma1_growth_check(get_scenario("unicycle").system, run.traj,
-                                  M1=1.0, L=1.0)
+        rep = lemma1_growth_check(run.traj, M1=1.0, L=1.0)
         margins[label] = rep.min_margin
         ok = ok and rep.ok
     uw_traj = underwater_run.traj
     uw_sys = get_scenario("underwater").system
     m1, lip = visited_sup_bounds(uw_traj, uw_sys)
-    rep = lemma1_growth_check(uw_sys, uw_traj, M1=m1, L=lip)
+    rep = lemma1_growth_check(uw_traj, M1=m1, L=lip)
     margins["underwater"] = rep.min_margin
     ok = ok and rep.ok
     worst = min(margins.values())

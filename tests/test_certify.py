@@ -165,6 +165,10 @@ def test_sigma_value_rejects_nonpositive_eps(unicycle_inputs):
     {"M2": -1.0},
     {"L": -0.5},
     {"lam": 0.0},
+    # NaN passes every sign check and +inf the lower bounds; a certificate
+    # built from either would be written out as invalid JSON.
+    *[{name: value} for name in ("M1", "M2", "M3", "L", "mu", "nu", "lam")
+      for value in (np.nan, np.inf)],
 ])
 def test_certificate_inputs_validation(overrides):
     base = dict(r=3.0, rho=0.5, rho_prime=0.25, delta=2.0, delta_prime=2.5,
@@ -478,8 +482,7 @@ def test_volterra_residual_zero_at_reference(unicycle):
     x0 = np.array([0.3, -0.2, 0.4])
     traj = simulate(unicycle, UNICYCLE_SCHEME, params, curve, x0,
                     SamplerGrid(0.05, 0.05))
-    rep = volterra_residual(unicycle, UNICYCLE_SCHEME, params, x0, x0,
-                            traj, sigma=100.0)
+    rep = volterra_residual(traj, 15.0, sigma=100.0)
     assert rep.ok
     assert rep.residual_norm == pytest.approx(0.0, abs=1e-12)
     assert rep.bound == 0.0
@@ -492,8 +495,7 @@ def test_volterra_residual_matches_manual_arithmetic(unicycle, gamma1):
     traj = simulate(unicycle, UNICYCLE_SCHEME, params, gamma1, x0,
                     SamplerGrid(0.02, 0.02))
     gamma0 = np.asarray(gamma1.eval(0.0))
-    rep = volterra_residual(unicycle, UNICYCLE_SCHEME, params, x0, gamma0,
-                            traj, sigma=3628.0)
+    rep = volterra_residual(traj, 15.0, sigma=3628.0)
     manual = traj.states[traj.substeps] - x0 + 0.02 * 15.0 * (x0 - gamma0)
     assert rep.residual_norm == pytest.approx(
         float(np.linalg.norm(manual)), rel=1e-12)
@@ -506,21 +508,10 @@ def test_volterra_residual_matches_manual_arithmetic(unicycle, gamma1):
 def test_volterra_residual_validations(unicycle, gamma1):
     params = ControllerParams(alpha=15.0, epsilon=0.1)
     x0 = np.array([0.0, 0.0, 1.0])
-    gamma0 = np.asarray(gamma1.eval(0.0))
-    traj = simulate(unicycle, UNICYCLE_SCHEME, params, gamma1, x0,
-                    SamplerGrid(0.1, 0.1))
-    with pytest.raises(UsageError):
-        volterra_residual(unicycle, UNICYCLE_SCHEME, params,
-                          x0 + 0.5, gamma0, traj, sigma=1.0)
     short = simulate(unicycle, UNICYCLE_SCHEME, params, gamma1, x0,
                      SamplerGrid(0.1, 0.04))
     with pytest.raises(UsageError):
-        volterra_residual(unicycle, UNICYCLE_SCHEME, params, x0, gamma0,
-                          short, sigma=1.0)
-    other = ControllerParams(alpha=15.0, epsilon=0.05)
-    with pytest.raises(UsageError):
-        volterra_residual(unicycle, UNICYCLE_SCHEME, other, x0, gamma0,
-                          traj, sigma=1.0)
+        volterra_residual(short, 15.0, sigma=1.0)
 
 
 def test_volterra_scaling_slope(unicycle, gamma1, unicycle_inputs):
@@ -547,7 +538,7 @@ def test_lemma1_zero_control_degenerate(unicycle):
     params = ControllerParams(alpha=15.0, epsilon=0.05)
     traj = simulate(unicycle, UNICYCLE_SCHEME, params, constant_curve(point),
                     point, SamplerGrid(0.05, 0.2))
-    rep = lemma1_growth_check(unicycle, traj, M1=1.0, L=1.0)
+    rep = lemma1_growth_check(traj, M1=1.0, L=1.0)
     assert rep.ok
     assert rep.min_margin == 0.0
     assert np.all(rep.u_sups == 0.0)
@@ -557,7 +548,7 @@ def test_lemma1_margins_on_tracking_run(unicycle, gamma1):
     params = ControllerParams(alpha=15.0, epsilon=0.1)
     traj = simulate(unicycle, UNICYCLE_SCHEME, params, gamma1,
                     np.array([0.0, 0.0, 1.0]), SamplerGrid(0.1, 2.0))
-    rep = lemma1_growth_check(unicycle, traj, M1=1.0, L=1.0)
+    rep = lemma1_growth_check(traj, M1=1.0, L=1.0)
     assert rep.ok
     assert rep.interval_margins.size == 20
     assert rep.u_sups.size == 20
@@ -575,8 +566,7 @@ def test_lemma1_flags_violation():
                       reference=np.zeros((3, 2)), controls=controls,
                       dist=np.zeros(3), epsilon=0.1, substeps=2,
                       n_intervals=1, coefficient_evals=1, semantics="sampled")
-    sys_t = translation_system()
-    rep = lemma1_growth_check(sys_t, traj, M1=1.0, L=1.0)
+    rep = lemma1_growth_check(traj, M1=1.0, L=1.0)
     assert not rep.ok
     assert rep.min_margin < -1.0
 
@@ -586,7 +576,7 @@ def test_lemma1_rejects_bad_m1(unicycle, gamma1):
     traj = simulate(unicycle, UNICYCLE_SCHEME, params, gamma1,
                     np.array([0.0, 0.0, 1.0]), SamplerGrid(0.1, 0.1))
     with pytest.raises(UsageError):
-        lemma1_growth_check(unicycle, traj, M1=0.0, L=1.0)
+        lemma1_growth_check(traj, M1=0.0, L=1.0)
 
 
 def test_contraction_translation_system_exact():

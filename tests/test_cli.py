@@ -16,6 +16,11 @@ from osctrack.cli import main
 RUN_ARGS = ["run", "--scenario", "unicycle", "--curve", "gamma1",
             "--alpha", "15", "--epsilon", "0.1", "--horizon", "2",
             "--rho", "0.5"]
+CERTIFY_ANALYTIC = ["certify", "--scenario", "unicycle", "--alpha", "15",
+                    "--epsilon", "0.1", "--m1", "1", "--m2", "1",
+                    "--m3", "0.16666666666666666", "--lipschitz", "1", "--mu", "1"]
+CERTIFY_EMPIRICAL = ["certify", "--scenario", "unicycle", "--empirical",
+                     "--bound-samples", "200"]
 
 
 def run_cli(tmp_path, *extra):
@@ -148,10 +153,25 @@ class TestValidationErrors:
         ["certify", "--scenario", "unicycle", "--empirical", "--horizon", "inf"],
         ["run", "--scenario", "unicycle", "--alpha", "inf"],
         ["run", "--scenario", "unicycle", "--rho", "nan"],
+        # Flags the subcommand does not read: certify never simulates, and
+        # run and sweep draw nothing at random.
+        [*CERTIFY_EMPIRICAL, "--x0", "0,0,1"],
+        [*CERTIFY_EMPIRICAL, "--substeps", "300"],
+        [*CERTIFY_EMPIRICAL, "--semantics", "classic"],
+        ["run", "--scenario", "unicycle", "--horizon", "0.5", "--seed", "7"],
+        ["sweep", "--scenario", "unicycle", "--alphas", "15", "--epsilons", "0.1",
+         "--horizon", "0.5", "--jobs", "1", "--seed", "7"],
+        # Non-finite certificate inputs.
+        [*CERTIFY_ANALYTIC, "--m1", "nan"],
+        [*CERTIFY_ANALYTIC, "--m3", "inf"],
+        [*CERTIFY_ANALYTIC, "--lipschitz", "nan"],
+        [*CERTIFY_ANALYTIC, "--lam", "nan"],
+        [*CERTIFY_ANALYTIC, "--nu", "nan"],
     ])
     def test_exit_code_one(self, tmp_path, capsys, args):
         assert run_cli(tmp_path, *args) == 1
         assert capsys.readouterr().err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("entry", [
         {"alpha": "15"},
@@ -177,12 +197,8 @@ class TestValidationErrors:
 
 
 class TestCertify:
-    ANALYTIC = ["certify", "--scenario", "unicycle", "--alpha", "15",
-                "--epsilon", "0.1", "--m1", "1", "--m2", "1",
-                "--m3", "0.16666666666666666", "--lipschitz", "1", "--mu", "1"]
-
     def test_analytic_certificate(self, tmp_path):
-        assert run_cli(tmp_path, *self.ANALYTIC) == 0
+        assert run_cli(tmp_path, *CERTIFY_ANALYTIC) == 0
         cert = json.loads((tmp_path / "certificate.json").read_text())
         assert cert["ok"] is True
         assert cert["certificate"]["provenance"] == "analytic"
@@ -204,7 +220,7 @@ class TestCertify:
         assert "--empirical" in capsys.readouterr().err
 
     def test_ordering_chain_violation(self, tmp_path):
-        assert run_cli(tmp_path, *self.ANALYTIC, "--rho-prime", "0.6") == 1
+        assert run_cli(tmp_path, *CERTIFY_ANALYTIC, "--rho-prime", "0.6") == 1
 
     def test_degree_two_scheme_rejected(self, tmp_path):
         code = run_cli(tmp_path, "certify", "--scenario", "car",
@@ -213,7 +229,7 @@ class TestCertify:
         assert code == 3
 
     def test_nu_zero_first_branch(self, tmp_path):
-        code = run_cli(tmp_path, *self.ANALYTIC, "--nu", "0")
+        code = run_cli(tmp_path, *CERTIFY_ANALYTIC, "--nu", "0")
         assert code == 0
         cert = json.loads((tmp_path / "certificate.json").read_text())
         assert cert["certificate"]["eps_hat"] > 0

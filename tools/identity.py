@@ -1,0 +1,164 @@
+"""Check that two source trees of osctrack give byte-identical outputs.
+
+    python3 tools/identity.py --parent ../osctrack-old --change .
+
+Each tree is a checkout with the package under ``src/``.  Every command in
+``COMMANDS`` runs once per tree, each in a fresh interpreter with only that
+tree's ``src`` on the path and the same output directory on both sides
+(``run_metadata.json`` records that directory).  Compared per command:
+every output file, byte for byte; stdout, with the output directory
+stripped; stderr, with the output directory and the tree's root stripped
+(a RuntimeWarning prints its file path); and the exit code.  A probe, also
+run fresh per tree, prints the ``repr`` of ``contraction_check`` and
+``volterra_scaling`` reports, which are compared line by line.
+
+Exits 0 when nothing differs, 1 naming every differing item otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SWEEP_CURVE = "5*sin(t/4), 5*sin(t/4)*cos(t/4), 0, 0"
+
+COMMANDS = [
+    ["run", "--scenario", "unicycle", "--curve", "gamma1", "--alpha", "15",
+     "--epsilon", "0.1", "--horizon", "10", "--x0", "0.5,1.2,0.3"],
+    ["run", "--scenario", "unicycle", "--alpha", "15", "--epsilon", "0.1",
+     "--horizon", "0.5", "--semantics", "classic", "--substeps", "40"],
+    ["run", "--scenario", "underwater", "--epsilon", "0.1", "--horizon", "5"],
+    ["run", "--scenario", "car", "--alpha", "10", "--epsilon", "0.05", "--horizon", "5"],
+    # Leaves the steering chart: exit 2 with a partial trace.
+    ["run", "--scenario", "car", "--alpha", "5", "--epsilon", "0.5", "--horizon", "3"],
+    ["run", "--scenario", "unicycle", "--curve", "gamma1", "--alpha", "1",
+     "--epsilon", "0.1", "--horizon", "1"],
+    ["sweep", "--scenario", "car", "--curve", SWEEP_CURVE, "--epsilons", "0.5,0.1,0.05",
+     "--alphas", "4.2,9.1", "--jobs", "2", "--horizon", "6", "--rho", "1.0"],
+    ["sweep", "--scenario", "unicycle", "--epsilons", "0.1,0.05", "--alphas", "1,15",
+     "--jobs", "2", "--horizon", "2"],
+    ["certify", "--scenario", "unicycle", "--curve", "gamma1", "--empirical",
+     "--bound-samples", "2000"],
+    ["certify", "--scenario", "underwater", "--empirical", "--bound-samples", "500",
+     "--delta-prime", "0.5", "--delta", "0.4", "--rho-prime", "0.2", "--rho", "0.3"],
+    ["certify", "--scenario", "unicycle", "--m1", "1", "--m2", "1",
+     "--m3", "0.1666666666666667", "--lipschitz", "1", "--mu", "1"],
+    # The sweep of the benchmark's sweep_car workload, at two fixed gains.
+    ["sweep", "--scenario", "car", "--curve", SWEEP_CURVE, "--epsilons", "0.5,0.1,0.05",
+     "--alphas", "3.7,8.8", "--jobs", "2", "--horizon", "6", "--rho", "0.5"],
+    ["run", "--scenario", "car", "--alpha", "5", "--epsilon", "0.5", "--horizon", "3",
+     "--semantics", "classic"],
+    ["run", "--scenario", "underwater", "--epsilon", "0.1", "--horizon", "2",
+     "--semantics", "classic"],
+    # Overflows to a non-finite state: exit 2, with RuntimeWarnings on stderr.
+    ["run", "--scenario", "unicycle", "--alpha", "1e160", "--horizon", "4"],
+]
+
+MAIN = "import sys; from osctrack.cli import main; sys.exit(main(sys.argv[1:]))"
+
+# Per seed: the certificate of `certify --empirical --seed s`, then
+# contraction_check at its eps_hat and at two larger periods, then
+# volterra_scaling with its sigma.
+PROBE = """
+import json, sys
+import numpy as np
+from osctrack import (ControllerParams, contraction_check, get_curve, get_scenario,
+                      volterra_scaling)
+from osctrack.cli import main
+
+out = sys.argv[1]
+scenario = get_scenario("unicycle")
+curve = get_curve("gamma1", horizon=1.0)
+for seed in (1000, 1001, 1002):
+    argv = ["certify", "--scenario", "unicycle", "--curve", "gamma1", "--empirical",
+            "--seed", str(seed), "--output-dir", out]
+    if main(argv) != 0:
+        print(f"seed {seed}: certify failed")
+        continue
+    with open(out + "/certificate.json", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    cert, inputs = payload["certificate"], payload["inputs"]
+    for eps in (cert["eps_hat"], 0.05, 0.08):
+        rep = contraction_check(
+            scenario.system, scenario.scheme, ControllerParams(alpha=15.0, epsilon=eps),
+            curve, lam=inputs["lam"], nu=inputs["nu"], rho_prime=inputs["rho_prime"],
+            delta=inputs["delta"], seed=seed)
+        print(f"contraction seed={seed} eps={eps!r}: {rep!r}")
+    rep = volterra_scaling(scenario.system, scenario.scheme, 15.0,
+                           (0.04, 0.02, 0.01, 0.005), curve, scenario.default_x0,
+                           sigma=cert["sigma"])
+    print(f"volterra seed={seed}: {rep!r}")
+"""
+
+
+def run(tree: Path, code: str, args: list[str], out: Path) -> dict:
+    """Run ``python -c code *args`` on ``tree`` with a fresh, empty ``out``."""
+    shutil.rmtree(out, ignore_errors=True)
+    out.mkdir(parents=True)
+    env = {k: v for k, v in os.environ.items() if k != "OSCTRACK_OUTPUT_DIR"}
+    env["PYTHONPATH"] = str(tree / "src")
+    proc = subprocess.run([sys.executable, "-c", code, *args], cwd=out.parent, env=env,
+                          capture_output=True, text=True)
+    files = {p.relative_to(out).as_posix(): p.read_bytes()
+             for p in sorted(out.rglob("*")) if p.is_file()}
+    return {"exit code": proc.returncode,
+            "stdout": proc.stdout.replace(str(out), "<out>"),
+            "stderr": proc.stderr.replace(str(out), "<out>").replace(str(tree), "<root>"),
+            "files": files}
+
+
+def differences(parent: dict, change: dict) -> list[str]:
+    """The items of one command that differ between the two runs."""
+    found = [key for key in ("exit code", "stdout", "stderr") if parent[key] != change[key]]
+    for name in sorted(parent["files"].keys() | change["files"].keys()):
+        if parent["files"].get(name) != change["files"].get(name):
+            found.append(name)
+    return found
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, type=Path, help="reference tree")
+    parser.add_argument("--change", required=True, type=Path, help="tree under test")
+    args = parser.parse_args(argv)
+    trees = (args.parent.resolve(), args.change.resolve())
+    for tree in trees:
+        if not (tree / "src" / "osctrack").is_dir():
+            parser.error(f"{tree} has no src/osctrack")
+
+    failed = 0
+    with tempfile.TemporaryDirectory(prefix="osctrack-identity-") as tmp:
+        out = Path(tmp) / "out"
+        for cmd in COMMANDS:
+            label = " ".join(cmd)
+            parent, change = (run(tree, MAIN, [*cmd, "--output-dir", str(out)], out)
+                              for tree in trees)
+            found = differences(parent, change)
+            failed += bool(found)
+            status = "DIFFERS: " + ", ".join(found) if found else "identical"
+            print(f"{label}\n    exit {parent['exit code']}, "
+                  f"{len(parent['files'])} files: {status}")
+        probes = [run(tree, PROBE, [str(out)], out) for tree in trees]
+        for tree, probe in zip(trees, probes):
+            if probe["exit code"] != 0:
+                failed += 1
+                print(f"probe on {tree}: exit {probe['exit code']}\n{probe['stderr']}")
+        parent, change = (probe["stdout"].splitlines() for probe in probes)
+        if len(parent) != len(change):
+            failed += 1
+            print(f"probe: {len(parent)} report lines against {len(change)}: DIFFERS")
+        for want, got in zip(parent, change):
+            name = want.split(":")[0]
+            failed += want != got
+            print(f"{name}: {'identical' if want == got else 'DIFFERS'}")
+    print(f"{failed} differing item(s)" if failed else "no differences")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
