@@ -128,10 +128,19 @@ def load_config_file(path: str) -> dict:
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
-    """Merge config file values with command-line flags; flags win."""
+    """Merge config file values with command-line flags; flags win.
+
+    A subcommand reads a config key only where it has the matching flag,
+    so the file is refused on a key the subcommand would not read, as the
+    flag is: certify's ``x0``, ``substeps`` and ``semantics``, and run's and
+    sweep's ``seed``."""
     values: dict = {}
     if getattr(args, "config", None):
         values.update(load_config_file(args.config))
+    unread = sorted(key for key in values if not hasattr(args, key))
+    if unread:
+        raise UsageError(f"{args.command} does not read config keys: "
+                         f"{', '.join(unread)}")
     for f in fields(RunConfig):
         flag = getattr(args, f.name, None)
         if flag is not None:

@@ -41,7 +41,17 @@ MIN_NODES_PER_PERIOD = 40
 
 
 def default_substeps(scheme: BracketScheme) -> int:
-    return max(200, MIN_NODES_PER_PERIOD * scheme.max_frequency)
+    """Substeps per sampling interval when none are given:
+    ``max(120, MIN_NODES_PER_PERIOD * scheme.max_frequency)``.
+
+    That is 120 for the unicycle, the underwater vehicle and the car.
+    Doubling it moves the endpoint by at most 4.9e-8 relative over 50
+    benchmark unicycle starts (gamma1, alpha=15, epsilon=0.1, H=10), by at
+    most 1.6e-8 on car sweep cells and by 2.2e-9 on the underwater
+    vehicle's defaults (H=5); criterion 9 allows 1e-6.  At the 40-node
+    floor alone the worst unicycle start moves 3.9e-6.
+    """
+    return max(120, MIN_NODES_PER_PERIOD * scheme.max_frequency)
 
 
 @dataclass(frozen=True)
@@ -50,7 +60,11 @@ class SamplerGrid:
 
     ``epsilon`` and ``horizon`` must be finite and positive.
     ``substeps`` is the number of integration nodes per sampling
-    interval; None picks a default from the scheme's fastest frequency.
+    interval, at least ``MIN_NODES_PER_PERIOD`` per period of the
+    scheme's fastest harmonic.  None picks ``default_substeps(scheme)``:
+    ``max(120, MIN_NODES_PER_PERIOD * max_frequency)``, at which doubling
+    the substeps moves the endpoint of the built-in scenarios by at most
+    4.9e-8 relative (criterion 9 allows 1e-6).
     """
 
     epsilon: float

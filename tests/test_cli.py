@@ -97,7 +97,7 @@ class TestRun:
 
     def test_simulation_failure_flags_partial_output(self, tmp_path):
         # alpha * epsilon = 2.5: the sampled error map overshoots and the
-        # car leaves its steering chart at t = 1.0225.
+        # car leaves its steering chart by t = 1.025.
         code = run_cli(tmp_path, "run", "--scenario", "car", "--horizon", "3",
                        "--alpha", "5", "--epsilon", "0.5")
         assert code == 2
@@ -186,6 +186,26 @@ class TestValidationErrors:
         (key,) = entry
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(key) in err
+
+    @pytest.mark.parametrize("args, entry", [
+        (CERTIFY_ANALYTIC, {"x0": [1.0, 2.0]}),
+        (CERTIFY_ANALYTIC, {"substeps": 3}),
+        (CERTIFY_ANALYTIC, {"semantics": "classic", "substeps": 3}),
+        (RUN_ARGS, {"seed": 7}),
+        (["sweep", "--scenario", "unicycle", "--alphas", "15", "--epsilons", "0.1",
+          "--horizon", "0.5", "--jobs", "1"], {"seed": 7}),
+    ])
+    def test_config_key_the_subcommand_does_not_read(self, tmp_path, capsys,
+                                                     args, entry):
+        """A config key is refused where its flag would be."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry))
+        out = tmp_path / "out"
+        assert run_cli(out, *args, "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "does not read" in err
+        assert all(key in err for key in entry)
+        assert not out.exists()
 
     def test_singular_expression_curve(self, tmp_path, capsys):
         """The input curve is at fault, so the run is refused before it starts."""

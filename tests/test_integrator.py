@@ -26,6 +26,8 @@ from osctrack import (
     curve_gamma1,
     curve_gamma4_car,
     default_substeps,
+    get_curve,
+    get_scenario,
     make_control_function,
     simulate,
 )
@@ -300,9 +302,43 @@ def test_grid_validation():
 
 
 def test_default_substeps_scale_with_frequency():
-    assert default_substeps(BracketScheme(m=2, s1=(1, 2))) == 200
+    assert default_substeps(BracketScheme(m=2, s1=(1, 2))) == 120
     fast = BracketScheme(m=2, s1=(1, 2), s2=((1, 2),), kappa=(7,))
     assert default_substeps(fast) == 280
+
+
+def _unicycle_seed_1009_start():
+    """The benchmark's unicycle start for seed 1009: gamma1(0) plus an
+    error of radius 2 in a normal direction.  On this start the integration
+    error grows about 100x more than on a typical one."""
+    direction = np.random.default_rng(1009).normal(size=3)
+    gamma0 = get_curve("gamma1", horizon=10.0).eval(0.0)
+    return gamma0 + 2.0 * direction / np.linalg.norm(direction)
+
+
+@pytest.mark.parametrize("name, curve, alpha, epsilon, horizon, x0", [
+    ("unicycle", "gamma1", 15.0, 0.1, 10.0, _unicycle_seed_1009_start()),
+    ("car", "5*sin(t/4), 5*sin(t/4)*cos(t/4), 0, 0", 7.3, 0.05, 6.0, None),
+    ("underwater", "gamma4_underwater", 15.0, 0.1, 5.0, None),
+])
+def test_default_grid_meets_the_doubled_substep_tolerance(name, curve, alpha, epsilon,
+                                                           horizon, x0):
+    """Criterion 9's oracle at the default grid, with margin: doubling the
+    substeps moves the endpoint by less than 1e-7 relative (criterion 9
+    allows 1e-6).  At the 40-node floor the unicycle case moves 3.9e-6."""
+    scenario = get_scenario(name)
+    params = ControllerParams(alpha=alpha, epsilon=epsilon)
+    ref = get_curve(curve, horizon=horizon)
+    x0 = scenario.default_x0 if x0 is None else x0
+    default = SamplerGrid(params.epsilon, horizon)
+    doubled = SamplerGrid(params.epsilon, horizon,
+                          substeps=2 * default_substeps(scenario.scheme))
+    end = simulate(scenario.system, scenario.scheme, params, ref, x0,
+                   default).states[-1]
+    end_fine = simulate(scenario.system, scenario.scheme, params, ref, x0,
+                        doubled).states[-1]
+    shift = np.linalg.norm(end - end_fine) / max(1.0, np.linalg.norm(end_fine))
+    assert shift < 1e-7
 
 
 def test_initial_state_outside_domain():
