@@ -18,12 +18,9 @@ from .errors import (
     UsageError,
 )
 from .systems import (
-    NEAR_SINGULAR_COND,
-    SINGULARITY_RTOL,
     BracketScheme,
     ControlSystem,
     NestedBracketTerm,
-    RankConditionReport,
     VectorField,
     bracket_field,
     build_gain_matrix,
@@ -51,7 +48,6 @@ from .curves import (
 )
 from .expressions import compile_component, curve_from_expression, split_components
 from .integrator import (
-    MIN_NODES_PER_PERIOD,
     SamplerGrid,
     Trajectory,
     classic_solution_simulate,
@@ -60,7 +56,6 @@ from .integrator import (
 )
 from .metrics import (
     GapReport,
-    StabilityReport,
     admissible_vs_nonadmissible_gap,
     entry_time,
     stability_report,
@@ -72,19 +67,10 @@ from .scenarios import (
     SCENARIO_REGISTRY,
     Scenario,
     get_scenario,
-    rear_wheel_car,
-    underwater_vehicle,
     unicycle,
 )
 from .certify import (
-    Certificate,
     CertificateInputs,
-    CertificationReport,
-    ContractionReport,
-    GrowthReport,
-    SupBounds,
-    VolterraReport,
-    VolterraScalingReport,
     bound_constants,
     contraction_check,
     control_magnitude_constants,

@@ -297,16 +297,27 @@ def estimate_sup_bounds(sys: ControlSystem, scheme: BracketScheme,
             f"tube sample {xs[n_inside]} leaves the system domain; "
             "shrink delta_prime or the horizon")
 
+    # A constant field has a zero Jacobian, so its Lipschitz term and its
+    # rows i of L_{f_j} f_i are exactly zero: only the state-dependent
+    # fields are differentiated.  Their rows go into a zero table of the
+    # full shape, so the norms and sums below add in the same order.
+    varying = [i for i, f in enumerate(sys.fields) if f.value is None]
+
     def lie_table(x):
-        """Field values (B, m, n), Jacobians (B, m, n, n), and
-        L_{f_j} f_i = Jf_i @ f_j (B, m, m, n) for each ordered pair."""
+        """Field values (B, m, n), Jacobians (B, k, n, n) of the k
+        state-dependent fields, and L_{f_j} f_i = Jf_i @ f_j (B, m, m, n)
+        for each ordered pair."""
         vals = np.stack([f.eval(x) for f in sys.fields], axis=1)
-        jacs = np.stack([f.jacobian(x) for f in sys.fields], axis=1)
-        return vals, jacs, np.einsum("bikl,bjl->bijk", jacs, vals)
+        first = np.zeros((len(x), sys.m, sys.m, n))
+        if not varying:
+            return vals, None, first
+        jacs = np.stack([sys.fields[i].jacobian(x) for i in varying], axis=1)
+        first[:, varying] = np.einsum("bikl,bjl->bijk", jacs, vals)
+        return vals, jacs, first
 
     vals, jacs, first = lie_table(xs)
     m1 = np.max(np.linalg.norm(vals, axis=2))
-    lip = np.max(np.linalg.svd(jacs, compute_uv=False)[..., 0])
+    lip = np.max(np.linalg.svd(jacs, compute_uv=False)[..., 0]) if varying else 0.0
     m2 = np.max(np.linalg.norm(first, axis=3))
 
     # Directional derivative of x -> (L_{f_j2} f_j1)(x) along f_j3; a

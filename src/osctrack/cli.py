@@ -26,7 +26,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -362,8 +361,9 @@ def _sweep_row(config: RunConfig) -> dict:
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = build_run_config(args)
     _SWEEP_BUILDS.clear()
-    # Rejects a bad scenario, curve or x0 before any worker starts.
-    resolve_run(config, _SWEEP_BUILDS)
+    # Rejects a bad scenario, curve or x0 before any worker starts, and
+    # computes the curve's nu here once instead of in every worker.
+    resolve_run(config, _SWEEP_BUILDS)[1].nu
     out_dir = output_directory(config)
     alphas = _parse_floats(args.alphas, "alphas") if args.alphas else ()
     epsilons = _parse_floats(args.epsilons, "epsilons") if args.epsilons else ()
@@ -383,7 +383,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     order = sorted(range(len(tasks)), key=lambda c: -grids[c].n_intervals)
     jobs = args.jobs or min(len(tasks), os.cpu_count() or 1)
     rows = [None] * len(tasks)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with sys.modules[__name__].ProcessPoolExecutor(max_workers=jobs) as pool:
         for c, row in zip(order, pool.map(_sweep_row, [tasks[c] for c in order])):
             rows[c] = row
 
@@ -397,6 +397,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     n_failed = sum(1 for row in rows if row["status"] != "ok")
     print(f"wrote {path} ({len(rows)} rows, {n_failed} failed)")
     return EXIT_OK
+
+
+def __getattr__(name: str):
+    """``ProcessPoolExecutor``, imported on first use: importing
+    ``concurrent.futures.process`` adds about 24 ms to every start-up, and
+    only ``sweep`` needs it.  It stays a module attribute, which a test or
+    tracer may replace."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
 
 
 def _sweep_cell(value) -> str:

@@ -30,20 +30,42 @@ def _stack_components(funcs):
     return ev
 
 
+class _ComputedOnRead:
+    """A dataclass field that holds a value, or a zero-argument callable
+    that is called the first time the field is read; its result then
+    replaces the callable."""
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.slot)  # no class-level default
+        value = obj.__dict__[self.slot]
+        if callable(value):
+            value = obj.__dict__[self.slot] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.slot] = value
+
+
 @dataclass(frozen=True)
 class ReferenceCurve:
     """Smooth curve in R^n with derivative data and a velocity bound.
 
     ``nu`` bounds the true velocity norm on [0, horizon]; a margin is
     baked in by the factories so sampled suprema stay on the safe side.
-    ``t_max`` marks the end of the range on which the curve data is
-    valid (infinite for closed-form curves).
+    It may be given as a zero-argument callable, which runs the first
+    time ``nu`` is read; the registry curves do so, since most callers
+    never read it.  ``t_max`` marks the end of the range on which the
+    curve data is valid (infinite for closed-form curves).
     """
 
     dim: int
     eval: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray], np.ndarray]
-    nu: float
+    nu: float | Callable[[], float] = _ComputedOnRead()
     name: str = ""
     deriv2: Callable[[np.ndarray], np.ndarray] | None = None
     t_max: float = np.inf
@@ -58,11 +80,22 @@ def velocity_bound(deriv, horizon: float, n_samples: int = 100_000,
 
     The margin covers what a finite sample can miss between grid points.
     """
-    if not 0 < horizon < np.inf:
-        raise UsageError(f"horizon must be finite and positive, got {horizon}")
+    _check_horizon(horizon)
     ts = np.linspace(0.0, horizon, n_samples)
     speeds = np.linalg.norm(np.asarray(deriv(ts), dtype=float), axis=-1)
     return margin * float(np.max(speeds))
+
+
+def _check_horizon(horizon: float) -> None:
+    if not 0 < horizon < np.inf:
+        raise UsageError(f"horizon must be finite and positive, got {horizon}")
+
+
+def _bound_on_read(deriv, horizon: float) -> Callable[[], float]:
+    """``velocity_bound(deriv, horizon)`` deferred to the first read of
+    ``nu``; the horizon is checked now, so a bad one fails at build time."""
+    _check_horizon(horizon)
+    return lambda: velocity_bound(deriv, horizon)
 
 
 def curve_gamma1(horizon: float = 40.0) -> ReferenceCurve:
@@ -86,8 +119,7 @@ def curve_gamma1(horizon: float = 40.0) -> ReferenceCurve:
         lambda t: -2.5 * np.cos(t / 2) * np.sin(t) - 2 * np.sin(t / 2) * np.cos(t),
         lambda t: -np.cos(t / 10) / 100,
     ])
-    nu = velocity_bound(dv, horizon)
-    return ReferenceCurve(3, ev, dv, nu, name="gamma1", deriv2=dv2)
+    return ReferenceCurve(3, ev, dv, _bound_on_read(dv, horizon), name="gamma1", deriv2=dv2)
 
 
 def curve_gamma2(horizon: float = 40.0) -> ReferenceCurve:
@@ -107,8 +139,7 @@ def curve_gamma2(horizon: float = 40.0) -> ReferenceCurve:
         lambda t: (4 * t ** 2 - 2) * np.exp(-t ** 2),
         lambda t: np.zeros_like(t),
     ])
-    nu = velocity_bound(dv, horizon)
-    return ReferenceCurve(3, ev, dv, nu, name="gamma2", deriv2=dv2)
+    return ReferenceCurve(3, ev, dv, _bound_on_read(dv, horizon), name="gamma2", deriv2=dv2)
 
 
 def curve_gamma3_admissible(base: ReferenceCurve, gamma3_0: float | None = None,
@@ -177,8 +208,7 @@ def curve_gamma3_admissible(base: ReferenceCurve, gamma3_0: float | None = None,
         return np.concatenate(
             [planar, heading_rate(t_arr)[..., None]], axis=-1)
 
-    nu = velocity_bound(dv_full, horizon)
-    return ReferenceCurve(3, ev, dv_full, nu,
+    return ReferenceCurve(3, ev, dv_full, _bound_on_read(dv_full, horizon),
                           name=f"{base.name or 'base'}-heading", t_max=t_end)
 
 
@@ -200,8 +230,7 @@ def curve_gamma4_underwater(horizon: float = 40.0) -> ReferenceCurve:
         lambda t: np.zeros_like(t),
         lambda t: np.zeros_like(t),
     ])
-    nu = velocity_bound(dv, horizon)
-    return ReferenceCurve(6, ev, dv, nu, name="gamma4_underwater")
+    return ReferenceCurve(6, ev, dv, _bound_on_read(dv, horizon), name="gamma4_underwater")
 
 
 def curve_gamma4_car(horizon: float = 60.0) -> ReferenceCurve:
@@ -218,8 +247,7 @@ def curve_gamma4_car(horizon: float = 60.0) -> ReferenceCurve:
         lambda t: np.zeros_like(t),
         lambda t: np.zeros_like(t),
     ])
-    nu = velocity_bound(dv, horizon)
-    return ReferenceCurve(4, ev, dv, nu, name="gamma4_car")
+    return ReferenceCurve(4, ev, dv, _bound_on_read(dv, horizon), name="gamma4_car")
 
 
 def constant_curve(point: np.ndarray, name: str = "constant") -> ReferenceCurve:

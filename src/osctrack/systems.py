@@ -76,9 +76,11 @@ class VectorField:
         Label used in error messages.
     value : array_like, optional
         The field's value (n,) when it does not depend on the state.  An
-        ``eval`` given with it must return it at every state.  The
-        integrator forms u_i * value once per sampling interval instead
-        of evaluating the field in every Runge-Kutta stage.
+        ``eval`` given with it must return it at every state, and a
+        ``jacobian`` zeros.  The integrator forms u_i * value once per
+        sampling interval instead of evaluating the field in every
+        Runge-Kutta stage, and ``estimate_sup_bounds`` takes the field's
+        Jacobian as zero without calling it.
     """
 
     dim: int

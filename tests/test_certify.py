@@ -7,6 +7,7 @@ rationalized forms and fixed-point iteration.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,6 +43,8 @@ from osctrack import (
     volterra_residual,
     volterra_scaling,
 )
+from osctrack.certify import SupBounds, _row_norms
+from osctrack.systems import gain_matrices
 from tests.test_systems import components, constant, unicycle_fields, zero_jacobian
 
 UNICYCLE_SCHEME = BracketScheme(m=2, s1=(1, 2), s2=((1, 2),), kappa=(1,))
@@ -411,6 +414,74 @@ def test_estimate_sup_bounds_matches_per_sample_oracle(name, delta_prime):
     got = estimate_sup_bounds(scenario.system, scenario.scheme, curve, **kwargs)
     want = reference_sup_bounds(scenario.system, scenario.scheme, curve, **kwargs)
     np.testing.assert_allclose(list(got), want, rtol=1e-12, atol=0.0)
+
+
+def all_fields_sup_bounds(sys, scheme, curve, *, delta_prime, horizon, seed,
+                          n_samples=10_000, inflation=1.1):
+    """The batched estimate with every field differentiated, constant ones
+    included: the formula before constant fields were skipped."""
+    xs = tube_samples(sys.n, curve, delta_prime=delta_prime, horizon=horizon,
+                      n_samples=n_samples, seed=seed)
+    gains = gain_matrices(sys, scheme, xs)
+
+    def lie_table(x):
+        vals = np.stack([f.eval(x) for f in sys.fields], axis=1)
+        jacs = np.stack([f.jacobian(x) for f in sys.fields], axis=1)
+        return vals, jacs, np.einsum("bikl,bjl->bijk", jacs, vals)
+
+    vals, jacs, first = lie_table(xs)
+    m1 = np.max(np.linalg.norm(vals, axis=2))
+    lip = np.max(np.linalg.svd(jacs, compute_uv=False)[..., 0])
+    m2 = np.max(np.linalg.norm(first, axis=3))
+    step = 1e-5 * np.maximum(1.0, _row_norms(xs))
+    total = np.zeros(n_samples)
+    for j3 in range(sys.m):
+        w = vals[:, j3]
+        wn = _row_norms(w)
+        scale = np.divide(step, wn, out=np.zeros(n_samples), where=wn != 0.0)
+        offset = scale[:, None] * w
+        gap = lie_table(xs + offset)[2] - lie_table(xs - offset)[2]
+        deriv = gap * (wn / (2.0 * step))[:, None, None, None]
+        total += np.sum(np.linalg.norm(deriv, axis=3), axis=(1, 2))
+    m3 = np.max(total / 6.0)
+    mu = np.max(1.0 / gains.singular_values[:, -1])
+    return SupBounds(M1=inflation * float(m1), M2=inflation * float(m2),
+                     M3=inflation * float(m3), L=inflation * float(lip),
+                     mu=inflation * float(mu))
+
+
+@pytest.mark.parametrize("seed", [0, 1001, 7])
+@pytest.mark.parametrize("name, delta_prime", [
+    ("unicycle", 2.5), ("underwater", 0.5), ("car", 0.5)])
+def test_estimate_sup_bounds_equals_all_fields_formula(name, delta_prime, seed):
+    """Skipping the constant fields' zero Jacobians changes no bit.  Seed 0
+    on the underwater vehicle moves M3 by one ulp if the zero rows of the
+    Lie table are dropped instead of kept."""
+    scenario = get_scenario(name)
+    curve = get_curve(scenario.default_curve, horizon=scenario.horizon)
+    kwargs = dict(delta_prime=delta_prime, horizon=scenario.horizon, seed=seed)
+    assert (estimate_sup_bounds(scenario.system, scenario.scheme, curve, **kwargs)
+            == all_fields_sup_bounds(scenario.system, scenario.scheme, curve, **kwargs))
+
+
+def test_estimate_sup_bounds_all_constant_fields():
+    """With no state-dependent field, L, M2 and M3 are exactly zero, as the
+    all-fields formula gives, and no Jacobian is called: a constant field's
+    Jacobian is zero by construction, whatever callable it carries."""
+    def never(x):
+        raise AssertionError("a constant field's Jacobian was called")
+
+    fields = (VectorField(dim=2, value=[1.0, 0.0], name="e1"),
+              VectorField(dim=2, value=[0.0, 1.0], name="e2"))
+    sys_c = ControlSystem(n=2, m=2, fields=fields)
+    sys_never = ControlSystem(n=2, m=2, fields=tuple(
+        replace(f, jacobian=never) for f in fields))
+    scheme = BracketScheme(m=2, s1=(1, 2))
+    curve = constant_curve(np.array([0.5, -0.5]))
+    kwargs = dict(delta_prime=0.5, horizon=1.0, n_samples=500, seed=2)
+    want = all_fields_sup_bounds(sys_c, scheme, curve, **kwargs)
+    assert want.M2 == want.M3 == want.L == 0.0
+    assert estimate_sup_bounds(sys_never, scheme, curve, **kwargs) == want
 
 
 def test_estimate_sup_bounds_validation(unicycle, gamma1):

@@ -359,6 +359,42 @@ class TestSweep:
         written = (tmp_path / "sweep_summary.csv").read_text().splitlines()
         assert written[1:] == lines
 
+    def test_nu_computed_once_before_the_pool_starts(self, tmp_path, monkeypatch):
+        """The registry curve's nu is computed in the parent, so forked
+        workers inherit it instead of each sampling the bound again."""
+        from osctrack import cli, curves
+
+        calls = []
+        at_start = []
+        original = curves.velocity_bound
+
+        def counted(deriv, horizon):
+            calls.append(horizon)
+            return original(deriv, horizon)
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                at_start.append(len(calls))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(curves, "velocity_bound", counted)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        code = run_cli(tmp_path, "sweep", "--scenario", "unicycle",
+                       "--alphas", "1,15", "--epsilons", "0.25", "--horizon", "0.5")
+        cli._SWEEP_BUILDS.clear()
+        assert code == 0
+        assert at_start == [1]
+        assert calls == [0.5]
+        assert ",alpha<=nu/rho" in (tmp_path / "sweep_summary.csv").read_text()
+
     @pytest.mark.parametrize("jobs", ["-1", "0"])
     def test_jobs_below_one_rejected(self, tmp_path, capsys, monkeypatch, jobs):
         """Refused with a validation error before any worker starts."""
@@ -417,3 +453,16 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_cli_import_defers_the_process_pool():
+    """Only sweep uses the pool, so start-up does not import
+    concurrent.futures; the module attribute still names the real class."""
+    env = dict(os.environ, PYTHONPATH=str(Path(osctrack.__file__).parents[1]))
+    probe = ("import sys, osctrack.cli as cli; "
+             "print('concurrent.futures' in sys.modules); "
+             "from concurrent.futures import ProcessPoolExecutor; "
+             "print(cli.ProcessPoolExecutor is ProcessPoolExecutor)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False", "True"]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
+from osctrack import curves
 from osctrack import (
     CURVE_REGISTRY,
     DegenerateCurveError,
@@ -202,6 +203,29 @@ def test_expression_spec_with_or_without_prefix():
     assert bare.nu == prefixed.nu
     ts = np.linspace(0.0, 10.0, 41)
     assert np.array_equal(bare(ts), prefixed(ts))
+
+
+@pytest.mark.parametrize("name", CURVE_REGISTRY)
+def test_registry_nu_is_the_sampled_velocity_bound(name):
+    """nu, computed on first read, is the float velocity_bound returns."""
+    curve = get_curve(name, horizon=12.5)
+    assert curve.nu == velocity_bound(curve.deriv, 12.5)
+
+
+def test_registry_nu_computed_once_on_first_read(monkeypatch):
+    calls = []
+
+    def counted(deriv, horizon):
+        calls.append(horizon)
+        return velocity_bound(deriv, horizon)
+
+    monkeypatch.setattr(curves, "velocity_bound", counted)
+    curve = get_curve("gamma1")
+    assert calls == []
+    nu = curve.nu
+    assert calls == [40.0]
+    assert curve.nu == nu
+    assert calls == [40.0]
 
 
 def test_unknown_curve_lists_the_registry():

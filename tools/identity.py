@@ -10,7 +10,8 @@ every output file, byte for byte; stdout, with the output directory
 stripped; stderr, with the output directory and the tree's root stripped
 (a RuntimeWarning prints its file path); and the exit code.  A probe, also
 run fresh per tree, prints the ``repr`` of ``contraction_check`` and
-``volterra_scaling`` reports, which are compared line by line.
+``volterra_scaling`` reports, of ``estimate_sup_bounds`` results and of
+each registry curve's ``nu``, which are compared line by line.
 
 Exits 0 when nothing differs, 1 naming every differing item otherwise.
 """
@@ -63,12 +64,14 @@ MAIN = "import sys; from osctrack.cli import main; sys.exit(main(sys.argv[1:]))"
 
 # Per seed: the certificate of `certify --empirical --seed s`, then
 # contraction_check at its eps_hat and at two larger periods, then
-# volterra_scaling with its sigma.
+# volterra_scaling with its sigma.  Then estimate_sup_bounds at seed 0 on
+# each scenario's tube (certify's default delta_prime for the unicycle,
+# 0.5 for the others), and nu of every registry curve at horizon 40.
 PROBE = """
 import json, sys
 import numpy as np
-from osctrack import (ControllerParams, contraction_check, get_curve, get_scenario,
-                      volterra_scaling)
+from osctrack import (CURVE_REGISTRY, ControllerParams, contraction_check,
+                      estimate_sup_bounds, get_curve, get_scenario, volterra_scaling)
 from osctrack.cli import main
 
 out = sys.argv[1]
@@ -93,6 +96,14 @@ for seed in (1000, 1001, 1002):
                            (0.04, 0.02, 0.01, 0.005), curve, scenario.default_x0,
                            sigma=cert["sigma"])
     print(f"volterra seed={seed}: {rep!r}")
+for name, delta_prime in (("unicycle", 2.5), ("underwater", 0.5), ("car", 0.5)):
+    scenario = get_scenario(name)
+    tube_curve = get_curve(scenario.default_curve, horizon=scenario.horizon)
+    sup = estimate_sup_bounds(scenario.system, scenario.scheme, tube_curve,
+                              delta_prime=delta_prime, horizon=scenario.horizon)
+    print(f"sup bounds {name} delta_prime={delta_prime}: {sup!r}")
+for name in CURVE_REGISTRY:
+    print(f"nu {name}: {get_curve(name).nu!r}")
 """
 
 
