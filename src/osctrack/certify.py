@@ -34,6 +34,9 @@ from .systems import BracketScheme, ControlSystem, gain_matrices
 # limit (constant fields), where the growth bound degenerates smoothly.
 L_FLOOR = 1e-12
 
+# Safety factor on every sampled sup bound, for what a finite sample misses.
+SUP_INFLATION = 1.1
+
 
 @dataclass(frozen=True)
 class CertificateInputs:
@@ -260,13 +263,13 @@ class SupBounds(NamedTuple):
 def estimate_sup_bounds(sys: ControlSystem, scheme: BracketScheme,
                         curve: ReferenceCurve, *, delta_prime: float,
                         horizon: float, n_samples: int = 10_000,
-                        seed: int = 0, inflation: float = 1.1) -> SupBounds:
+                        seed: int = 0) -> SupBounds:
     """Monte-Carlo sup bounds over the tube of radius delta_prime.
 
     Samples x = gamma(t) + radius * direction with t uniform on the
     horizon and radius distributed so points fill the ball uniformly.
     Second Lie derivatives are taken by central differences along the
-    field directions.  All five outputs carry the inflation factor; the
+    field directions.  All five outputs carry the factor SUP_INFLATION; the
     certificate they feed should be labeled "empirical".  The whole
     sample batch is evaluated at once; a sample outside the domain or
     with a singular gain matrix aborts the estimate, and the first such
@@ -335,9 +338,9 @@ def estimate_sup_bounds(sys: ControlSystem, scheme: BracketScheme,
     m3 = np.max(total / 6.0)
     mu = np.max(1.0 / gains.singular_values[:, -1])
 
-    return SupBounds(M1=inflation * float(m1), M2=inflation * float(m2),
-                     M3=inflation * float(m3), L=inflation * float(lip),
-                     mu=inflation * float(mu))
+    return SupBounds(M1=SUP_INFLATION * float(m1), M2=SUP_INFLATION * float(m2),
+                     M3=SUP_INFLATION * float(m3), L=SUP_INFLATION * float(lip),
+                     mu=SUP_INFLATION * float(mu))
 
 
 @dataclass(frozen=True)
@@ -385,16 +388,15 @@ class VolterraScalingReport:
 
 def volterra_scaling(sys: ControlSystem, scheme: BracketScheme, alpha: float,
                      epsilons: Sequence[float], curve: ReferenceCurve,
-                     x0: np.ndarray, *, sigma: float,
-                     substeps: int | None = None) -> VolterraScalingReport:
-    """One-interval residuals over several eps values and their log-log slope."""
+                     x0: np.ndarray, *, sigma: float) -> VolterraScalingReport:
+    """One-interval residuals over several eps values and their log-log slope,
+    each on the default integration grid."""
     if len(epsilons) < 2:
         raise UsageError("need at least two epsilon values to fit a slope")
     reports = []
     for eps in epsilons:
         params = ControllerParams(alpha=alpha, epsilon=eps)
-        traj = simulate(sys, scheme, params, curve, x0,
-                        SamplerGrid(eps, eps, substeps=substeps))
+        traj = simulate(sys, scheme, params, curve, x0, SamplerGrid(eps, eps))
         reports.append(volterra_residual(traj, alpha, sigma=sigma))
     norms = [rep.residual_norm for rep in reports]
     slope = float(np.polyfit(np.log(list(epsilons)), np.log(norms), 1)[0])
@@ -413,15 +415,14 @@ class GrowthReport:
     u_sups: np.ndarray
 
 
-def lemma1_growth_check(traj: Trajectory, M1: float, L: float,
-                        tol: float = 1e-8) -> GrowthReport:
+def lemma1_growth_check(traj: Trajectory, M1: float, L: float) -> GrowthReport:
     """Verify the growth bound pointwise on every interval of a trajectory.
 
     U is the largest l1 control norm recorded on the interval; since the
     oscillating components complete whole periods, the grid maxima cover
     the continuous sup up to grid resolution.  The bound is evaluated in
     the expm1 form M1*U*tau*(expm1(z)/z), which passes smoothly through
-    the constant-field limit L -> 0.
+    the constant-field limit L -> 0.  ``ok`` allows a margin down to -1e-8.
     """
     if M1 <= 0:
         raise UsageError(f"M1 must be positive, got {M1}")
@@ -445,7 +446,7 @@ def lemma1_growth_check(traj: Trajectory, M1: float, L: float,
         u_sups.append(u_sup)
     interval_margins = np.asarray(margins)
     min_margin = float(np.min(interval_margins)) if margins else 0.0
-    return GrowthReport(ok=bool(min_margin >= -tol), min_margin=min_margin,
+    return GrowthReport(ok=bool(min_margin >= -1e-8), min_margin=min_margin,
                         interval_margins=interval_margins,
                         u_sups=np.asarray(u_sups))
 
@@ -464,16 +465,16 @@ class ContractionReport:
 def contraction_check(sys: ControlSystem, scheme: BracketScheme,
                       params: ControllerParams, curve: ReferenceCurve,
                       *, lam: float, nu: float, rho_prime: float, delta: float,
-                      n_draws: int = 100, seed: int = 0,
-                      substeps: int | None = None) -> ContractionReport:
+                      n_draws: int = 100, seed: int = 0) -> ContractionReport:
     """Test ||x(eps)-gamma(eps)|| <= ||e0||(1 - eps(lam + nu/rho')) + eps*nu.
 
     Draws x0 = gamma(0) + radius * direction with radius uniform on
     (rho_prime, delta) and direction uniform on the sphere, then runs a
-    single sampling interval for all draws as one batch.  A draw that
-    stops early raises the ``SimulationError`` of the first such draw;
-    a draw that starts outside the system domain makes ``simulate``
-    refuse the whole batch with ``DomainError``.
+    single sampling interval, on the default integration grid, for all
+    draws as one batch.  A draw that stops early raises the
+    ``SimulationError`` of the first such draw; a draw that starts
+    outside the system domain makes ``simulate`` refuse the whole batch
+    with ``DomainError``.
     """
     if not 0 < rho_prime < delta:
         raise UsageError("need 0 < rho_prime < delta")
@@ -490,8 +491,7 @@ def contraction_check(sys: ControlSystem, scheme: BracketScheme,
         direction /= np.linalg.norm(direction)
         radii[i] = rng.uniform(rho_prime, delta)
         starts[i] = gamma0 + radii[i] * direction
-    traj = simulate(sys, scheme, params, curve, starts,
-                    SamplerGrid(eps, eps, substeps=substeps))
+    traj = simulate(sys, scheme, params, curve, starts, SamplerGrid(eps, eps))
     if traj.failures:
         raise traj.failures[min(traj.failures)]
     lhs = _row_norms(traj.states[-1] - np.asarray(curve.eval(eps), dtype=float))

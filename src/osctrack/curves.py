@@ -74,16 +74,20 @@ class ReferenceCurve:
         return self.eval(t)
 
 
-def velocity_bound(deriv, horizon: float, n_samples: int = 100_000,
-                   margin: float = 1.01) -> float:
-    """Sampled sup of the velocity norm over [0, horizon], inflated.
+# Points of the uniform grid on [0, horizon] that velocity_bound samples.
+VELOCITY_SAMPLES = 100_000
 
-    The margin covers what a finite sample can miss between grid points.
+
+def velocity_bound(deriv, horizon: float) -> float:
+    """Sampled sup of the velocity norm over [0, horizon], inflated by 1%.
+
+    The sample is ``VELOCITY_SAMPLES`` evenly spaced times; the margin
+    covers what it can miss between grid points.
     """
     _check_horizon(horizon)
-    ts = np.linspace(0.0, horizon, n_samples)
+    ts = np.linspace(0.0, horizon, VELOCITY_SAMPLES)
     speeds = np.linalg.norm(np.asarray(deriv(ts), dtype=float), axis=-1)
-    return margin * float(np.max(speeds))
+    return 1.01 * float(np.max(speeds))
 
 
 def _check_horizon(horizon: float) -> None:
@@ -143,16 +147,15 @@ def curve_gamma2(horizon: float = 40.0) -> ReferenceCurve:
 
 
 def curve_gamma3_admissible(base: ReferenceCurve, gamma3_0: float | None = None,
-                            horizon: float = 40.0,
-                            step: float = 1e-4) -> ReferenceCurve:
+                            horizon: float = 40.0) -> ReferenceCurve:
     """Admissible companion of a planar curve for the unicycle.
 
     Keeps the first two components of ``base`` and replaces the third by
     the heading angle of the planar path, so the result can be followed
     exactly by a unicycle.  The heading is atan2(y', x') taken on its
-    continuous branch: a fine grid tabulates the unwrapped angle, and at
-    a query time the exact atan2 is shifted by the multiple of 2 pi that
-    puts it nearest the interpolated table.  The start is atan2 at t = 0,
+    continuous branch: a grid of step 1e-4 tabulates the unwrapped angle,
+    and at a query time the exact atan2 is shifted by the multiple of 2 pi
+    that puts it nearest the interpolated table.  The start is atan2 at t = 0,
     or ``gamma3_0`` when given.  Its rate, the heading component of
     ``deriv``, is
 
@@ -163,11 +166,10 @@ def curve_gamma3_admissible(base: ReferenceCurve, gamma3_0: float | None = None,
     """
     if base.deriv2 is None:
         raise UsageError("heading construction needs second derivatives of the base curve")
-    if not (0 < horizon < np.inf and 0 < step < np.inf):
-        raise UsageError("horizon and step must be finite and positive")
+    _check_horizon(horizon)
 
     t_end = horizon + 0.05 * horizon + 2.0
-    n_grid = int(np.ceil(t_end / step)) + 1
+    n_grid = int(np.ceil(t_end / 1e-4)) + 1
     ts = np.linspace(0.0, t_end, n_grid)
     d = np.asarray(base.deriv(ts), dtype=float)
     if float(np.min(d[:, 0] ** 2 + d[:, 1] ** 2)) < 1e-8:

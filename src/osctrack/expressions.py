@@ -17,7 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .curves import CURVE_REGISTRY, ReferenceCurve, _stack_components, velocity_bound
+from .curves import (CURVE_REGISTRY, VELOCITY_SAMPLES, ReferenceCurve, _stack_components,
+                     velocity_bound)
 from .errors import UsageError
 
 _FUNCTIONS = {
@@ -145,10 +146,9 @@ def curve_from_expression(src: str, horizon: float = 40.0,
         h = 1e-6 * np.maximum(1.0, np.abs(t_arr))
         return (ev(t_arr + h) - ev(t_arr - h)) / (2.0 * h)[..., None]
 
-    n_samples = 100_000
     with np.errstate(all="ignore"):
-        nu = velocity_bound(dv, horizon, n_samples)
-        values = ev(np.linspace(0.0, horizon, n_samples))
+        nu = velocity_bound(dv, horizon)
+        values = ev(np.linspace(0.0, horizon, VELOCITY_SAMPLES))
     if not (np.isfinite(nu) and np.isfinite(values).all()):
         raise UsageError(f"curve expression {src!r} or its speed is not finite "
                          f"somewhere on [0, {horizon:g}]")

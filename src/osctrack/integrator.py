@@ -59,9 +59,9 @@ class SamplerGrid:
     """Sampling period, horizon, and integration resolution.
 
     ``epsilon`` and ``horizon`` must be finite and positive.
-    ``substeps`` is the number of integration nodes per sampling
-    interval, at least ``MIN_NODES_PER_PERIOD`` per period of the
-    scheme's fastest harmonic.  None picks ``default_substeps(scheme)``:
+    ``substeps``, an integer, is the number of integration nodes per
+    sampling interval, at least ``MIN_NODES_PER_PERIOD`` per period of
+    the scheme's fastest harmonic.  None picks ``default_substeps(scheme)``:
     ``max(120, MIN_NODES_PER_PERIOD * max_frequency)``, at which doubling
     the substeps moves the endpoint of the built-in scenarios by at most
     4.9e-8 relative (criterion 9 allows 1e-6).
@@ -76,8 +76,9 @@ class SamplerGrid:
             raise UsageError(f"epsilon must be finite and positive, got {self.epsilon}")
         if not 0 < self.horizon < np.inf:
             raise UsageError(f"horizon must be finite and positive, got {self.horizon}")
-        if self.substeps is not None and self.substeps < 1:
-            raise UsageError(f"substeps must be positive, got {self.substeps}")
+        if self.substeps is not None and not (
+                isinstance(self.substeps, (int, np.integer)) and self.substeps >= 1):
+            raise UsageError(f"substeps must be a positive integer, got {self.substeps}")
 
     def resolve(self, scheme: BracketScheme, params: ControllerParams) -> int:
         """Validate against the scheme and params, return the substep count."""
@@ -189,8 +190,7 @@ def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerPara
     if x0.ndim not in (1, 2) or x0.shape[-1] != sys.n or x0.size == 0:
         raise DimensionMismatchError(
             f"x0 must have shape ({sys.n},) or (B, {sys.n}) with B >= 1, got {x0.shape}")
-    batched = x0.ndim == 2
-    if batched and (not freeze or on_coefficients is not None):
+    if x0.ndim == 2 and (not freeze or on_coefficients is not None):
         raise UsageError("classic semantics and on_coefficients take a single start; "
                          f"x0 must have shape ({sys.n},)")
     if not np.isfinite(x0).all():
@@ -209,9 +209,10 @@ def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerPara
     times = (idx // substeps) * eps + (idx % substeps) * h
     gamma_all = np.asarray(curve.eval(times), dtype=float)
 
+    # Axis 1 is the member; a single start is member 0 (x keeps the start's shape).
     # NaN-filled, so a partial trace never shows a value that was not computed.
-    states = np.full((rows,) + x0.shape, np.nan)
-    controls = np.full((rows,) + x0.shape[:-1] + (scheme.m,), np.nan)
+    states = np.full((rows, x0.size // sys.n, sys.n), np.nan)
+    controls = np.full(states.shape[:2] + (scheme.m,), np.nan)
     # Each constant field's term u_i * value is formed from the control
     # table, once per interval; only the other fields are evaluated per stage.
     const = [i for i, f in enumerate(sys.fields) if f.value is not None]
@@ -219,42 +220,29 @@ def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerPara
     terms = tuple((None, const.index(i)) if i in const else (f.eval, i)
                   for i, f in enumerate(sys.fields))
     semantics = "sampled" if freeze else "classic"
-    whole = np.all if batched else bool
+    # The per-step check: bool on one start, since np.all costs about 4 us a step.
+    whole = np.all if x0.ndim == 2 else bool
     eval_count = 0
-    # The members still running: all of a single run, an index array in a batch.
-    live = np.arange(len(x0)) if batched else slice(None)
-    failures = {}  # the member (0 for a single run) -> its SimulationError
-
-    def record(member, kept: int, n_intervals: int, evals: int, stopped: dict):
-        at = states[:kept, member]
-        ref = gamma_all[:kept, None] if at.ndim == 3 else gamma_all[:kept]
-        return Trajectory(
-            times=times[:kept], states=at, reference=gamma_all[:kept],
-            controls=controls[:kept, member], dist=np.linalg.norm(at - ref, axis=-1),
-            epsilon=eps, substeps=substeps, n_intervals=n_intervals,
-            coefficient_evals=evals, semantics=semantics, failures=stopped)
+    members = np.arange(states.shape[1])
+    live = slice(None)  # the members still running; an index array once one stops
+    stopped = {}  # member -> (message, reason, time, rows kept, solves)
 
     def stop(bad, reason: str, what: str, kept: int, t_fail: float):
         """Stop the live members marked in ``bad``, keeping rows up to kept - 1."""
-        if batched:
-            members = live[np.broadcast_to(bad, live.shape)]
-        else:
-            members = [...] if bad else []
-        for b in members:
-            failures[int(b) if batched else 0] = SimulationError(
-                f"{what} t={t_fail:.6g}", reason=reason, time=t_fail,
-                partial=record(b, kept, (kept - 1) // substeps + 1, eval_count, {}))
-        if batched:
-            states[kept:, members] = np.nan
-            controls[kept:, members] = np.nan
+        running = members[live]
+        running = running[np.broadcast_to(bad, running.shape)]
+        for b in running:
+            stopped[int(b)] = (f"{what} t={t_fail:.6g}", reason, t_fail, kept, eval_count)
+        states[kept:, running] = np.nan
+        controls[kept:, running] = np.nan
 
     def go_on(keep):
         """Carry on with the live members marked in ``keep``."""
         nonlocal x, live, table, made, u_func
         if not np.any(keep):
             raise _Stopped
-        if batched and not np.all(keep):
-            x, live = x[keep], live[keep]
+        if not np.all(keep):
+            x, live = x[keep], members[live][keep]
             if table is not None:
                 table, made = table[:, :, :, keep], made[:, :, :, keep]
                 u_func = lambda t, f=u_func: f(t)[..., keep, :]
@@ -302,13 +290,12 @@ def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerPara
                 if on_coefficients is not None:
                     on_coefficients(j, float(times[base]), x.copy(), coeffs)
                 u_func = make_control_function(scheme, params, coeffs)
-                stages = u_func(stages)
-                controls[base:base + substeps, live] = stages[:, 0]
-                if batched:  # per field, a column of member values: (substeps, 3, m, B, 1)
-                    stages = np.moveaxis(stages, -1, 2)[..., None]
-                    made = stages[:, :, const] * values[:, None]
-                else:
-                    made = stages[:, :, const, None] * values
+                stages = u_func(stages)  # (substeps, 3) + batch axes + (m,)
+                controls[base:base + substeps, live] = stages[:, 0].reshape(
+                    substeps, -1, scheme.m)
+                made = np.moveaxis(stages[..., const, None] * values, -2, 2)
+                # Per field, a scalar control or a column (B, 1) of member values.
+                stages = np.moveaxis(stages, -1, 2)[(...,) + (None,) * (x0.ndim - 1)]
             table = stages
 
             for k in range(substeps):
@@ -337,10 +324,23 @@ def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerPara
         except (DomainError, RankConditionError):
             controls[-1, live] = controls[-2, live]
 
-    if failures and not batched:
+    dist = np.linalg.norm(states - gamma_all[:, None], axis=-1)
+
+    def record(member, kept: int, n_intervals: int, evals: int, failed: dict):
+        return Trajectory(
+            times=times[:kept], states=states[:kept, member], reference=gamma_all[:kept],
+            controls=controls[:kept, member], dist=dist[:kept, member], epsilon=eps,
+            substeps=substeps, n_intervals=n_intervals, coefficient_evals=evals,
+            semantics=semantics, failures=failed)
+
+    failures = {b: SimulationError(message, reason=reason, time=t_fail,
+                                   partial=record(b, kept, (kept - 1) // substeps + 1,
+                                                  evals, {}))
+                for b, (message, reason, t_fail, kept, evals) in stopped.items()}
+    if failures and x0.ndim == 1:  # a single start is member 0 and raises its failure
         raise failures[0]
     keep = int(np.searchsorted(times, grid.horizon + 1e-9, side="right"))
-    return record(..., keep, n_int, eval_count, failures)
+    return record(0 if x0.ndim == 1 else slice(None), keep, n_int, eval_count, failures)
 
 
 def simulate(sys: ControlSystem, scheme: BracketScheme, params: ControllerParams,

@@ -207,8 +207,10 @@ def assert_same_failure(got, want):
     assert (a.n_intervals, a.coefficient_evals) == (b.n_intervals, b.coefficient_evals)
 
 
-@pytest.mark.parametrize("name", SCENARIO_NAMES)
-def test_batch_members_equal_single_runs(name):
+@pytest.mark.parametrize("name, size", [
+    *(pytest.param(name, 4, id=name) for name in SCENARIO_NAMES),
+    *(pytest.param(name, 1, id=f"{name}-batch-of-one") for name in SCENARIO_NAMES)])
+def test_batch_members_equal_single_runs(name, size):
     scenario = get_scenario(name)
     horizon = BATCH_HORIZONS[name]
     params = scenario.default_params
@@ -216,11 +218,12 @@ def test_batch_members_equal_single_runs(name):
     grid = SamplerGrid(params.epsilon, horizon)
     rng = np.random.default_rng(7)
     x0 = scenario.default_x0 + 0.3 * rng.uniform(-1.0, 1.0, (4, scenario.system.n))
+    x0 = x0[:size]
     args = (scenario.system, scenario.scheme, params, curve)
     batch = simulate(*args, x0, grid)
-    assert batch.states.shape == (batch.times.size, 4, scenario.system.n)
+    assert batch.states.shape == (batch.times.size, size, scenario.system.n)
     assert batch.failures == {}
-    for b in range(4):
+    for b in range(size):
         alone = run_alone(*args, x0[b], grid)
         assert not isinstance(alone, SimulationError)
         assert_same_run(batch, b, alone)
@@ -229,7 +232,8 @@ def test_batch_members_equal_single_runs(name):
 def test_batch_members_leaving_the_domain_stop_alone():
     """The car at alpha=5, eps=0.5 leaves its steering chart: from (1, 1, 0, 0)
     in the first interval, from (0, 0.5, 0, 0) in the second.  The default
-    start (8, 0, 0, 0) exits only after t=1, so it reaches the horizon."""
+    start (8, 0, 0, 0) exits only after t=1, so it reaches the horizon.  The
+    first start alone in a batch of one stops the same way."""
     scenario = get_scenario("car")
     params = ControllerParams(alpha=5.0, epsilon=0.5)
     curve = get_curve(scenario.default_curve, horizon=1.0)
@@ -247,6 +251,13 @@ def test_batch_members_leaving_the_domain_stop_alone():
         assert np.isnan(batch.states[kept:, b]).all()
         assert np.isnan(batch.controls[kept:, b]).all()
     assert batch.failures[0].time < 0.5 < batch.failures[2].time
+    one = simulate(*args, x0[[0]], grid)
+    assert list(one.failures) == [0]
+    alone = run_alone(*args, x0[0], grid)
+    assert_same_failure(one.failures[0], alone)
+    kept = alone.partial.times.size
+    assert np.array_equal(one.states[:kept, 0], alone.partial.states)
+    assert np.isnan(one.states[kept:]).all() and np.isnan(one.controls[kept:]).all()
 
 
 def with_plain_fields(system):

@@ -681,7 +681,7 @@ def test_contraction_check_validation(unicycle, gamma1):
 
 
 def reference_contraction_check(sys, scheme, params, curve, *, lam, nu, rho_prime,
-                                delta, n_draws=100, seed=0, substeps=None):
+                                delta, n_draws=100, seed=0):
     """Oracle: the one-step contraction check run one draw at a time."""
     rng = np.random.default_rng(seed)
     gamma0 = np.asarray(curve.eval(0.0), dtype=float)
@@ -694,8 +694,7 @@ def reference_contraction_check(sys, scheme, params, curve, *, lam, nu, rho_prim
         direction /= np.linalg.norm(direction)
         radius = rng.uniform(rho_prime, delta)
         x0 = gamma0 + radius * direction
-        traj = simulate(sys, scheme, params, curve, x0,
-                        SamplerGrid(eps, eps, substeps=substeps))
+        traj = simulate(sys, scheme, params, curve, x0, SamplerGrid(eps, eps))
         lhs = float(np.linalg.norm(traj.states[-1]
                                    - np.asarray(curve.eval(eps), dtype=float)))
         rhs = radius * factor + eps * nu

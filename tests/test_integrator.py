@@ -290,6 +290,10 @@ def test_grid_validation():
             SamplerGrid(bad, 1.0)
         with pytest.raises(UsageError):
             SamplerGrid(0.1, bad)
+    for bad in (120.5, 120.0, np.nan, np.inf, "120", 0, -1, np.int64(0)):
+        with pytest.raises(UsageError, match="substeps must be a positive integer"):
+            SamplerGrid(0.1, 1.0, substeps=bad)
+    assert SamplerGrid(0.1, 1.0, substeps=np.int64(120)).resolve(scheme, params) == 120
     with pytest.raises(UsageError):
         simulate(sys, scheme, params, curve_gamma1(), np.zeros(3),
                  SamplerGrid(0.2, 1.0))  # epsilon mismatch

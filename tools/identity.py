@@ -11,7 +11,9 @@ stripped; stderr, with the output directory and the tree's root stripped
 (a RuntimeWarning prints its file path); and the exit code.  A probe, also
 run fresh per tree, prints the ``repr`` of ``contraction_check`` and
 ``volterra_scaling`` reports, of ``estimate_sup_bounds`` results and of
-each registry curve's ``nu``, which are compared line by line.
+each registry curve's ``nu``, and for batched ``simulate`` runs whose
+members stop, each member's failure and a sha256 of the arrays; these are
+compared line by line.
 
 Exits 0 when nothing differs, 1 naming every differing item otherwise.
 """
@@ -66,12 +68,18 @@ MAIN = "import sys; from osctrack.cli import main; sys.exit(main(sys.argv[1:]))"
 # contraction_check at its eps_hat and at two larger periods, then
 # volterra_scaling with its sigma.  Then estimate_sup_bounds at seed 0 on
 # each scenario's tube (certify's default delta_prime for the unicycle,
-# 0.5 for the others), and nu of every registry curve at horizon 40.
+# 0.5 for the others), and nu of every registry curve at horizon 40.  Last,
+# batches whose members stop: the car's domain-exit starts at alpha=5,
+# eps=0.5, the first of them as a batch of one, and unicycle starts at
+# alpha=1e160, which overflow.  Per batch, a sha256 of states, controls and
+# dist (NaN bytes included), then per stopped member its reason, time,
+# message and a sha256 of its partial trace.
 PROBE = """
-import json, sys
+import hashlib, json, sys
 import numpy as np
-from osctrack import (CURVE_REGISTRY, ControllerParams, contraction_check,
-                      estimate_sup_bounds, get_curve, get_scenario, volterra_scaling)
+from osctrack import (CURVE_REGISTRY, ControllerParams, SamplerGrid, contraction_check,
+                      estimate_sup_bounds, get_curve, get_scenario, simulate,
+                      volterra_scaling)
 from osctrack.cli import main
 
 out = sys.argv[1]
@@ -104,6 +112,35 @@ for name, delta_prime in (("unicycle", 2.5), ("underwater", 0.5), ("car", 0.5)):
     print(f"sup bounds {name} delta_prime={delta_prime}: {sup!r}")
 for name in CURVE_REGISTRY:
     print(f"nu {name}: {get_curve(name).nu!r}")
+
+
+def sha(*arrays):
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+def batch(label, name, alpha, eps, horizon, starts):
+    scenario = get_scenario(name)
+    curve = get_curve(scenario.default_curve, horizon=horizon)
+    traj = simulate(scenario.system, scenario.scheme, ControllerParams(alpha, eps), curve,
+                    np.array(starts, dtype=float), SamplerGrid(eps, horizon))
+    print(f"batch {label}: states {sha(traj.states)} controls {sha(traj.controls)} "
+          f"dist {sha(traj.dist)} evals {traj.coefficient_evals}")
+    for b, error in sorted(traj.failures.items()):
+        part = error.partial
+        print(f"batch {label} member {b}: {error.reason} t={error.time!r} {error} "
+              f"partial {sha(part.times, part.states, part.controls, part.dist)} "
+              f"intervals {part.n_intervals} evals {part.coefficient_evals}")
+
+
+car_starts = [[1.0, 1.0, 0.0, 0.0], [8.0, 0.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0]]
+batch("car exits", "car", 5.0, 0.5, 1.0, car_starts)
+batch("car exits, batch of one", "car", 5.0, 0.5, 1.0, car_starts[:1])
+with np.errstate(all="ignore"):
+    batch("unicycle overflow", "unicycle", 1e160, 0.1, 4.0,
+          [[0.5, 1.2, 0.3], [2.0, 0.0, 1.0], [-1.0, 0.5, 0.0]])
 """
 
 
