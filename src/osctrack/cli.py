@@ -212,8 +212,14 @@ def output_directory(config: RunConfig) -> Path:
     return base
 
 
+# Rows formatted and written at a time by ``write_trajectory_csv``.
+_CSV_BLOCK_ROWS = 1024
+
+
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
-    """Write the full trace with 17 significant digits per value."""
+    """Write a single start's trace, full or partial, with 17 significant
+    digits per value, ``_CSV_BLOCK_ROWS`` rows at a time: the memory this
+    takes beyond ``traj`` does not grow with the trace."""
     n = traj.states.shape[1]
     m = traj.controls.shape[1]
     header = (["t"]
@@ -221,12 +227,13 @@ def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
               + [f"gamma_{i + 1}" for i in range(n)]
               + [f"u_{i + 1}" for i in range(m)]
               + ["dist"])
-    block = np.column_stack([traj.times, traj.states, traj.reference,
-                             traj.controls, traj.dist])
     line = ",".join(["%.17g"] * len(header)) + "\n"
+    columns = (traj.times, traj.states, traj.reference, traj.controls, traj.dist)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(line % tuple(row) for row in block.tolist())
+        for start in range(0, traj.times.size, _CSV_BLOCK_ROWS):
+            block = np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in columns])
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def _json_value(value):

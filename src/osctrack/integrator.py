@@ -39,6 +39,9 @@ from .systems import BracketScheme, ControlSystem, gain_matrices
 # oscillation with at least this many nodes per period.
 MIN_NODES_PER_PERIOD = 40
 
+# Rows of the record whose distance to the reference is formed at a time.
+_DIST_BLOCK_ROWS = 4096
+
 
 def default_substeps(scheme: BracketScheme) -> int:
     """Substeps per sampling interval when none are given:
@@ -205,8 +208,8 @@ def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerPara
     half_h, sixth_h = 0.5 * h, h / 6.0
     n_int = grid.n_intervals
     rows = n_int * substeps + 1
-    idx = np.arange(rows)
-    times = (idx // substeps) * eps + (idx % substeps) * h
+    # Row j * substeps + k is at j * eps + k * h.
+    times = (np.arange(n_int + 1)[:, None] * eps + np.arange(substeps) * h).ravel()[:rows]
     gamma_all = np.asarray(curve.eval(times), dtype=float)
 
     # Axis 1 is the member; a single start is member 0 (x keeps the start's shape).
@@ -324,7 +327,12 @@ def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerPara
         except (DomainError, RankConditionError):
             controls[-1, live] = controls[-2, live]
 
-    dist = np.linalg.norm(states - gamma_all[:, None], axis=-1)
+    # Formed a block of rows at a time, for every member alike, so the
+    # differences to the reference never exist for the whole record.
+    dist = np.empty(states.shape[:2])
+    for start in range(0, rows, _DIST_BLOCK_ROWS):
+        block = slice(start, start + _DIST_BLOCK_ROWS)
+        dist[block] = np.linalg.norm(states[block] - gamma_all[block, None], axis=-1)
 
     def record(member, kept: int, n_intervals: int, evals: int, failed: dict):
         return Trajectory(

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,7 +12,16 @@ import numpy as np
 import pytest
 
 import osctrack
-from osctrack.cli import main
+from osctrack import (
+    ControllerParams,
+    SamplerGrid,
+    SimulationError,
+    Trajectory,
+    get_curve,
+    get_scenario,
+    simulate,
+)
+from osctrack.cli import _CSV_BLOCK_ROWS, main, write_trajectory_csv
 
 RUN_ARGS = ["run", "--scenario", "unicycle", "--curve", "gamma1",
             "--alpha", "15", "--epsilon", "0.1", "--horizon", "2",
@@ -106,6 +116,79 @@ class TestRun:
         assert meta["status"].startswith("failed: domain-exit")
         assert (tmp_path / "trajectory.csv").exists()
         assert not (tmp_path / "stability_report.json").exists()
+
+
+def whole_array_csv(traj):
+    """The bytes of the trace formatted in one piece: every row stacked into
+    one array, converted to Python floats, then formatted row by row."""
+    n, m = traj.states.shape[1], traj.controls.shape[1]
+    header = (["t"] + [f"x_{i + 1}" for i in range(n)] + [f"gamma_{i + 1}" for i in range(n)]
+              + [f"u_{i + 1}" for i in range(m)] + ["dist"])
+    block = np.column_stack([traj.times, traj.states, traj.reference,
+                             traj.controls, traj.dist])
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    text = ",".join(header) + "\n" + "".join(line % tuple(row) for row in block.tolist())
+    return text.encode("utf-8")
+
+
+def built_trajectory(rows, n=3, m=2, seed=0):
+    """A single-start trace of random values over many magnitudes, with NaN,
+    infinities and negative zeros among them."""
+    rng = np.random.default_rng(seed)
+
+    def values(*shape):
+        out = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
+        flat = out.reshape(-1)
+        picks = rng.integers(0, flat.size, (4, max(1, flat.size // 50)))
+        flat[picks[0]], flat[picks[1]] = np.nan, np.inf
+        flat[picks[2]], flat[picks[3]] = -np.inf, -0.0
+        return out
+
+    return Trajectory(times=values(rows), states=values(rows, n), reference=values(rows, n),
+                      controls=values(rows, m), dist=values(rows), epsilon=0.1,
+                      substeps=120, n_intervals=1, coefficient_evals=1, semantics="sampled")
+
+
+class TestTrajectoryCsv:
+    """The block writer gives the bytes of the trace formatted in one piece."""
+
+    @pytest.mark.parametrize("rows", [1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS,
+                                      _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS + 17])
+    def test_bytes_equal_whole_array_formatting(self, tmp_path, rows):
+        traj = built_trajectory(rows)
+        write_trajectory_csv(tmp_path / "trajectory.csv", traj)
+        assert (tmp_path / "trajectory.csv").read_bytes() == whole_array_csv(traj)
+
+    @pytest.mark.parametrize("name, alpha, epsilon, horizon, reason, nan_rows", [
+        # Leaves the car's steering chart by t = 1.025.
+        ("car", 5.0, 0.5, 3.0, "domain-exit", 0),
+        # Overflows at the start of the second interval; the control of its
+        # last row comes out NaN.
+        ("unicycle", 1e160, 0.1, 4.0, "non-finite-state", 1)])
+    def test_partial_trace_bytes_equal_whole_array_formatting(
+            self, tmp_path, name, alpha, epsilon, horizon, reason, nan_rows):
+        scenario = get_scenario(name)
+        with np.errstate(all="ignore"), pytest.raises(SimulationError) as exc:
+            simulate(scenario.system, scenario.scheme, ControllerParams(alpha, epsilon),
+                     get_curve(scenario.default_curve, horizon=horizon),
+                     scenario.default_x0, SamplerGrid(epsilon, horizon))
+        assert exc.value.reason == reason
+        partial = exc.value.partial
+        assert np.isnan(partial.controls).any(axis=1).sum() == nan_rows
+        write_trajectory_csv(tmp_path / "trajectory.csv", partial)
+        assert (tmp_path / "trajectory.csv").read_bytes() == whole_array_csv(partial)
+
+    def test_memory_does_not_grow_with_the_trace(self, tmp_path):
+        """50,000 rows of 10 columns: formatting the whole array at once
+        peaks at about 23 MB traced; the block writer stays below 4 MB."""
+        traj = built_trajectory(50_000)
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(tmp_path / "trajectory.csv", traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, f"writer peaked at {peak / 1e6:.1f} MB"
 
 
 class TestConfigMerging:

@@ -28,6 +28,7 @@ from osctrack import (
     default_substeps,
     get_curve,
     get_scenario,
+    integrator,
     make_control_function,
     simulate,
 )
@@ -243,6 +244,51 @@ def test_sample_grid_times_are_exact():
     assert traj.times.size == traj.n_intervals * traj.substeps + 1
     assert np.allclose(traj.dist,
                        np.linalg.norm(traj.states - traj.reference, axis=1))
+
+
+def record_formulas(traj):
+    """``times`` and ``dist`` as once formed over the whole record: the times
+    from integer row indices, the distance from the whole difference array."""
+    idx = np.arange(traj.n_intervals * traj.substeps + 1)
+    times = (idx // traj.substeps) * traj.epsilon + (idx % traj.substeps) * (
+        traj.epsilon / traj.substeps)
+    states = traj.states if traj.states.ndim == 3 else traj.states[:, None]
+    dist = np.linalg.norm(states - traj.reference[:, None], axis=-1)
+    return times[:traj.times.size], dist.reshape(traj.dist.shape)
+
+
+@pytest.mark.parametrize("block", [None, 7], ids=["default-blocks", "7-row-blocks"])
+@pytest.mark.parametrize("case", ["single", "batch-with-stops", "horizon-off-grid"])
+def test_times_and_dist_equal_whole_record_formulas(monkeypatch, case, block):
+    """Bit for bit, NaN rows of stopped members included, over records that
+    span several blocks of the distance computation."""
+    if block is not None:
+        monkeypatch.setattr(integrator, "_DIST_BLOCK_ROWS", block)
+    if case == "batch-with-stops":
+        # Starts 0 and 2 leave the car's steering chart before t = 1.
+        scenario = get_scenario("car")
+        params, horizon = ControllerParams(alpha=5.0, epsilon=0.5), 1.0
+        x0 = np.array([[1.0, 1.0, 0.0, 0.0], [8.0, 0.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0]])
+        grid = SamplerGrid(0.5, horizon, substeps=2100)
+    else:
+        scenario = get_scenario("unicycle")
+        params = scenario.default_params
+        horizon = 4.0 if case == "single" else 4.37
+        x0, grid = scenario.default_x0, SamplerGrid(params.epsilon, horizon)
+    traj = simulate(scenario.system, scenario.scheme, params,
+                    get_curve(scenario.default_curve, horizon=horizon), x0, grid)
+    assert traj.times.size > integrator._DIST_BLOCK_ROWS
+    if case == "batch-with-stops":
+        assert sorted(traj.failures) == [0, 2] and np.isnan(traj.dist[:, 0]).any()
+    if case == "horizon-off-grid":
+        assert traj.times.size < traj.n_intervals * traj.substeps + 1
+    times, dist = record_formulas(traj)
+    assert traj.times.tobytes() == times.tobytes()
+    assert traj.dist.tobytes() == dist.tobytes()
+    for error in traj.failures.values():
+        times, dist = record_formulas(error.partial)
+        assert error.partial.times.tobytes() == times.tobytes()
+        assert error.partial.dist.tobytes() == dist.tobytes()
 
 
 def test_horizon_truncation_mid_interval():

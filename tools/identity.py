@@ -6,14 +6,16 @@ Each tree is a checkout with the package under ``src/``.  Every command in
 ``COMMANDS`` runs once per tree, each in a fresh interpreter with only that
 tree's ``src`` on the path and the same output directory on both sides
 (``run_metadata.json`` records that directory).  Compared per command:
-every output file, byte for byte; stdout, with the output directory
-stripped; stderr, with the output directory and the tree's root stripped
-(a RuntimeWarning prints its file path); and the exit code.  A probe, also
+every output file, byte for byte (by sha256); stdout, with the output
+directory stripped; stderr, with the output directory and the tree's root
+stripped (a RuntimeWarning prints its file path); and the exit code.  A probe, also
 run fresh per tree, prints the ``repr`` of ``contraction_check`` and
 ``volterra_scaling`` reports, of ``estimate_sup_bounds`` results and of
 each registry curve's ``nu``, and for batched ``simulate`` runs whose
 members stop, each member's failure and a sha256 of the arrays; these are
-compared line by line.
+compared line by line.  Last, a table gives each command's and each
+probe's peak resident memory (``ru_maxrss`` of its process) on both trees,
+for information only: it never counts as a difference.
 
 Exits 0 when nothing differs, 1 naming every differing item otherwise.
 """
@@ -21,6 +23,7 @@ Exits 0 when nothing differs, 1 naming every differing item otherwise.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import shutil
 import subprocess
@@ -31,6 +34,9 @@ from pathlib import Path
 SWEEP_CURVE = "5*sin(t/4), 5*sin(t/4)*cos(t/4), 0, 0"
 
 COMMANDS = [
+    # The defaults: the car records 360,001 rows.
+    ["run", "--scenario", "car"],
+    ["run", "--scenario", "underwater"],
     ["run", "--scenario", "unicycle", "--curve", "gamma1", "--alpha", "15",
      "--epsilon", "0.1", "--horizon", "10", "--x0", "0.5,1.2,0.3"],
     ["run", "--scenario", "unicycle", "--alpha", "15", "--epsilon", "0.1",
@@ -144,20 +150,36 @@ with np.errstate(all="ignore"):
 """
 
 
+def digest(path: Path) -> str:
+    """The sha256 of a file, read in chunks: this process stays small, and a
+    child's ``ru_maxrss``, which counts this process's size when it was
+    started, measures the child itself."""
+    with open(path, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()
+
+
 def run(tree: Path, code: str, args: list[str], out: Path) -> dict:
     """Run ``python -c code *args`` on ``tree`` with a fresh, empty ``out``."""
     shutil.rmtree(out, ignore_errors=True)
     out.mkdir(parents=True)
     env = {k: v for k, v in os.environ.items() if k != "OSCTRACK_OUTPUT_DIR"}
     env["PYTHONPATH"] = str(tree / "src")
-    proc = subprocess.run([sys.executable, "-c", code, *args], cwd=out.parent, env=env,
-                          capture_output=True, text=True)
-    files = {p.relative_to(out).as_posix(): p.read_bytes()
+    with tempfile.TemporaryFile() as stdout, tempfile.TemporaryFile() as stderr:
+        proc = subprocess.Popen([sys.executable, "-c", code, *args], cwd=out.parent,
+                                env=env, stdout=stdout, stderr=stderr)
+        # wait4 reaps the child and returns the child's own resource usage.
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        stdout.seek(0)
+        stderr.seek(0)
+        printed, errors = stdout.read().decode(), stderr.read().decode()
+    files = {p.relative_to(out).as_posix(): digest(p)
              for p in sorted(out.rglob("*")) if p.is_file()}
     return {"exit code": proc.returncode,
-            "stdout": proc.stdout.replace(str(out), "<out>"),
-            "stderr": proc.stderr.replace(str(out), "<out>").replace(str(tree), "<root>"),
-            "files": files}
+            "stdout": printed.replace(str(out), "<out>"),
+            "stderr": errors.replace(str(out), "<out>").replace(str(tree), "<root>"),
+            "files": files,
+            "peak rss mb": usage.ru_maxrss / 1024}  # ru_maxrss is in KiB on Linux
 
 
 def differences(parent: dict, change: dict) -> list[str]:
@@ -180,6 +202,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"{tree} has no src/osctrack")
 
     failed = 0
+    peaks = []  # (label, parent MB, change MB)
     with tempfile.TemporaryDirectory(prefix="osctrack-identity-") as tmp:
         out = Path(tmp) / "out"
         for cmd in COMMANDS:
@@ -187,11 +210,13 @@ def main(argv: list[str] | None = None) -> int:
             parent, change = (run(tree, MAIN, [*cmd, "--output-dir", str(out)], out)
                               for tree in trees)
             found = differences(parent, change)
+            peaks.append((label, parent["peak rss mb"], change["peak rss mb"]))
             failed += bool(found)
             status = "DIFFERS: " + ", ".join(found) if found else "identical"
             print(f"{label}\n    exit {parent['exit code']}, "
                   f"{len(parent['files'])} files: {status}")
         probes = [run(tree, PROBE, [str(out)], out) for tree in trees]
+        peaks.append(("probe", *(probe["peak rss mb"] for probe in probes)))
         for tree, probe in zip(trees, probes):
             if probe["exit code"] != 0:
                 failed += 1
@@ -204,6 +229,10 @@ def main(argv: list[str] | None = None) -> int:
             name = want.split(":")[0]
             failed += want != got
             print(f"{name}: {'identical' if want == got else 'DIFFERS'}")
+    print("\npeak RSS in MB (ru_maxrss; for information, never a difference)\n"
+          "  parent  change  command")
+    for label, parent_mb, change_mb in peaks:
+        print(f"{parent_mb:8.1f}{change_mb:8.1f}  {label}")
     print(f"{failed} differing item(s)" if failed else "no differences")
     return 1 if failed else 0
 
