@@ -37,6 +37,10 @@ L_FLOOR = 1e-12
 # Safety factor on every sampled sup bound, for what a finite sample misses.
 SUP_INFLATION = 1.1
 
+# Tube samples per block of estimate_sup_bounds: the fields, Jacobians and
+# Lie tables of one block are held at a time.
+_SUP_BLOCK_SAMPLES = 1024
+
 
 @dataclass(frozen=True)
 class CertificateInputs:
@@ -270,10 +274,13 @@ def estimate_sup_bounds(sys: ControlSystem, scheme: BracketScheme,
     horizon and radius distributed so points fill the ball uniformly.
     Second Lie derivatives are taken by central differences along the
     field directions.  All five outputs carry the factor SUP_INFLATION; the
-    certificate they feed should be labeled "empirical".  The whole
-    sample batch is evaluated at once; a sample outside the domain or
-    with a singular gain matrix aborts the estimate, and the first such
-    sample is the one reported.
+    certificate they feed should be labeled "empirical".  The samples are
+    drawn at once and evaluated in blocks of ``_SUP_BLOCK_SAMPLES``, so
+    the fields, Jacobians and Lie tables held at a time do not grow with
+    ``n_samples``; every sup is an exact maximum, so the result does not
+    depend on the block size, and a NaN in any sample makes the sup NaN.
+    A sample outside the domain or with a singular gain matrix aborts the
+    estimate, and the first such sample is the one reported.
     """
     if not (0 < delta_prime < np.inf and 0 < horizon < np.inf):
         raise UsageError("delta_prime and horizon must be finite and positive")
@@ -289,16 +296,6 @@ def estimate_sup_bounds(sys: ControlSystem, scheme: BracketScheme,
 
     inside = np.broadcast_to(sys.in_domain(xs), (n_samples,))
     n_inside = n_samples if inside.all() else int(np.argmin(inside))
-    gains = gain_matrices(sys, scheme, xs[:n_inside])
-    singular = np.flatnonzero(gains.singular)
-    if singular.size:
-        raise CertificationError(
-            f"gain matrix singular inside the tube at {xs[singular[0]]}; "
-            "certification impossible for this curve and radius")
-    if n_inside < n_samples:
-        raise CertificationError(
-            f"tube sample {xs[n_inside]} leaves the system domain; "
-            "shrink delta_prime or the horizon")
 
     # A constant field has a zero Jacobian, so its Lipschitz term and its
     # rows i of L_{f_j} f_i are exactly zero: only the state-dependent
@@ -318,26 +315,48 @@ def estimate_sup_bounds(sys: ControlSystem, scheme: BracketScheme,
         first[:, varying] = np.einsum("bikl,bjl->bijk", jacs, vals)
         return vals, jacs, first
 
-    vals, jacs, first = lie_table(xs)
-    m1 = np.max(np.linalg.norm(vals, axis=2))
-    lip = np.max(np.linalg.svd(jacs, compute_uv=False)[..., 0]) if varying else 0.0
-    m2 = np.max(np.linalg.norm(first, axis=3))
+    # Every block of in-domain samples gets its gain matrices, as when the
+    # whole prefix was evaluated at once: a non-finite state in a later
+    # block still raises DomainError ahead of an earlier singular sample.
+    # The sups are formed only while no sample has failed.
+    sups, singular = [], None
+    for lo in range(0, n_inside, _SUP_BLOCK_SAMPLES):
+        x = xs[lo:min(lo + _SUP_BLOCK_SAMPLES, n_inside)]
+        gains = gain_matrices(sys, scheme, x)
+        bad = gains.singular
+        if singular is None and bad.any():
+            singular = lo + int(np.argmax(bad))
+        if singular is not None or n_inside < n_samples:
+            continue
+        vals, jacs, first = lie_table(x)
+        # Directional derivative of x -> (L_{f_j2} f_j1)(x) along f_j3; a
+        # vanishing f_j3 gets a zero offset and so contributes nothing.
+        step = 1e-5 * np.maximum(1.0, _row_norms(x))
+        total = np.zeros(len(x))
+        for j3 in range(sys.m):
+            w = vals[:, j3]
+            wn = _row_norms(w)
+            scale = np.divide(step, wn, out=np.zeros(len(x)), where=wn != 0.0)
+            offset = scale[:, None] * w
+            gap = lie_table(x + offset)[2] - lie_table(x - offset)[2]
+            deriv = gap * (wn / (2.0 * step))[:, None, None, None]
+            total += np.sum(np.linalg.norm(deriv, axis=3), axis=(1, 2))
+        sups.append((
+            np.max(np.linalg.norm(vals, axis=2)), np.max(np.linalg.norm(first, axis=3)),
+            np.max(total / 6.0),
+            np.max(np.linalg.svd(jacs, compute_uv=False)[..., 0]) if varying else 0.0,
+            np.max(1.0 / gains.singular_values[:, -1])))
+    if singular is not None:
+        raise CertificationError(
+            f"gain matrix singular inside the tube at {xs[singular]}; "
+            "certification impossible for this curve and radius")
+    if n_inside < n_samples:
+        raise CertificationError(
+            f"tube sample {xs[n_inside]} leaves the system domain; "
+            "shrink delta_prime or the horizon")
 
-    # Directional derivative of x -> (L_{f_j2} f_j1)(x) along f_j3; a
-    # vanishing f_j3 gets a zero offset and so contributes nothing.
-    step = 1e-5 * np.maximum(1.0, _row_norms(xs))
-    total = np.zeros(n_samples)
-    for j3 in range(sys.m):
-        w = vals[:, j3]
-        wn = _row_norms(w)
-        scale = np.divide(step, wn, out=np.zeros(n_samples), where=wn != 0.0)
-        offset = scale[:, None] * w
-        gap = lie_table(xs + offset)[2] - lie_table(xs - offset)[2]
-        deriv = gap * (wn / (2.0 * step))[:, None, None, None]
-        total += np.sum(np.linalg.norm(deriv, axis=3), axis=(1, 2))
-    m3 = np.max(total / 6.0)
-    mu = np.max(1.0 / gains.singular_values[:, -1])
-
+    # np.max, not max(): a NaN in any block must reach the result.
+    m1, m2, m3, lip, mu = np.max(sups, axis=0)
     return SupBounds(M1=SUP_INFLATION * float(m1), M2=SUP_INFLATION * float(m2),
                      M3=SUP_INFLATION * float(m3), L=SUP_INFLATION * float(lip),
                      mu=SUP_INFLATION * float(mu))

@@ -77,16 +77,30 @@ class ReferenceCurve:
 # Points of the uniform grid on [0, horizon] that velocity_bound samples.
 VELOCITY_SAMPLES = 100_000
 
+# Grid points per block: the curve data of one block is held at a time.
+_GRID_BLOCK_POINTS = 4096
+
+
+def _grid_blocks(horizon: float):
+    """The ``VELOCITY_SAMPLES``-point uniform grid on [0, horizon], in
+    consecutive blocks of ``_GRID_BLOCK_POINTS`` points."""
+    ts = np.linspace(0.0, horizon, VELOCITY_SAMPLES)
+    return (ts[lo:lo + _GRID_BLOCK_POINTS]
+            for lo in range(0, VELOCITY_SAMPLES, _GRID_BLOCK_POINTS))
+
 
 def velocity_bound(deriv, horizon: float) -> float:
     """Sampled sup of the velocity norm over [0, horizon], inflated by 1%.
 
-    The sample is ``VELOCITY_SAMPLES`` evenly spaced times; the margin
-    covers what it can miss between grid points.
+    The sample is ``VELOCITY_SAMPLES`` evenly spaced times, evaluated in
+    blocks of ``_GRID_BLOCK_POINTS`` so that only one block of velocities
+    is held at a time; the sup is an exact maximum, so it does not depend
+    on the block size, and a NaN speed anywhere makes it NaN.  The margin
+    covers what the sample can miss between grid points.
     """
     _check_horizon(horizon)
-    ts = np.linspace(0.0, horizon, VELOCITY_SAMPLES)
-    speeds = np.linalg.norm(np.asarray(deriv(ts), dtype=float), axis=-1)
+    speeds = [np.max(np.linalg.norm(np.asarray(deriv(ts), dtype=float), axis=-1))
+              for ts in _grid_blocks(horizon)]
     return 1.01 * float(np.max(speeds))
 
 

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .curves import (CURVE_REGISTRY, VELOCITY_SAMPLES, ReferenceCurve, _stack_components,
+from .curves import (CURVE_REGISTRY, ReferenceCurve, _grid_blocks, _stack_components,
                      velocity_bound)
 from .errors import UsageError
 
@@ -136,7 +136,9 @@ def curve_from_expression(src: str, horizon: float = 40.0,
     """Build a ReferenceCurve from a component expression string.
 
     Values and speed must be finite on the velocity-bound grid over
-    [0, horizon], so a singular expression fails here, not mid-run.
+    [0, horizon], so a singular expression fails here, not mid-run.  Both
+    are checked one grid block at a time, so the check holds only one
+    block of curve values.
     """
     funcs = [compile_component(p) for p in split_components(src)]
     ev = _stack_components(funcs)
@@ -148,8 +150,9 @@ def curve_from_expression(src: str, horizon: float = 40.0,
 
     with np.errstate(all="ignore"):
         nu = velocity_bound(dv, horizon)
-        values = ev(np.linspace(0.0, horizon, VELOCITY_SAMPLES))
-    if not (np.isfinite(nu) and np.isfinite(values).all()):
+        finite = np.isfinite(nu) and all(np.isfinite(ev(ts)).all()
+                                         for ts in _grid_blocks(horizon))
+    if not finite:
         raise UsageError(f"curve expression {src!r} or its speed is not finite "
                          f"somewhere on [0, {horizon:g}]")
     return ReferenceCurve(len(funcs), ev, dv, nu, name=name or f"expr:{src}")

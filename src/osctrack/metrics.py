@@ -22,9 +22,13 @@ TUBE_EDGE_RTOL = 1e-9
 
 def tube_distance(traj: Trajectory, rho: float) -> np.ndarray:
     """Distance to the rho-tube around the reference: max(0, dist - rho)."""
+    return _above_tube(traj.dist, rho)
+
+
+def _above_tube(dist: np.ndarray, rho: float) -> np.ndarray:
     if rho < 0:
         raise UsageError(f"tube radius must be nonnegative, got {rho}")
-    return np.maximum(0.0, traj.dist - rho)
+    return np.maximum(0.0, dist - rho)
 
 
 def entry_time(traj: Trajectory, rho: float) -> float:
@@ -78,12 +82,13 @@ class StabilityReport:
 
 def stability_report(traj: Trajectory, rho: float) -> StabilityReport:
     t_enter = entry_time(traj, rho)
-    tube = tube_distance(traj, rho)
+    # The fit reads only the sampling instants, so only they are formed.
     idx = traj.sample_indices()
-    transient = idx[(traj.times[idx] < t_enter) & (tube[idx] > 0)]
+    times, tube = traj.times[idx], _above_tube(traj.dist[idx], rho)
+    transient = (times < t_enter) & (tube > 0)
     fitted_lambda = fitted_C = None
-    if transient.size >= 2:
-        ts = traj.times[transient]
+    if np.count_nonzero(transient) >= 2:
+        ts = times[transient]
         logs = np.log(tube[transient])
         slope, intercept = np.polyfit(ts, logs, 1)
         fitted_lambda = float(-slope)

@@ -7,6 +7,7 @@ rationalized forms and fixed-point iteration.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -43,6 +44,7 @@ from osctrack import (
     volterra_residual,
     volterra_scaling,
 )
+from osctrack import certify
 from osctrack.certify import SupBounds, _row_norms
 from osctrack.systems import gain_matrices
 from tests.test_systems import components, constant, unicycle_fields, zero_jacobian
@@ -545,6 +547,77 @@ def test_estimate_sup_bounds_reports_the_first_offending_sample():
                                 horizon=1.0, n_samples=20, seed=seed)
         assert str(xs[first]) in str(exc.value)
     assert len(kinds) == 2
+
+
+@pytest.mark.parametrize("n_samples", [1, 6, 7, 8, 50])
+@pytest.mark.parametrize("name, delta_prime", [
+    ("unicycle", 2.5), ("underwater", 0.5), ("car", 0.5)])
+def test_estimate_sup_bounds_blocks_equal_the_whole_batch(monkeypatch, name,
+                                                           delta_prime, n_samples):
+    """Blocks of 7 samples, around and across block edges, give the
+    whole-batch result to the last bit."""
+    monkeypatch.setattr(certify, "_SUP_BLOCK_SAMPLES", 7)
+    scenario = get_scenario(name)
+    curve = get_curve(scenario.default_curve, horizon=scenario.horizon)
+    kwargs = dict(delta_prime=delta_prime, horizon=scenario.horizon, seed=1001,
+                  n_samples=n_samples)
+    assert (estimate_sup_bounds(scenario.system, scenario.scheme, curve, **kwargs)
+            == all_fields_sup_bounds(scenario.system, scenario.scheme, curve, **kwargs))
+
+
+@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("check", [
+    test_estimate_sup_bounds_singular_gain,
+    test_estimate_sup_bounds_reports_the_first_offending_sample],
+    ids=["singular_gain", "first_offending_sample"])
+def test_estimate_sup_bounds_offending_sample_in_blocks(monkeypatch, block, check):
+    """With blocks of one sample, seeds 1 and 2 of the mixed system find
+    their first singular sample (index 2) past the first block."""
+    monkeypatch.setattr(certify, "_SUP_BLOCK_SAMPLES", block)
+    check()
+
+
+@pytest.mark.parametrize("block", [7, 10_000])
+def test_estimate_sup_bounds_nan_in_a_late_block(monkeypatch, block):
+    """A field that is NaN at one tube sample, in the seventh block of 7,
+    makes exactly the sups the whole-batch formula makes NaN: M1, M2 and
+    M3 (its offset along that field is NaN), not L or mu."""
+    monkeypatch.setattr(certify, "_SUP_BLOCK_SAMPLES", block)
+    curve = constant_curve(np.zeros(2))
+    kwargs = dict(delta_prime=0.5, horizon=1.0, n_samples=50, seed=4)
+    xs = tube_samples(2, curve, **kwargs)
+    target = xs[45]
+    assert np.sort(np.linalg.norm(xs - target, axis=1))[1] > 1e-3
+
+    def spike(x):
+        hit = np.linalg.norm(x - target, axis=-1) < 1e-3
+        return components(np.where(hit, np.nan, 0.0), 0.0)
+
+    fields = (VectorField(dim=2, eval=constant(1.0, 0.0), jacobian=zero_jacobian),
+              VectorField(dim=2, eval=constant(0.0, 1.0), jacobian=zero_jacobian),
+              VectorField(dim=2, eval=spike, jacobian=zero_jacobian))
+    sys_nan = ControlSystem(n=2, m=3, fields=fields)
+    scheme = BracketScheme(m=3, s1=(1, 2))
+    with np.errstate(invalid="ignore"):
+        got = estimate_sup_bounds(sys_nan, scheme, curve, **kwargs)
+        want = all_fields_sup_bounds(sys_nan, scheme, curve, **kwargs)
+    assert list(np.isnan(want)) == [True, True, True, False, False]
+    np.testing.assert_array_equal(got, want)
+
+
+def test_estimate_sup_bounds_memory_does_not_grow_with_samples():
+    """The underwater estimate at 20,000 samples peaks below 16 MB under
+    tracemalloc; evaluated whole, its Lie tables alone took about 150 MB."""
+    scenario = get_scenario("underwater")
+    curve = get_curve(scenario.default_curve, horizon=scenario.horizon)
+    tracemalloc.start()
+    try:
+        estimate_sup_bounds(scenario.system, scenario.scheme, curve, delta_prime=0.5,
+                            horizon=scenario.horizon, n_samples=20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_volterra_residual_zero_at_reference(unicycle):

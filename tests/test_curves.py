@@ -82,6 +82,41 @@ def test_velocity_bound_unit_speed():
         velocity_bound(dv, 0.0)
 
 
+SWEEP_CURVE = "5*sin(t/4), 5*sin(t/4)*cos(t/4), 0, 0"
+
+
+def whole_grid_bound(deriv, horizon):
+    """velocity_bound with the whole grid evaluated at once."""
+    ts = np.linspace(0.0, horizon, 100_000)
+    return 1.01 * float(np.max(np.linalg.norm(deriv(ts), axis=-1)))
+
+
+@pytest.mark.parametrize("block", [4096, 997])
+@pytest.mark.parametrize("name, horizon", [
+    *((name, 40.0) for name in CURVE_REGISTRY), ("expr:" + SWEEP_CURVE, 6.0)])
+def test_velocity_bound_in_blocks_equals_the_whole_grid(monkeypatch, name, horizon,
+                                                        block):
+    monkeypatch.setattr(curves, "_GRID_BLOCK_POINTS", block)
+    curve = get_curve(name, horizon=horizon)
+    want = whole_grid_bound(curve.deriv, horizon)
+    assert velocity_bound(curve.deriv, horizon) == want
+    assert curve.nu == want
+
+
+@pytest.mark.parametrize("block", [4096, 997])
+def test_velocity_bound_nan_in_a_late_block(monkeypatch, block):
+    """A NaN speed past t = 20 makes the bound NaN, as on the whole grid;
+    Python's max() over the block maxima would drop it."""
+    monkeypatch.setattr(curves, "_GRID_BLOCK_POINTS", block)
+
+    def dv(t):
+        speed = np.where(t > 20.0, np.nan, 1.0)
+        return np.stack([speed * np.cos(t), speed * np.sin(t)], axis=-1)
+
+    assert np.isnan(whole_grid_bound(dv, 40.0))
+    assert np.isnan(velocity_bound(dv, 40.0))
+
+
 def test_constant_curve():
     curve = constant_curve(np.array([1.0, 2.0]))
     assert curve.nu == 0.0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from osctrack import curves
 from osctrack import (
     UsageError,
     compile_component,
@@ -95,3 +96,16 @@ def test_empty_component_rejected():
 def test_singular_expression_rejected_when_built(src):
     with pytest.raises(UsageError, match="finite"):
         curve_from_expression(src, horizon=10.0)
+
+
+@pytest.mark.parametrize("block", [4096, 997])
+def test_non_finite_last_grid_point_rejected(monkeypatch, block):
+    """1/(t-6) on [0, 6] is finite at every grid point but the last, and
+    its finite-difference speed is finite there too: the value check of
+    the last block alone rejects it."""
+    monkeypatch.setattr(curves, "_GRID_BLOCK_POINTS", block)
+    with np.errstate(divide="ignore"):
+        values = 1.0 / (np.linspace(0.0, 6.0, 100_000) - 6.0)
+    assert np.flatnonzero(~np.isfinite(values)).tolist() == [99_999]
+    with pytest.raises(UsageError, match="finite"):
+        curve_from_expression("1/(t-6)", horizon=6.0)

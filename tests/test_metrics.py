@@ -4,16 +4,22 @@ import numpy as np
 import pytest
 
 from osctrack import (
+    ControllerParams,
     GapReport,
+    SamplerGrid,
     Trajectory,
     UsageError,
     admissible_vs_nonadmissible_gap,
     entry_time,
+    get_curve,
+    get_scenario,
+    simulate,
     stability_report,
     steady_amplitude,
     tail_error,
     tube_distance,
 )
+from osctrack.metrics import StabilityReport
 
 
 def synthetic_trajectory(times, dist, substeps=1):
@@ -165,3 +171,26 @@ def test_gap_report_rejects_mismatched_grids():
     c = synthetic_trajectory(np.linspace(0.0, 8.1, 9), np.zeros(9))
     with pytest.raises(UsageError):
         admissible_vs_nonadmissible_gap(a, c)
+
+
+def whole_row_report(traj, rho):
+    """stability_report with the tube distance formed over every row."""
+    t_enter = entry_time(traj, rho)
+    tube = tube_distance(traj, rho)
+    idx = traj.sample_indices()
+    transient = idx[(traj.times[idx] < t_enter) & (tube[idx] > 0)]
+    slope, intercept = np.polyfit(traj.times[transient], np.log(tube[transient]), 1)
+    return StabilityReport(rho=rho, entry_time=t_enter,
+                           steady_amplitude=steady_amplitude(traj),
+                           fitted_lambda=float(-slope), fitted_C=float(np.exp(intercept)))
+
+
+@pytest.mark.parametrize("rho", [0.05, 0.3])
+def test_stability_report_equals_the_whole_row_formula(rho):
+    scenario = get_scenario("unicycle")
+    curve = get_curve("gamma1", horizon=4.0)
+    traj = simulate(scenario.system, scenario.scheme, ControllerParams(15.0, 0.1), curve,
+                    curve(0.0) + [1.5, -1.0, 0.5], SamplerGrid(0.1, 4.0))
+    rep = stability_report(traj, rho)
+    assert rep.fitted_lambda is not None
+    assert rep == whole_row_report(traj, rho)

@@ -5,15 +5,16 @@
 Each tree is a checkout with the package under ``src/``.  Every command in
 ``COMMANDS`` runs once per tree, each in a fresh interpreter with only that
 tree's ``src`` on the path and the same output directory on both sides
-(``run_metadata.json`` records that directory).  Compared per command:
-every output file, byte for byte (by sha256); stdout, with the output
-directory stripped; stderr, with the output directory and the tree's root
-stripped (a RuntimeWarning prints its file path); and the exit code.  A probe, also
-run fresh per tree, prints the ``repr`` of ``contraction_check`` and
-``volterra_scaling`` reports, of ``estimate_sup_bounds`` results and of
-each registry curve's ``nu``, and for batched ``simulate`` runs whose
-members stop, each member's failure and a sha256 of the arrays; these are
-compared line by line.  Last, a table gives each command's and each
+(``run_metadata.json`` records that directory; ``list-curves`` takes
+none).  Compared per command: every output file, byte for byte (by
+sha256); stdout, with the output directory stripped; stderr, with the
+output directory and the tree's root stripped (a RuntimeWarning prints
+its file path); and the exit code.  A probe, also run fresh per tree,
+prints the ``repr`` of ``contraction_check`` and ``volterra_scaling``
+reports, of ``estimate_sup_bounds`` results and of each registry curve's
+``nu``, and for batched ``simulate`` runs whose members stop, each
+member's failure and a sha256 of the arrays; these are compared line by
+line.  Last, a table gives each command's and each
 probe's peak resident memory (``ru_maxrss`` of its process) on both trees,
 for information only: it never counts as a difference.
 
@@ -55,6 +56,12 @@ COMMANDS = [
      "--bound-samples", "2000"],
     ["certify", "--scenario", "underwater", "--empirical", "--bound-samples", "500",
      "--delta-prime", "0.5", "--delta", "0.4", "--rho-prime", "0.2", "--rho", "0.3"],
+    # Three blocks of tube samples.
+    ["certify", "--scenario", "underwater", "--empirical", "--bound-samples", "3000",
+     "--delta-prime", "0.5", "--delta", "0.4", "--rho-prime", "0.2", "--rho", "0.3"],
+    # A tube sample leaves the steering chart: exit 3 naming the first one.
+    ["certify", "--scenario", "car", "--empirical"],
+    ["list-curves"],
     ["certify", "--scenario", "unicycle", "--m1", "1", "--m2", "1",
      "--m3", "0.1666666666666667", "--lipschitz", "1", "--mu", "1"],
     # The sweep of the benchmark's sweep_car workload, at two fixed gains.
@@ -207,8 +214,8 @@ def main(argv: list[str] | None = None) -> int:
         out = Path(tmp) / "out"
         for cmd in COMMANDS:
             label = " ".join(cmd)
-            parent, change = (run(tree, MAIN, [*cmd, "--output-dir", str(out)], out)
-                              for tree in trees)
+            argv = cmd if cmd == ["list-curves"] else [*cmd, "--output-dir", str(out)]
+            parent, change = (run(tree, MAIN, argv, out) for tree in trees)
             found = differences(parent, change)
             peaks.append((label, parent["peak rss mb"], change["peak rss mb"]))
             failed += bool(found)
