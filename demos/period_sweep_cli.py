@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Drive the command-line interface from a script: a period sweep.
 
-The sweep subcommand runs a Cartesian grid of (gain, period) cells in
-parallel worker processes and writes one summary row per cell.  Gains
-below the curve-velocity threshold nu/rho get flagged; shrinking the
-period shrinks the steady tube.
+The sweep subcommand runs a Cartesian grid of (gain, period) cells and
+writes one summary row per cell.  The gains of each period run as one
+batch, and the batches are shared between this process and a pool of
+worker processes.  Gains below the curve-velocity threshold nu/rho get
+flagged; shrinking the period shrinks the steady tube.
 """
 
 import tempfile

@@ -42,6 +42,14 @@ SUP_INFLATION = 1.1
 _SUP_BLOCK_SAMPLES = 1024
 
 
+def _one_gain(alpha):
+    """``alpha``, refused with UsageError when it is a gain array: the
+    certificate and its checks are stated for one gain."""
+    if np.ndim(alpha):
+        raise UsageError(f"certification takes one gain alpha, got {np.size(alpha)}")
+    return alpha
+
+
 @dataclass(frozen=True)
 class CertificateInputs:
     """Geometry and sup bounds feeding the threshold formulas.
@@ -132,9 +140,10 @@ def control_magnitude_constants(scheme: BracketScheme, params: ControllerParams,
     C1 ||x - gamma|| + (C2 / sqrt(eps)) sqrt(||x - gamma||)."""
     if mu <= 0:
         raise UsageError(f"mu must be positive, got {mu}")
-    c1 = params.alpha * mu * np.sqrt(len(scheme.s1))
+    alpha = _one_gain(params.alpha)
+    c1 = alpha * mu * np.sqrt(len(scheme.s1))
     kappa_sum = sum(k ** (2.0 / 3.0) for k in scheme.kappa)
-    c2 = 4.0 * np.sqrt(np.pi * mu * params.alpha) * kappa_sum ** 0.75
+    c2 = 4.0 * np.sqrt(np.pi * mu * alpha) * kappa_sum ** 0.75
     return float(c1), float(c2)
 
 
@@ -181,7 +190,7 @@ def bound_constants(sys: ControlSystem, scheme: BracketScheme,
             "certification needs at least one directly actuated direction")
     if scheme.m != sys.m:
         raise UsageError(f"scheme is for m={scheme.m}, system has m={sys.m}")
-    alpha = params.alpha
+    alpha = _one_gain(params.alpha)
     if inputs.nu / alpha >= inputs.rho_prime:
         raise UsageError(
             f"need nu/alpha < rho_prime, got {inputs.nu / alpha:.6g} >= "
@@ -382,6 +391,7 @@ def volterra_residual(traj: Trajectory, alpha: float, *,
     sampling period of the trajectory, which must contain at least one
     full sampling interval.
     """
+    _one_gain(alpha)
     if traj.times.size <= traj.substeps:
         raise UsageError("trajectory does not contain a full sampling interval")
     x0, gamma0, eps = traj.states[0], traj.reference[0], traj.epsilon
@@ -495,6 +505,7 @@ def contraction_check(sys: ControlSystem, scheme: BracketScheme,
     outside the system domain makes ``simulate`` refuse the whole batch
     with ``DomainError``.
     """
+    _one_gain(params.alpha)
     if not 0 < rho_prime < delta:
         raise UsageError("need 0 < rho_prime < delta")
     if n_draws < 1:

@@ -46,7 +46,13 @@ from .errors import (
     UnsupportedSchemeError,
     UsageError,
 )
-from .integrator import SamplerGrid, Trajectory, classic_solution_simulate, simulate
+from .integrator import (
+    SamplerGrid,
+    Trajectory,
+    classic_solution_simulate,
+    default_substeps,
+    simulate,
+)
 from .metrics import stability_report
 from .scenarios import SCENARIO_REGISTRY, Scenario, get_scenario
 
@@ -215,6 +221,10 @@ def output_directory(config: RunConfig) -> Path:
 # Rows formatted and written at a time by ``write_trajectory_csv``.
 _CSV_BLOCK_ROWS = 1024
 
+# Member-rows (record rows times members) of one batched sweep run: about
+# the 360,001 rows of a default car run, some 35 MB of record.
+_BATCH_ROWS = 360_000
+
 
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
     """Write a single start's trace, full or partial, with 17 significant
@@ -345,32 +355,68 @@ def cmd_certify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sweep_row(config: RunConfig) -> dict:
-    """Worker for one sweep cell: the sweep's config at the cell's alpha and epsilon."""
+def _row(config: RunConfig, curve: ReferenceCurve | None,
+         outcome: Trajectory | OscTrackError) -> dict:
+    """The summary row of one sweep cell: its run's report, or its error."""
     row = {"alpha": config.alpha, "epsilon": config.epsilon, "status": "ok",
            "steady_amplitude": None, "entry_time": None, "fitted_lambda": None,
            "flag": None}
+    if isinstance(outcome, OscTrackError):
+        row["status"] = f"error: {outcome}"
+        return row
+    rep = stability_report(outcome, config.rho)
+    row["steady_amplitude"] = rep.steady_amplitude
+    row["entry_time"] = rep.entry_time if math.isfinite(rep.entry_time) else None
+    row["fitted_lambda"] = rep.fitted_lambda
+    if config.alpha <= curve.nu / config.rho:
+        row["flag"] = "alpha<=nu/rho"
+    return row
+
+
+def _sweep_row(config: RunConfig) -> dict:
+    """Worker for one sweep cell: the sweep's config at the cell's alpha and epsilon."""
     try:
         scenario, curve, params, x0, grid = resolve_run(config, _SWEEP_BUILDS)
         integrate = simulate if config.semantics == "sampled" else classic_solution_simulate
         traj = integrate(scenario.system, scenario.scheme, params, curve, x0, grid)
-        rep = stability_report(traj, config.rho)
-        row["steady_amplitude"] = rep.steady_amplitude
-        row["entry_time"] = rep.entry_time if math.isfinite(rep.entry_time) else None
-        row["fitted_lambda"] = rep.fitted_lambda
-        if config.alpha <= curve.nu / config.rho:
-            row["flag"] = "alpha<=nu/rho"
+        return _row(config, curve, traj)
     except OscTrackError as exc:
-        row["status"] = f"error: {exc}"
-    return row
+        return _row(config, None, exc)
+
+
+def _sweep_batch(cells: list[RunConfig]) -> list[dict]:
+    """The rows of cells that differ only in their gain, from one batched
+    ``simulate`` with a member per gain; a single cell is run alone.  Each
+    row equals the cell's ``_sweep_row``: member b is the run of its gain
+    alone to the last bit, and a member that stops keeps the error it
+    raises alone."""
+    if len(cells) == 1:
+        return [_sweep_row(cells[0])]
+    scenario, curve, params, x0, grid = resolve_run(cells[0], _SWEEP_BUILDS)
+    gains = replace(params, alpha=[cell.alpha for cell in cells])
+    try:
+        traj = simulate(scenario.system, scenario.scheme, gains, curve,
+                        np.tile(x0, (len(cells), 1)), grid)
+    except OscTrackError as exc:  # bad input, refused for every member alike
+        return [_row(cell, curve, exc) for cell in cells]
+    return [_row(cell, curve, traj.failures[b] if b in traj.failures else
+                 replace(traj, states=traj.states[:, b], controls=traj.controls[:, b],
+                         dist=traj.dist[:, b], failures={}))
+            for b, cell in enumerate(cells)]
+
+
+def _sweep_bin(batches: list[list[RunConfig]]) -> list[list[dict]]:
+    """Worker for one bin of a sweep: the rows of each of its batches."""
+    return [_sweep_batch(cells) for cells in batches]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = build_run_config(args)
     _SWEEP_BUILDS.clear()
-    # Rejects a bad scenario, curve or x0 before any worker starts, and
+    # Rejects a bad scenario, curve or x0 before any run starts, and
     # computes the curve's nu here once instead of in every worker.
-    resolve_run(config, _SWEEP_BUILDS)[1].nu
+    scenario, curve, *_ = resolve_run(config, _SWEEP_BUILDS)
+    curve.nu
     out_dir = output_directory(config)
     alphas = _parse_floats(args.alphas, "alphas") if args.alphas else ()
     epsilons = _parse_floats(args.epsilons, "epsilons") if args.epsilons else ()
@@ -381,26 +427,56 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError(f"--jobs must be a positive integer, got {args.jobs}")
     tasks = [replace(config, alpha=a, epsilon=e)
              for a, e in itertools.product(alphas, epsilons)]
-    # A bad gain or period fails before any worker starts.
+    # A bad gain or period fails before any run starts.
     grids = [resolve_run(task, _SWEEP_BUILDS)[4] for task in tasks]
-    # Every cell shares the scheme, substeps and horizon, so its cost goes
-    # with its number of sampling intervals.  Longest first (Graham's LPT
-    # list scheduling) keeps the longest cell from running alone at the end;
-    # the sort is stable, so ties keep grid order.
-    order = sorted(range(len(tasks)), key=lambda c: -grids[c].n_intervals)
-    jobs = args.jobs or min(len(tasks), os.cpu_count() or 1)
+    jobs = args.jobs or os.cpu_count() or 1
+    # The cells of one period form a column, run as batches of at most
+    # _BATCH_ROWS member-rows; under classic semantics each cell runs alone.
+    # With fewer columns than processes, each column is cut into
+    # ceil(jobs / columns) batches, so that no process is left without
+    # work: a batch of k gains costs more than one start (about 1.4 times
+    # for k = 2 or 3 on the car), while k starts in k processes cost one.
+    columns: dict = {}
+    for c, task in enumerate(tasks):
+        columns.setdefault(task.epsilon if config.semantics == "sampled" else c,
+                           []).append(c)
+    parts = -(-jobs // len(columns))
+    batches = []
+    for cells in columns.values():
+        grid = grids[cells[0]]
+        length = grid.n_intervals * (grid.substeps or default_substeps(scenario.scheme)) + 1
+        size = max(1, min(_BATCH_ROWS // length, -(-len(cells) // parts)))
+        batches += [cells[i:i + size] for i in range(0, len(cells), size)]
+    # Every batch shares the scheme and horizon, so its cost goes with its
+    # number of sampling intervals.  Longest first, each into the least
+    # loaded bin (Graham's LPT list scheduling), keeps the longest batch
+    # from running alone at the end; ties keep grid order.
+    def cost(cells):
+        return grids[cells[0]].n_intervals
+
+    bins = [[] for _ in range(min(jobs, len(batches)))]
+    for cells in sorted(batches, key=lambda cells: -cost(cells)):
+        min(bins, key=lambda b: sum(map(cost, b))).append(cells)
+    # This process runs bin 0 while the pool's workers run the others.
+    work = [[[tasks[c] for c in cells] for cells in b] for b in bins]
+    if len(bins) == 1:
+        done = [_sweep_bin(work[0])]
+    else:
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=len(bins) - 1) as pool:
+            futures = [pool.submit(_sweep_bin, w) for w in work[1:]]
+            done = [_sweep_bin(work[0])] + [f.result() for f in futures]
     rows = [None] * len(tasks)
-    with sys.modules[__name__].ProcessPoolExecutor(max_workers=jobs) as pool:
-        for c, row in zip(order, pool.map(_sweep_row, [tasks[c] for c in order])):
+    for cells, batch_rows in zip(itertools.chain(*bins), itertools.chain(*done)):
+        for c, row in zip(cells, batch_rows):
             rows[c] = row
 
     path = out_dir / "sweep_summary.csv"
-    columns = ["alpha", "epsilon", "status", "steady_amplitude",
-               "entry_time", "fitted_lambda", "flag"]
+    names = ["alpha", "epsilon", "status", "steady_amplitude",
+             "entry_time", "fitted_lambda", "flag"]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
+        fh.write(",".join(names) + "\n")
         for row in rows:
-            fh.write(",".join(_sweep_cell(row[c]) for c in columns) + "\n")
+            fh.write(",".join(_sweep_cell(row[c]) for c in names) + "\n")
     n_failed = sum(1 for row in rows if row["status"] != "ok")
     print(f"wrote {path} ({len(rows)} rows, {n_failed} failed)")
     return EXIT_OK
@@ -512,7 +588,8 @@ def build_parser() -> _Parser:
     _add_simulation(p_sweep)
     p_sweep.add_argument("--alphas", help="comma-separated gain list")
     p_sweep.add_argument("--epsilons", help="comma-separated sampling-period list")
-    p_sweep.add_argument("--jobs", type=int, help="worker processes")
+    p_sweep.add_argument("--jobs", type=int,
+                         help="processes, this one included (default: one per CPU)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     sub.add_parser("list-scenarios").set_defaults(func=cmd_list_scenarios)

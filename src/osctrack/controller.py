@@ -21,16 +21,29 @@ from .systems import BracketScheme, ControlSystem, build_gain_matrix
 
 @dataclass(frozen=True)
 class ControllerParams:
-    """Feedback gain alpha and sampling period epsilon, both finite and positive."""
+    """Feedback gain alpha and sampling period epsilon, both finite and positive.
+    ``alpha`` may also be a 1-D array of gains, one per start of a sampled
+    batch; two params are equal when their gains are, element by element."""
 
-    alpha: float
+    alpha: float | np.ndarray
     epsilon: float
 
     def __post_init__(self):
-        if not 0 < self.alpha < np.inf:
-            raise UsageError(f"alpha must be finite and positive, got {self.alpha}")
+        object.__setattr__(self, "alpha", _gain(self.alpha))
         if not 0 < self.epsilon < np.inf:
             raise UsageError(f"epsilon must be finite and positive, got {self.epsilon}")
+
+    def _key(self) -> tuple:
+        alpha = tuple(self.alpha.tolist()) if np.ndim(self.alpha) else self.alpha
+        return np.ndim(self.alpha), alpha, self.epsilon
+
+    def __eq__(self, other):
+        if not isinstance(other, ControllerParams):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -69,18 +82,21 @@ class CoefficientVector:
 def coefficients(sys: ControlSystem, scheme: BracketScheme,
                  params: ControllerParams, x: np.ndarray,
                  gamma: np.ndarray) -> CoefficientVector:
-    """Solve F(x) a = -alpha (x - gamma) for the direction coefficients.
-
-    ``x`` holds one state (n,) or a batch (..., n); ``gamma`` has the
-    shape of ``x`` or is one reference point (n,) shared by the batch.
-    """
+    """Solve F(x) a = -alpha (x - gamma) for the direction coefficients:
+    ``x`` is one state (n,) or a batch (..., n), ``gamma`` has its shape or
+    is one point (n,), and a gain array (B,) takes states (B, n), one gain
+    each (negation is exact, so each row has the bits of its scalar gain)."""
     x = np.asarray(x, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape not in (x.shape, x.shape[-1:]):
         raise DimensionMismatchError(
             f"state and reference shapes differ: {x.shape} vs {gamma.shape}")
+    alpha = np.asarray(params.alpha)
+    if alpha.shape not in ((), x.shape[:-1]):
+        raise DimensionMismatchError(
+            f"{alpha.size} gains need a batch of {alpha.size} states, got shape {x.shape}")
     gain = build_gain_matrix(sys, scheme, x)
-    rhs = -params.alpha * (x - gamma)
+    rhs = -alpha[..., None] * (x - gamma)
     return CoefficientVector(np.linalg.solve(gain, rhs[..., None])[..., 0], scheme)
 
 
@@ -133,3 +149,21 @@ def make_control_function(scheme: BracketScheme, params: ControllerParams,
         return u
 
     return control
+
+
+def _gain(alpha):
+    """``alpha`` when it is one finite positive gain, or a read-only float
+    copy when it is a nonempty 1-D array of them: only a sampled
+    ``simulate`` of a batch of as many starts takes an array, while the
+    classic semantics and the certificate functions need one gain.  Any
+    other value is refused with ``UsageError``."""
+    if not np.ndim(alpha):
+        if not 0 < alpha < np.inf:
+            raise UsageError(f"alpha must be finite and positive, got {alpha}")
+        return alpha
+    gains = np.array(alpha, dtype=float)
+    gains.flags.writeable = False
+    if gains.ndim != 1 or not gains.size or not np.all((0 < gains) & (gains < np.inf)):
+        raise UsageError("alpha must be one gain or a 1-D array of finite positive "
+                         f"gains, got {gains}")
+    return gains

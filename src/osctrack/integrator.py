@@ -15,7 +15,7 @@ on a fixed grid of ``substeps`` nodes per sampling interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -240,12 +240,14 @@ def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerPara
         controls[kept:, running] = np.nan
 
     def go_on(keep):
-        """Carry on with the live members marked in ``keep``."""
-        nonlocal x, live, table, made, u_func
+        """Carry on with the live members marked in ``keep``, and their gains."""
+        nonlocal x, live, table, made, u_func, params
         if not np.any(keep):
             raise _Stopped
         if not np.all(keep):
             x, live = x[keep], members[live][keep]
+            if np.ndim(params.alpha):
+                params = replace(params, alpha=params.alpha[keep])
             if table is not None:
                 table, made = table[:, :, :, keep], made[:, :, :, keep]
                 u_func = lambda t, f=u_func: f(t)[..., keep, :]
@@ -364,10 +366,14 @@ def simulate(sys: ControlSystem, scheme: BracketScheme, params: ControllerParams
     with the partial trace, if the run stops early.  ``x0`` of shape
     (B, n) runs B starts as one batch, with one gain-matrix build, solve
     and Runge-Kutta step per interval or step for all of them; member b
-    equals the run of ``x0[b]`` alone, to the last bit.  A member that
-    stops early is masked and its error kept in ``failures``; the batch
-    raises only for bad input.  ``on_coefficients`` takes a single
-    start only: a batch refuses it with ``UsageError``.
+    equals the run of ``x0[b]`` alone, to the last bit.  A batch may
+    carry one gain per member, ``params.alpha`` of shape (B,); member b
+    then equals the run of ``x0[b]`` alone at gain ``alpha[b]``.  A
+    member that stops early is masked and its error kept in
+    ``failures``; the others go on with their own gains, and the batch
+    raises only for bad input.  A gain array with a single start, or
+    with a length other than B, is refused with ``UsageError``, as is
+    ``on_coefficients`` with a batch.
     """
     return _integrate(sys, scheme, params, curve, x0, grid,
                       freeze=True, on_coefficients=on_coefficients)
@@ -381,6 +387,6 @@ def classic_solution_simulate(sys: ControlSystem, scheme: BracketScheme,
     Every Runge-Kutta stage re-solves the coefficient system at the
     stage's own state and time, so the result converges to the
     classical solution of the instantaneous-feedback ODE as the grid is
-    refined.  It takes a single start x0 (n,).
+    refined.  It takes a single start x0 (n,) and a single gain.
     """
     return _integrate(sys, scheme, params, curve, x0, grid, freeze=False)

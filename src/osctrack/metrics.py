@@ -19,6 +19,9 @@ from .integrator import Trajectory
 # so states that graze the boundary do not flip the verdict.
 TUBE_EDGE_RTOL = 1e-9
 
+# Rows of the record that ``entry_time`` compares with the tube at a time.
+_BLOCK_ROWS = 4096
+
 
 def tube_distance(traj: Trajectory, rho: float) -> np.ndarray:
     """Distance to the rho-tube around the reference: max(0, dist - rho)."""
@@ -35,15 +38,18 @@ def entry_time(traj: Trajectory, rho: float) -> float:
     """First time after which the trajectory never leaves the rho-tube.
 
     Returns 0.0 when it never leaves the tube at all, and inf when it is
-    still outside at the end of the record.
+    still outside at the end of the record.  The record is searched from
+    its end, ``_BLOCK_ROWS`` rows at a time.
     """
-    outside = traj.dist > rho * (1.0 + TUBE_EDGE_RTOL)
-    if not np.any(outside):
-        return 0.0
-    last_out = int(np.max(np.nonzero(outside)[0]))
-    if last_out == traj.dist.size - 1:
-        return np.inf
-    return float(traj.times[last_out + 1])
+    threshold = rho * (1.0 + TUBE_EDGE_RTOL)
+    rows = traj.dist.size
+    for stop in range(rows, 0, -_BLOCK_ROWS):
+        start = max(0, stop - _BLOCK_ROWS)
+        outside = np.flatnonzero(traj.dist[start:stop] > threshold)
+        if outside.size:
+            last_out = start + int(outside[-1])
+            return np.inf if last_out == rows - 1 else float(traj.times[last_out + 1])
+    return 0.0
 
 
 def steady_amplitude(traj: Trajectory) -> float:
@@ -53,10 +59,10 @@ def steady_amplitude(traj: Trajectory) -> float:
 
 def tail_error(traj: Trajectory, t_start: float) -> float:
     """Largest raw distance over times >= t_start."""
-    mask = traj.times >= t_start
-    if not np.any(mask):
+    first = int(np.searchsorted(traj.times, t_start))
+    if first == traj.times.size:
         raise UsageError(f"no recorded times at or after {t_start}")
-    return float(np.max(traj.dist[mask]))
+    return float(np.max(traj.dist[first:]))
 
 
 @dataclass(frozen=True)

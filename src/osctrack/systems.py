@@ -40,7 +40,8 @@ def finite_difference_jacobian(func: Callable[[np.ndarray], np.ndarray],
     ``func`` maps (..., n) to (..., p) and the result has shape
     (..., p, n).  The default step scales with the magnitude of each
     state so that the approximation stays balanced between truncation
-    and round-off.
+    and round-off.  ``func`` is called twice per column, on states of the
+    shape of ``x``, so a function of one state (n,) may be given one state.
     """
     x = np.asarray(x, dtype=float)
     if step is None:
@@ -51,6 +52,20 @@ def finite_difference_jacobian(func: Callable[[np.ndarray], np.ndarray],
         cols.append((np.asarray(func(x + h * e), dtype=float)
                      - np.asarray(func(x - h * e), dtype=float)) / (2.0 * h))
     return np.stack(cols, axis=-1)
+
+
+def _two_call_jacobian(func: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+                       step: float) -> np.ndarray:
+    """``finite_difference_jacobian(func, x, step)``, to the last bit, for a
+    ``func`` that takes states of any batch shape: the 2n shifted states go
+    to it in two calls, as states (..., n, n) whose row k is x +- h e_k."""
+    x = np.asarray(x, dtype=float)
+    h = np.broadcast_to(step, x.shape[:-1])[..., None, None]
+    shift = h * np.eye(x.shape[-1])
+    x = x[..., None, :]
+    diff = (np.asarray(func(x + shift), dtype=float)
+            - np.asarray(func(x - shift), dtype=float)) / (2.0 * h)
+    return np.swapaxes(diff, -1, -2)
 
 
 @dataclass(frozen=True)
@@ -70,8 +85,9 @@ class VectorField:
         ``value`` at every state.
     jacobian : callable, optional
         Maps states (..., n) to the Jacobian matrices (..., n, n).  When
-        omitted a central finite-difference fallback is installed, or
-        zeros for a constant field.
+        omitted a central finite-difference fallback is installed, which
+        passes the 2n shifted states to ``eval`` in two calls, or zeros
+        for a constant field.
     name : str
         Label used in error messages.
     value : array_like, optional
@@ -113,7 +129,7 @@ class VectorField:
             func = self.eval
             object.__setattr__(
                 self, "jacobian",
-                lambda x, _f=func: finite_difference_jacobian(_f, x, step=1e-5),
+                lambda x, _f=func: _two_call_jacobian(_f, x, 1e-5),
             )
 
     def __call__(self, x: np.ndarray) -> np.ndarray:

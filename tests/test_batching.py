@@ -5,7 +5,7 @@ draw random batches and compare the batched calls with the stacked
 single-state calls (exactly) and with a per-state central-difference
 oracle that uses no library Jacobian.  A batched ``simulate`` is
 compared with one run per start, to the last bit, including members
-that stop early.
+that stop early and members that each carry their own gain.
 """
 
 from dataclasses import replace
@@ -19,6 +19,7 @@ from hypothesis.extra.numpy import arrays
 from osctrack import (
     SCENARIO_REGISTRY,
     BracketScheme,
+    CertificateInputs,
     ControllerParams,
     ControlSystem,
     DimensionMismatchError,
@@ -27,10 +28,14 @@ from osctrack import (
     SimulationError,
     UsageError,
     VectorField,
+    bound_constants,
+    bracket_field,
     build_gain_matrix,
     check_rank_condition,
     classic_solution_simulate,
+    coefficients,
     constant_curve,
+    contraction_check,
     curve_gamma1,
     finite_difference_jacobian,
     get_curve,
@@ -420,3 +425,125 @@ def test_batch_input_checks():
         simulate(*args, outside, grid)
     with pytest.raises(UsageError, match="finite"):
         simulate(*args, np.where(outside == 1.6, np.nan, outside), grid)
+
+
+# ---------------------------------------------------------------------------
+# One gain per member.
+
+# Per scenario: gains around the default, each one tracking on its own.
+MEMBER_GAINS = {"unicycle": (15.0, 3.7, 8.8, 22.5), "underwater": (15.0, 4.0, 9.5),
+                "car": (10.0, 3.2, 6.1, 9.9)}
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_gain_array_members_equal_single_runs_at_their_own_gain(name):
+    scenario = get_scenario(name)
+    horizon = BATCH_HORIZONS[name]
+    eps = scenario.default_params.epsilon
+    gains = MEMBER_GAINS[name]
+    curve = get_curve(scenario.default_curve, horizon=horizon)
+    grid = SamplerGrid(eps, horizon)
+    rng = np.random.default_rng(11)
+    x0 = scenario.default_x0 + 0.3 * rng.uniform(-1.0, 1.0, (len(gains), scenario.system.n))
+    batch = simulate(scenario.system, scenario.scheme,
+                     ControllerParams(alpha=np.array(gains), epsilon=eps), curve, x0, grid)
+    assert batch.failures == {}
+    for b, alpha in enumerate(gains):
+        alone = run_alone(scenario.system, scenario.scheme,
+                          ControllerParams(alpha=alpha, epsilon=eps), curve, x0[b], grid)
+        assert not isinstance(alone, SimulationError)
+        assert_same_run(batch, b, alone)
+
+
+def test_gain_array_survivors_keep_their_own_gains():
+    """The car from its default start at eps=0.5 and H=2 leaves its steering
+    chart at alpha=9.9 (t=0.6), 3 (t=1.04) and 2 (t=1.64); alpha=1 reaches
+    the horizon.  Each stop shrinks the batch, and the members after it go
+    on with their own gains."""
+    scenario = get_scenario("car")
+    gains = (3.0, 9.9, 1.0, 2.0)
+    curve = get_curve(scenario.default_curve, horizon=2.0)
+    grid = SamplerGrid(0.5, 2.0)
+    x0 = np.tile(scenario.default_x0, (len(gains), 1))
+    batch = simulate(scenario.system, scenario.scheme,
+                     ControllerParams(alpha=gains, epsilon=0.5), curve, x0, grid)
+    assert sorted(batch.failures) == [0, 1, 3]
+    times = [batch.failures[b].time for b in (1, 0, 3)]
+    assert times == sorted(times) and len(set(times)) == 3
+    for b, alpha in enumerate(gains):
+        alone = run_alone(scenario.system, scenario.scheme,
+                          ControllerParams(alpha=alpha, epsilon=0.5), curve, x0[b], grid)
+        if b == 2:
+            assert_same_run(batch, b, alone)
+        else:
+            assert alone.reason == "domain-exit"
+            assert_same_failure(batch.failures[b], alone)
+
+
+def test_gain_array_refusals():
+    """A gain array needs a batch of as many starts, under sampled semantics;
+    it must be 1-D with finite positive gains; the certificate functions
+    take one gain."""
+    scenario = get_scenario("car")
+    curve = get_curve(scenario.default_curve, horizon=0.1)
+    grid = SamplerGrid(0.02, 0.1)
+    args = (scenario.system, scenario.scheme)
+    x0 = np.tile(scenario.default_x0, (3, 1))
+    gains = ControllerParams(alpha=[10.0, 5.0, 7.0], epsilon=0.02)
+    with pytest.raises(UsageError, match="3 gains need a batch"):
+        simulate(*args, gains, curve, scenario.default_x0, grid)
+    with pytest.raises(UsageError, match="3 gains need a batch"):
+        simulate(*args, gains, curve, x0[:2], grid)
+    with pytest.raises(UsageError, match="3 gains need a batch"):
+        classic_solution_simulate(*args, gains, curve, scenario.default_x0, grid)
+    with pytest.raises(DimensionMismatchError, match="3 gains"):
+        coefficients(*args, gains, x0[:2], curve.eval(0.0))
+    for bad in ([[10.0, 5.0]], [10.0, np.nan], [10.0, 0.0], [-1.0, 5.0],
+                [10.0, np.inf], []):
+        with pytest.raises(UsageError, match="alpha"):
+            ControllerParams(alpha=bad, epsilon=0.02)
+    assert not gains.alpha.flags.writeable
+
+    unicycle = get_scenario("unicycle")
+    gains = ControllerParams(alpha=[15.0, 16.0], epsilon=0.01)
+    inputs = CertificateInputs(r=3.0, rho=0.5, rho_prime=0.25, delta=2.0,
+                               delta_prime=2.5, mu=1.0, nu=1.0, M1=1.0, M2=1.0,
+                               M3=1.0, L=1.0, lam=1.0)
+    with pytest.raises(UsageError, match="one gain"):
+        bound_constants(unicycle.system, unicycle.scheme, gains, inputs)
+    with pytest.raises(UsageError, match="one gain"):
+        contraction_check(unicycle.system, unicycle.scheme, gains, curve_gamma1(),
+                          lam=1.0, nu=1.0, rho_prime=0.25, delta=2.0, n_draws=2)
+
+
+def test_gain_array_params_compare_and_hash_by_value():
+    """Params with gain arrays are equal when their gains are, element by
+    element, and hash alike then; an array of one gain is not that gain."""
+    params = ControllerParams(alpha=[10.0, 5.0], epsilon=0.1)
+    same = ControllerParams(alpha=np.array([10, 5]), epsilon=0.1)
+    assert params == same and hash(params) == hash(same)
+    assert len({params, same}) == 1
+    assert params != ControllerParams(alpha=[10.0, 6.0], epsilon=0.1)
+    assert params != ControllerParams(alpha=[10.0, 5.0], epsilon=0.2)
+    assert params != ControllerParams(alpha=[10.0], epsilon=0.1)
+    assert ControllerParams(alpha=[10.0], epsilon=0.1) != ControllerParams(10.0, 0.1)
+    assert ControllerParams(10, 0.1) == ControllerParams(10.0, 0.1)
+    assert hash(ControllerParams(10, 0.1)) == hash(ControllerParams(10.0, 0.1))
+    assert params != (10.0, 5.0)
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_fallback_jacobian_in_two_calls_equals_the_per_column_form(name):
+    """A field without a Jacobian, here each scenario's first bracket
+    [f1, f2] (the field a nested bracket differentiates), gets central
+    differences that pass the 2n shifted states to its eval in two calls.
+    They equal finite_difference_jacobian, which calls it twice per
+    column, on 500 states alone and as one batch."""
+    scenario = get_scenario(name)
+    f, g = scenario.system.fields[:2]
+    inner = bracket_field(f, g)
+    rng = np.random.default_rng(5)
+    xs = rng.uniform(-3.0, 3.0, (500, scenario.system.n)) * SCALES[name]
+    want = finite_difference_jacobian(inner.eval, xs, step=1e-5)
+    assert np.array_equal(inner.jacobian(xs), want)
+    assert np.array_equal(stacked(inner.jacobian, xs), want)

@@ -338,6 +338,65 @@ class TestCertify:
         assert cert["certificate"]["eps_hat"] > 0
 
 
+def serial_pool(monkeypatch, cli, on_start=None):
+    """Put a pool in place of ProcessPoolExecutor that runs each submitted
+    call at once, in this process.  Returns the lists it fills: per pool
+    started, its max_workers (or ``on_start()`` when given), and per
+    submitted bin, its batches as (alpha, epsilon) lists."""
+    from concurrent.futures import Future
+
+    pools, submitted = [], []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(on_start() if on_start else max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def submit(self, fn, work):
+            submitted.append([[(c.alpha, c.epsilon) for c in cells] for cells in work])
+            future = Future()
+            future.set_result(fn(work))
+            return future
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    return pools, submitted
+
+
+def record_batches(monkeypatch, cli, batches):
+    """Append each batch _sweep_bin runs to ``batches``, as (alpha, epsilon) pairs."""
+    run = cli._sweep_batch
+
+    def recorded(cells):
+        batches.append([(c.alpha, c.epsilon) for c in cells])
+        return run(cells)
+
+    monkeypatch.setattr(cli, "_sweep_batch", recorded)
+
+
+def assert_rows_equal_serial_calls(tmp_path, alphas, epsilons, **config):
+    """sweep_summary.csv lists the grid in order, each row equal to a
+    _sweep_row call made with a fresh scenario and curve."""
+    from osctrack import cli
+
+    base = cli.RunConfig(scenario="unicycle", horizon=0.5, **config)
+    columns = ["alpha", "epsilon", "status", "steady_amplitude",
+               "entry_time", "fitted_lambda", "flag"]
+    lines = []
+    for a in alphas:
+        for e in epsilons:
+            cli._SWEEP_BUILDS.clear()
+            row = cli._sweep_row(replace(base, alpha=a, epsilon=e))
+            assert row["status"] == "ok"
+            lines.append(",".join(cli._sweep_cell(row[c]) for c in columns))
+    cli._SWEEP_BUILDS.clear()
+    assert (tmp_path / "sweep_summary.csv").read_text().splitlines()[1:] == lines
+
+
 class TestSweep:
     def test_grid_order_and_metrics(self, tmp_path):
         code = run_cli(tmp_path, "sweep", "--scenario", "unicycle",
@@ -395,52 +454,127 @@ class TestSweep:
         assert all(row["status"] == "ok" for row in fresh)
         cli._SWEEP_BUILDS.clear()
 
-    def test_cells_start_longest_first_and_rows_keep_grid_order(
+    def test_batches_fill_bins_longest_first_and_rows_keep_grid_order(
             self, tmp_path, monkeypatch):
-        """Cells reach the pool in decreasing number of sampling intervals
-        ceil(H / eps), ties in grid order; the CSV lists them in grid order,
-        each row equal to a serial _sweep_row call."""
+        """The gains of one period form a batch.  Batches go longest first
+        (ceil(H / eps) intervals, ties in grid order) into the least loaded
+        of --jobs bins; this process runs bin 0 and a pool of --jobs - 1
+        workers the others.  The CSV lists the cells in grid order, each row
+        equal to a serial _sweep_row call."""
         from osctrack import cli
 
-        seen = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, tasks):
-                tasks = list(tasks)
-                seen.extend((t.alpha, t.epsilon) for t in tasks)
-                return map(fn, tasks)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-        # ceil(0.5 / eps) = 2, 10 and 2: 0.3 and 0.25 tie and keep grid order.
+        pools, submitted = serial_pool(monkeypatch, cli)
+        batches = []
+        record_batches(monkeypatch, cli, batches)
+        # ceil(0.5 / eps) = 2, 10 and 2 intervals: bin 0 takes eps=0.05;
+        # 0.3 and 0.25 tie, keep grid order, and share bin 1.
         code = run_cli(tmp_path, "sweep", "--scenario", "unicycle",
                        "--alphas", "1,15", "--epsilons", "0.3,0.05,0.25",
-                       "--horizon", "0.5")
+                       "--horizon", "0.5", "--jobs", "2")
         assert code == 0
-        assert seen == [(1.0, 0.05), (15.0, 0.05), (1.0, 0.3), (1.0, 0.25),
-                        (15.0, 0.3), (15.0, 0.25)]
+        assert pools == [1]
+        assert submitted == [[[(1.0, 0.3), (15.0, 0.3)], [(1.0, 0.25), (15.0, 0.25)]]]
+        assert batches[-1] == [(1.0, 0.05), (15.0, 0.05)]  # run here, after the pool's
+        assert_rows_equal_serial_calls(tmp_path, (1.0, 15.0), (0.3, 0.05, 0.25))
 
-        config = cli.RunConfig(scenario="unicycle", horizon=0.5,
-                               output_dir=str(tmp_path))
-        columns = ["alpha", "epsilon", "status", "steady_amplitude",
-                   "entry_time", "fitted_lambda", "flag"]
-        lines = []
-        for a in (1.0, 15.0):
-            for e in (0.3, 0.05, 0.25):
-                cli._SWEEP_BUILDS.clear()
-                row = cli._sweep_row(replace(config, alpha=a, epsilon=e))
-                lines.append(",".join(cli._sweep_cell(row[c]) for c in columns))
+    def test_jobs_1_starts_no_pool_and_caps_the_batch(self, tmp_path, monkeypatch):
+        """--jobs 1 runs every batch in this process.  A column whose record
+        rows times gains exceed _BATCH_ROWS is split; under classic
+        semantics each cell runs alone."""
+        from osctrack import cli
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        batches = []
+        record_batches(monkeypatch, cli, batches)
+        # 1,201 rows at eps=0.05 and 241 at eps=0.3: two and ten gains a batch.
+        monkeypatch.setattr(cli, "_BATCH_ROWS", 2500)
+        code = run_cli(tmp_path, "sweep", "--scenario", "unicycle",
+                       "--alphas", "1,15,7", "--epsilons", "0.3,0.05",
+                       "--horizon", "0.5", "--jobs", "1")
+        assert code == 0
+        assert batches == [[(1.0, 0.05), (15.0, 0.05)], [(7.0, 0.05)],
+                           [(1.0, 0.3), (15.0, 0.3), (7.0, 0.3)]]
+        assert_rows_equal_serial_calls(tmp_path, (1.0, 15.0, 7.0), (0.3, 0.05))
+
+        batches.clear()
+        code = run_cli(tmp_path, "sweep", "--scenario", "unicycle",
+                       "--alphas", "1,15", "--epsilons", "0.25", "--horizon", "0.5",
+                       "--jobs", "1", "--semantics", "classic", "--substeps", "40")
+        assert code == 0
+        assert batches == [[(1.0, 0.25)], [(15.0, 0.25)]]
+        assert_rows_equal_serial_calls(tmp_path, (1.0, 15.0), (0.25,),
+                                       semantics="classic", substeps=40)
+
+    def test_fewer_columns_than_jobs_cut_each_column(self, tmp_path, monkeypatch):
+        """With fewer columns than processes, each column is cut into
+        ceil(jobs / columns) batches, so every process gets work: four gains
+        of one period at --jobs 4 run one cell a process, and three gains of
+        two periods at --jobs 3 make batches of two gains and of one."""
+        from osctrack import cli
+
+        pools, submitted = serial_pool(monkeypatch, cli)
+        batches = []
+        record_batches(monkeypatch, cli, batches)
+        code = run_cli(tmp_path, "sweep", "--scenario", "unicycle",
+                       "--alphas", "1,15,7,3", "--epsilons", "0.1", "--horizon", "0.5",
+                       "--jobs", "4")
+        assert code == 0
+        assert pools == [3]
+        assert submitted == [[[(15.0, 0.1)]], [[(7.0, 0.1)]], [[(3.0, 0.1)]]]
+        assert batches[-1] == [(1.0, 0.1)]
+        assert_rows_equal_serial_calls(tmp_path, (1.0, 15.0, 7.0, 3.0), (0.1,))
+
+        pools.clear()
+        submitted.clear()
+        batches.clear()
+        # 10 intervals at eps=0.05, 5 at eps=0.1: bin 0 takes the first
+        # eps=0.05 batch, bin 1 the second, bin 2 both eps=0.1 batches.
+        code = run_cli(tmp_path, "sweep", "--scenario", "unicycle",
+                       "--alphas", "1,15,7", "--epsilons", "0.1,0.05", "--horizon", "0.5",
+                       "--jobs", "3")
+        assert code == 0
+        assert pools == [2]
+        assert submitted == [[[(7.0, 0.05)]], [[(1.0, 0.1), (15.0, 0.1)], [(7.0, 0.1)]]]
+        assert batches[-1] == [(1.0, 0.05), (15.0, 0.05)]
+        assert_rows_equal_serial_calls(tmp_path, (1.0, 15.0, 7.0), (0.1, 0.05))
+
+    def test_an_extra_key_in_a_row_leaves_the_csv_unchanged(self, tmp_path, monkeypatch):
+        """The CSV picks its columns by name, so a key that a wrapper adds
+        to a row dict (a tracer timing a worker, say) writes the same bytes."""
+        from osctrack import cli
+
+        argv = ("sweep", "--scenario", "unicycle", "--alphas", "1,15",
+                "--epsilons", "0.1,0.05", "--horizon", "0.5", "--jobs", "1")
+        assert run_cli(tmp_path / "plain", *argv) == 0
+        row = cli._row
+
+        def with_extra_key(*args):
+            return {**row(*args), "_extra": (1, 0.5)}
+
+        monkeypatch.setattr(cli, "_row", with_extra_key)
+        assert run_cli(tmp_path / "extra", *argv) == 0
         cli._SWEEP_BUILDS.clear()
-        written = (tmp_path / "sweep_summary.csv").read_text().splitlines()
-        assert written[1:] == lines
+        assert ((tmp_path / "extra" / "sweep_summary.csv").read_bytes()
+                == (tmp_path / "plain" / "sweep_summary.csv").read_bytes())
+
+    def test_a_batch_refused_whole_gives_each_cell_its_own_error(self, tmp_path):
+        """A start outside the steering chart makes simulate refuse the
+        column's batch; each row still holds the error of its cell alone."""
+        from osctrack import cli
+
+        code = run_cli(tmp_path, "sweep", "--scenario", "car", "--x0", "0,0,1.6,0",
+                       "--alphas", "1,2", "--epsilons", "0.1", "--horizon", "0.2",
+                       "--jobs", "1")
+        assert code == 0
+        config = cli.RunConfig(scenario="car", x0=(0.0, 0.0, 1.6, 0.0), horizon=0.2)
+        rows = [cli._sweep_row(replace(config, alpha=a, epsilon=0.1)) for a in (1.0, 2.0)]
+        cli._SWEEP_BUILDS.clear()
+        assert all("outside the system domain" in row["status"] for row in rows)
+        lines = (tmp_path / "sweep_summary.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[2] for line in lines] == [row["status"] for row in rows]
 
     def test_nu_computed_once_before_the_pool_starts(self, tmp_path, monkeypatch):
         """The registry curve's nu is computed in the parent, so forked
@@ -448,33 +582,20 @@ class TestSweep:
         from osctrack import cli, curves
 
         calls = []
-        at_start = []
         original = curves.velocity_bound
 
         def counted(deriv, horizon):
             calls.append(horizon)
             return original(deriv, horizon)
 
-        class SerialPool:
-            def __init__(self, max_workers):
-                at_start.append(len(calls))
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
         monkeypatch.setattr(curves, "velocity_bound", counted)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        pools, _ = serial_pool(monkeypatch, cli, on_start=lambda: len(calls))
         code = run_cli(tmp_path, "sweep", "--scenario", "unicycle",
-                       "--alphas", "1,15", "--epsilons", "0.25", "--horizon", "0.5")
+                       "--alphas", "1,15", "--epsilons", "0.25,0.1", "--horizon", "0.5",
+                       "--jobs", "2")
         cli._SWEEP_BUILDS.clear()
         assert code == 0
-        assert at_start == [1]
+        assert pools == [1]  # nu had been computed once when the pool started
         assert calls == [0.5]
         assert ",alpha<=nu/rho" in (tmp_path / "sweep_summary.csv").read_text()
 

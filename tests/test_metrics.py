@@ -19,7 +19,7 @@ from osctrack import (
     tail_error,
     tube_distance,
 )
-from osctrack.metrics import StabilityReport
+from osctrack.metrics import TUBE_EDGE_RTOL, StabilityReport
 
 
 def synthetic_trajectory(times, dist, substeps=1):
@@ -194,3 +194,65 @@ def test_stability_report_equals_the_whole_row_formula(rho):
     rep = stability_report(traj, rho)
     assert rep.fitted_lambda is not None
     assert rep == whole_row_report(traj, rho)
+
+
+def mask_entry_time(traj, rho):
+    """entry_time as one mask over every row of the record."""
+    outside = traj.dist > rho * (1.0 + TUBE_EDGE_RTOL)
+    if not np.any(outside):
+        return 0.0
+    last_out = int(np.max(np.nonzero(outside)[0]))
+    if last_out == traj.dist.size - 1:
+        return np.inf
+    return float(traj.times[last_out + 1])
+
+
+def mask_tail_error(traj, t_start):
+    """tail_error as a mask over the times and a copy of the rows it keeps."""
+    return float(np.max(traj.dist[traj.times >= t_start]))
+
+
+def built_traces():
+    """Records of 1 to 10,001 rows around the 4,096-row block: some enter
+    the tube, some never leave it, some end outside; some hold NaN."""
+    rng = np.random.default_rng(3)
+    for rows in (1, 2, 7, 4095, 4096, 4097, 8193, 10001):
+        times = np.linspace(0.0, 10.0, rows)
+        decay = 2.0 * np.exp(-times) + 0.3 * rng.uniform(size=rows)
+        for dist in (decay, decay + 0.5, 0.2 * decay):
+            yield synthetic_trajectory(times, dist)
+            with_nan = dist.copy()
+            with_nan[rng.integers(rows, size=max(1, rows // 100))] = np.nan
+            yield synthetic_trajectory(times, with_nan)
+            last_out = dist.copy()
+            last_out[-1] = 3.0
+            yield synthetic_trajectory(times, last_out)
+
+
+def test_entry_time_and_tail_error_equal_the_mask_formulas():
+    for traj in built_traces():
+        for rho in (0.3, 0.5, 1.0):
+            assert entry_time(traj, rho) == mask_entry_time(traj, rho)
+        for t_start in (0.0, traj.times[-1] / 3, 0.75 * traj.times[-1], traj.times[-1]):
+            got, want = tail_error(traj, t_start), mask_tail_error(traj, t_start)
+            assert got == want or (np.isnan(got) and np.isnan(want))
+
+
+def test_entry_time_and_tail_error_form_no_rows_sized_arrays():
+    """On 200,001 rows the mask formulas peak above 200 kB (a bool per row,
+    and a quarter of the distances copied); the block search and the slice
+    stay under 50 kB."""
+    import tracemalloc
+
+    times = np.linspace(0.0, 100.0, 200_001)
+    traj = synthetic_trajectory(times, 2.0 * np.exp(-times / 10.0))
+    tracemalloc.start()
+    try:
+        for measure in (lambda: entry_time(traj, 0.5),
+                        lambda: steady_amplitude(traj)):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            measure()
+            assert tracemalloc.get_traced_memory()[1] - base < 50_000
+    finally:
+        tracemalloc.stop()

@@ -8,8 +8,9 @@ tree's ``src`` on the path and the same output directory on both sides
 (``run_metadata.json`` records that directory; ``list-curves`` takes
 none).  Compared per command: every output file, byte for byte (by
 sha256); stdout, with the output directory stripped; stderr, with the
-output directory and the tree's root stripped (a RuntimeWarning prints
-its file path); and the exit code.  A probe, also run fresh per tree,
+output directory and the tree's root stripped and each warning's line
+number and source line dropped (a RuntimeWarning prints where it was
+raised, which moves with any edit to that file); and the exit code.  A probe, also run fresh per tree,
 prints the ``repr`` of ``contraction_check`` and ``volterra_scaling``
 reports, of ``estimate_sup_bounds`` results and of each registry curve's
 ``nu``, and for batched ``simulate`` runs whose members stop, each
@@ -26,11 +27,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+# "file:line: SomeWarning: message" and the indented source line after it.
+WARNING_AT = re.compile(r"^(.*):\d+: (\w*Warning: .*)\n  .*$", re.MULTILINE)
 
 SWEEP_CURVE = "5*sin(t/4), 5*sin(t/4)*cos(t/4), 0, 0"
 
@@ -73,6 +78,18 @@ COMMANDS = [
      "--semantics", "classic"],
     # Overflows to a non-finite state: exit 2, with RuntimeWarnings on stderr.
     ["run", "--scenario", "unicycle", "--alpha", "1e160", "--horizon", "4"],
+    # Four gains a column, every eps=0.5 member leaving the chart at its own
+    # time: all in this process, then over three bins.
+    ["sweep", "--scenario", "car", "--curve", SWEEP_CURVE, "--epsilons", "0.5,0.1,0.05",
+     "--alphas", "3.2,4.4,6.1,9.9", "--jobs", "1", "--horizon", "6", "--rho", "0.5"],
+    ["sweep", "--scenario", "car", "--curve", SWEEP_CURVE, "--epsilons", "0.5,0.1,0.05",
+     "--alphas", "3.2,4.4,6.1,9.9", "--jobs", "3", "--horizon", "6", "--rho", "0.5"],
+    # One column and two processes: the column is cut into a cell a process.
+    ["sweep", "--scenario", "car", "--curve", SWEEP_CURVE, "--epsilons", "0.05",
+     "--alphas", "3.7,8.8", "--jobs", "2", "--horizon", "6", "--rho", "0.5"],
+    # Classic semantics: cell by cell.
+    ["sweep", "--scenario", "unicycle", "--epsilons", "0.1,0.05", "--alphas", "1,15",
+     "--jobs", "2", "--horizon", "1", "--semantics", "classic", "--substeps", "40"],
 ]
 
 MAIN = "import sys; from osctrack.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -184,7 +201,8 @@ def run(tree: Path, code: str, args: list[str], out: Path) -> dict:
              for p in sorted(out.rglob("*")) if p.is_file()}
     return {"exit code": proc.returncode,
             "stdout": printed.replace(str(out), "<out>"),
-            "stderr": errors.replace(str(out), "<out>").replace(str(tree), "<root>"),
+            "stderr": WARNING_AT.sub(r"\1: \2", errors.replace(str(out), "<out>")
+                                     .replace(str(tree), "<root>")),
             "files": files,
             "peak rss mb": usage.ru_maxrss / 1024}  # ru_maxrss is in KiB on Linux
 
