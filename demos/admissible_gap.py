@@ -26,7 +26,7 @@ def run(curve_name):
     scenario = get_scenario("unicycle")
     curve = get_curve(curve_name, horizon=HORIZON)
     params = ControllerParams(alpha=ALPHA, epsilon=EPSILON)
-    grid = SamplerGrid(epsilon=EPSILON, horizon=HORIZON, substeps=200)
+    grid = SamplerGrid(epsilon=EPSILON, horizon=HORIZON)
     return simulate(scenario.system, scenario.scheme, params, curve,
                     scenario.default_x0, grid)
 

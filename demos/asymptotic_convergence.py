@@ -24,7 +24,7 @@ def main():
     curve = get_curve("gamma2", horizon=40.0)
     params = ControllerParams(alpha=15.0, epsilon=0.1)
     traj = simulate(scenario.system, scenario.scheme, params, curve,
-                    scenario.default_x0, SamplerGrid(0.1, 40.0, substeps=200))
+                    scenario.default_x0, SamplerGrid(0.1, 40.0))
 
     print("unicycle vs gamma2 (vanishing reference velocity)")
     for t_mark in (5.0, 10.0, 20.0, 30.0, 40.0):

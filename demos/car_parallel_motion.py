@@ -40,7 +40,7 @@ def attempt(epsilon, horizon):
     scenario = get_scenario("car")
     curve = get_curve("gamma4_car", horizon=horizon)
     params = ControllerParams(alpha=ALPHA, epsilon=epsilon)
-    grid = SamplerGrid(epsilon, horizon, substeps=200)
+    grid = SamplerGrid(epsilon, horizon)
     print(f"\nepsilon = {epsilon:g}:")
     try:
         traj = simulate(scenario.system, scenario.scheme, params, curve,

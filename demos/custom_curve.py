@@ -21,7 +21,7 @@ def main():
     print(f"sampled velocity bound nu = {curve.nu:.3f}")
     params = ControllerParams(alpha=15.0, epsilon=0.05)
     traj = simulate(scenario.system, scenario.scheme, params, curve,
-                    scenario.default_x0, SamplerGrid(0.05, 30.0, substeps=200))
+                    scenario.default_x0, SamplerGrid(0.05, 30.0))
     tail = traj.dist[traj.times >= 20.0]
     print(f"steady distance to the figure-eight: "
           f"min {tail.min():.4f}, max {tail.max():.4f}")

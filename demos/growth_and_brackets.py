@@ -53,7 +53,7 @@ def main():
     curve = get_curve("gamma1", horizon=10.0)
     traj = simulate(scenario.system, scenario.scheme,
                     ControllerParams(15.0, 0.1), curve,
-                    scenario.default_x0, SamplerGrid(0.1, 10.0, substeps=200))
+                    scenario.default_x0, SamplerGrid(0.1, 10.0))
     rep = lemma1_growth_check(traj, M1=1.0, L=1.0)
     print(f"growth bound over {rep.interval_margins.size} intervals: "
           f"ok = {rep.ok}, tightest margin = {rep.min_margin:.2e}")

@@ -5,7 +5,7 @@ The sampled loop reads the state once per interval and plays a
 precomputed oscillation; the continuous baseline re-evaluates the
 feedback at every substep.  Their gap is the price of sampling, and it
 shrinks as the period does.  Horizon is kept short because the
-continuous baseline is fixed-step RK4 that re-solves the coefficient
+continuous baseline is the same fixed-step Runge-Kutta loop re-solving the coefficient
 system at every stage, and is far slower than the sampled loop.
 """
 
@@ -31,7 +31,7 @@ def main():
           f"{'evals continuous':>17}")
     for eps in (0.1, 0.05, 0.025):
         params = ControllerParams(alpha=15.0, epsilon=eps)
-        grid = SamplerGrid(eps, HORIZON, substeps=200)
+        grid = SamplerGrid(eps, HORIZON)
         frozen = simulate(scenario.system, scenario.scheme, params, curve,
                           scenario.default_x0, grid)
         continuous = classic_solution_simulate(

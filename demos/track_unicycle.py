@@ -40,7 +40,7 @@ def main():
     scenario = get_scenario("unicycle")
     curve = get_curve("gamma1", horizon=HORIZON)
     params = ControllerParams(alpha=ALPHA, epsilon=EPSILON)
-    grid = SamplerGrid(epsilon=EPSILON, horizon=HORIZON, substeps=200)
+    grid = SamplerGrid(epsilon=EPSILON, horizon=HORIZON)
 
     print(f"unicycle vs gamma1, alpha={ALPHA:g}, epsilon={EPSILON:g}")
     print(f"start {scenario.default_x0}, reference start {curve.eval(0.0)}")

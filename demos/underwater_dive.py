@@ -32,7 +32,7 @@ def main():
     scenario = get_scenario("underwater")
     curve = get_curve("gamma4_underwater", horizon=40.0)
     params = scenario.default_params
-    grid = SamplerGrid(params.epsilon, 40.0, substeps=200)
+    grid = SamplerGrid(params.epsilon, 40.0)
 
     print(f"underwater vehicle, alpha={params.alpha:g}, "
           f"epsilon={params.epsilon:g}")

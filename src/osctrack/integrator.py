@@ -9,12 +9,18 @@ until the next sampling instant.
 
 The classical semantics instead lets the coefficients depend on the
 current state at every instant, which is the textbook closed-loop ODE.
-Both are integrated with the classical fourth-order Runge-Kutta scheme
-on a fixed grid of ``substeps`` nodes per sampling interval.
+Both take ``substeps`` steps per sampling interval of one explicit
+Runge-Kutta step over a Butcher tableau held as data: Butcher's
+seven-stage method of order 6 (Hairer, Norsett & Wanner, *Solving
+Ordinary Differential Equations I*, section II.5).  Its stages also give
+a continuous extension of order 4 (section II.6) at no extra field
+evaluation, from which the distance to the reference is recorded at
+``DENSE_POINTS`` inside every step as well as at the nodes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -35,26 +41,77 @@ from .errors import (
 )
 from .systems import BracketScheme, ControlSystem, gain_matrices
 
-# Integration nodes per sampling interval must resolve the fastest
-# oscillation with at least this many nodes per period.
-MIN_NODES_PER_PERIOD = 40
+# Butcher's seven-stage method of order 6: nodes c, coefficients A
+# (strictly lower triangular, so the method is explicit) and weights b.
+_C = np.array([0.0, 1 / 3, 2 / 3, 1 / 3, 1 / 2, 1 / 2, 1.0])
+_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 3, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [0.0, 2 / 3, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 12, 1 / 3, -1 / 12, 0.0, 0.0, 0.0, 0.0],
+    [-1 / 16, 9 / 8, -3 / 16, -3 / 8, 0.0, 0.0, 0.0],
+    [0.0, 9 / 8, -3 / 8, -3 / 4, 1 / 2, 0.0, 0.0],
+    [9 / 44, -9 / 11, 63 / 44, 18 / 11, 0.0, -16 / 11, 0.0],
+])
+_B = np.array([11 / 120, 0.0, 27 / 40, 27 / 40, -4 / 15, -4 / 15, 11 / 120])
+# Dense weights b_i(theta) = sum_k _B_DENSE[i, k] theta^(k+1), with b(1) = b:
+# they satisfy the eight order conditions of order 4 for every theta.
+# The solutions form a three-parameter family; this one gives stages 5
+# and 6, which share the node 1/2, equal weights.
+_B_DENSE = np.array([
+    [1.0, -27 / 10, 8 / 3, -7 / 8],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, -27 / 10, 9.0, -45 / 8],
+    [0.0, 81 / 20, -9 / 2, 9 / 8],
+    [0.0, 2 / 5, -8 / 3, 2.0],
+    [0.0, 2 / 5, -8 / 3, 2.0],
+    [0.0, 11 / 20, -11 / 6, 11 / 8],
+])
+# The distinct nodes (0, 1/3, 1/2, 2/3, 1), at which the control is
+# tabulated, and the one each stage reads.
+_NODES, _STAGE_NODE = np.unique(_C, return_inverse=True)
+_STAGE_NODE = tuple(_STAGE_NODE.tolist())
+
+# Fractions of a step at which the distance to the reference is also
+# recorded, inside every step.
+DENSE_POINTS = (0.2, 0.4, 0.6, 0.8)
+# b_i(theta) at those fractions, shape (points, stages).
+_W_DENSE = (np.array(DENSE_POINTS)[:, None] ** np.arange(1, 5)) @ _B_DENSE.T
+# The weights of the sums a step forms, one row each: the states stages
+# 1, 2, ... read, the new state, and the states at DENSE_POINTS.
+_SUMS = np.vstack((_A[1:], _B, _W_DENSE))
 
 # Rows of the record whose distance to the reference is formed at a time.
 _DIST_BLOCK_ROWS = 4096
 
 
 def default_substeps(scheme: BracketScheme) -> int:
-    """Substeps per sampling interval when none are given:
-    ``max(120, MIN_NODES_PER_PERIOD * scheme.max_frequency)``.
+    """Substeps per sampling interval when none are given, and the least
+    a grid accepts: ``24 * ceil(sqrt(scheme.max_frequency))``.
 
-    That is 120 for the unicycle, the underwater vehicle and the car.
-    Doubling it moves the endpoint by at most 4.9e-8 relative over 50
-    benchmark unicycle starts (gamma1, alpha=15, epsilon=0.1, H=10), by at
-    most 1.6e-8 on car sweep cells and by 2.2e-9 on the underwater
-    vehicle's defaults (H=5); criterion 9 allows 1e-6.  At the 40-node
-    floor alone the worst unicycle start moves 3.9e-6.
+    That is 24 for the unicycle (fastest harmonic 1) and 48 for the
+    underwater vehicle (2) and the car (3).  The floors were measured
+    per scenario; criterion 9 allows an endpoint shift of 1e-6 when the
+    substeps double, and the tests hold the default grid to 1e-7:
+
+    - unicycle: doubling moves the endpoint by at most 7.1e-9 relative
+      over 50 benchmark starts (gamma1, alpha=15, epsilon=0.1, H=10), and
+      by 9.2e-8 from 16 substeps.
+    - underwater vehicle: at 36 and 40 substeps a start 0.3 off its
+      default leaves the domain in the first interval, where its pitch
+      comes within 0.022 of pi/2; 42 is the least that holds it.  On the
+      default start's first interval, whose pitch peaks 0.053 below
+      pi/2, the nodes are 6e-3 off an adaptive solution; that error
+      contracts, and doubling moves the H=5 endpoint by 9.4e-11.
+    - car: doubling moves the endpoints of the benchmark's sweep cells
+      (alpha 3 to 10, epsilon 0.1 and 0.05, H=6) by at most 2.7e-9, by
+      1.5e-8 from 36 substeps and by 1.6e-7 from 24.
+
+    A rule linear in the harmonic would give the car 72 steps, 1.5 times
+    the stage evaluations of 48 for no gate it fails at 48.  No scenario
+    measures a floor beyond harmonic 3.
     """
-    return max(120, MIN_NODES_PER_PERIOD * scheme.max_frequency)
+    return 24 * math.ceil(math.sqrt(scheme.max_frequency))
 
 
 @dataclass(frozen=True)
@@ -62,12 +119,11 @@ class SamplerGrid:
     """Sampling period, horizon, and integration resolution.
 
     ``epsilon`` and ``horizon`` must be finite and positive.
-    ``substeps``, an integer, is the number of integration nodes per
-    sampling interval, at least ``MIN_NODES_PER_PERIOD`` per period of
-    the scheme's fastest harmonic.  None picks ``default_substeps(scheme)``:
-    ``max(120, MIN_NODES_PER_PERIOD * max_frequency)``, at which doubling
-    the substeps moves the endpoint of the built-in scenarios by at most
-    4.9e-8 relative (criterion 9 allows 1e-6).
+    ``substeps``, an integer, is the number of Runge-Kutta steps per
+    sampling interval, at least ``default_substeps(scheme)``; None picks
+    that least count, at which doubling the substeps moves the endpoint
+    of the built-in scenarios' runs by at most 7.1e-9 relative
+    (criterion 9 allows 1e-6).
     """
 
     epsilon: float
@@ -89,8 +145,8 @@ class SamplerGrid:
             raise UsageError(
                 f"grid epsilon {self.epsilon} does not match controller epsilon "
                 f"{params.epsilon}")
-        substeps = self.substeps if self.substeps is not None else default_substeps(scheme)
-        needed = MIN_NODES_PER_PERIOD * scheme.max_frequency
+        needed = default_substeps(scheme)
+        substeps = needed if self.substeps is None else self.substeps
         if substeps < needed:
             raise UsageError(
                 f"{substeps} substeps cannot resolve oscillations up to harmonic "
@@ -105,23 +161,27 @@ class SamplerGrid:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded closed-loop run on the integration grid.
+    """Recorded closed-loop run: one row per integration node.
 
     ``controls[i]`` holds the control in effect at ``times[i]``; at
     sampling instants that is the incoming interval's value (the record
     is right-continuous), except for the very last row, which keeps the
     final interval's control.  ``dist`` is the raw distance to the
-    reference, row by row.  In the partial trace of a failed run the last
-    row holds the state reached and NaN for any control never computed.
+    reference, row by row.  ``dense_dist[i, p]`` is that distance inside
+    step i, at ``times[i] + dense_points[p] * epsilon / substeps``, read
+    from the step's continuous extension; a run records it at
+    ``DENSE_POINTS``, and the tracking metrics read it with ``dist``.  In
+    the partial trace of a failed run the last row holds the state
+    reached and NaN for any control never computed.
 
-    A run of one start has ``states`` (rows, n), ``controls`` (rows, m)
-    and ``dist`` (rows,).  A batch of B starts adds the batch axis after
-    the row axis: ``states[:, b]`` is the run of start b.  A member that
-    stopped early keeps NaN in every row it did not reach, and
-    ``failures[b]`` holds the ``SimulationError`` it raises when run
-    alone, partial trace included; the other members are unaffected.
-    ``coefficient_evals`` counts the solves of each member that reached
-    the horizon.
+    A run of one start has ``states`` (rows, n), ``controls`` (rows, m),
+    ``dist`` (rows,) and ``dense_dist`` (rows - 1, points).  A batch of B
+    starts adds the batch axis after the row axis: ``states[:, b]`` is
+    the run of start b.  A member that stopped early keeps NaN in every
+    row and step it did not reach, and ``failures[b]`` holds the
+    ``SimulationError`` it raises when run alone, partial trace included;
+    the other members are unaffected.  ``coefficient_evals`` counts the
+    solves of each member that reached the horizon.
     """
 
     times: np.ndarray
@@ -129,11 +189,13 @@ class Trajectory:
     reference: np.ndarray
     controls: np.ndarray
     dist: np.ndarray
+    dense_dist: np.ndarray
     epsilon: float
     substeps: int
     n_intervals: int
     coefficient_evals: int
     semantics: str
+    dense_points: tuple[float, ...] = DENSE_POINTS
     failures: dict[int, SimulationError] = field(default_factory=dict)
 
     def sample_indices(self) -> np.ndarray:
@@ -164,22 +226,31 @@ def _drift(terms, u, made, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rk4_step(rhs: Callable, x: np.ndarray, h: float, half_h: float,
-              sixth_h: float) -> np.ndarray:
-    """A classical Runge-Kutta step of length h from x.
+def _stage_shares(h: float, ndim: int) -> list:
+    """Per stage j, h times its weights in the sums from row j of ``_SUMS``
+    on (the rows before it do not read it), with ndim unit axes appended."""
+    return [h * _SUMS[j:, j][(...,) + (None,) * ndim] for j in range(_B.size)]
 
-    ``half_h`` and ``sixth_h`` are 0.5 * h and h / 6.  ``rhs(s, state)``
-    is the right-hand side at stage s: 0 the left node, 1 the midpoint,
-    2 the right node.
+
+def _rk_step(rhs: Callable, x: np.ndarray, shares: list, acc: np.ndarray) -> np.ndarray:
+    """One step of the tableau from x; returns the new state, a view of
+    ``acc``.
+
+    ``shares`` is ``_stage_shares(h, x.ndim)``.  ``acc``, of shape
+    (len(_SUMS),) + x.shape, receives the step's sums: row ``stages - 1``
+    the new state, the rows after it the states at ``DENSE_POINTS``.
+    ``rhs(node, state)`` is the right-hand side at one
+    of the distinct nodes ``_NODES``.  Each stage's derivative is added
+    to every sum as soon as it is known, element by element and in stage
+    order, so no stage derivative is kept and a member of a batch gets
+    the bits of its run alone (a BLAS product would not).
     """
-    k1 = rhs(0, x)
-    xa = x + half_h * k1
-    k2 = rhs(1, xa)
-    xb = x + half_h * k2
-    k3 = rhs(1, xb)
-    xc = x + h * k3
-    k4 = rhs(2, xc)
-    return x + sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    acc[...] = x
+    state = x
+    for j, node in enumerate(_STAGE_NODE):
+        acc[j:] += shares[j] * rhs(node, state)
+        state = acc[j]
+    return state
 
 
 def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerParams,
@@ -205,7 +276,8 @@ def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerPara
 
     eps = params.epsilon
     h = eps / substeps
-    half_h, sixth_h = 0.5 * h, h / 6.0
+    shares = _stage_shares(h, x0.ndim)
+    offsets = h * np.array(DENSE_POINTS)  # of the points inside a step
     n_int = grid.n_intervals
     rows = n_int * substeps + 1
     # Row j * substeps + k is at j * eps + k * h.
@@ -216,6 +288,7 @@ def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerPara
     # NaN-filled, so a partial trace never shows a value that was not computed.
     states = np.full((rows, x0.size // sys.n, sys.n), np.nan)
     controls = np.full(states.shape[:2] + (scheme.m,), np.nan)
+    dense = np.full((rows - 1, states.shape[1], len(DENSE_POINTS)), np.nan)
     # Each constant field's term u_i * value is formed from the control
     # table, once per interval; only the other fields are evaluated per stage.
     const = [i for i, f in enumerate(sys.fields) if f.value is not None]
@@ -238,19 +311,31 @@ def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerPara
             stopped[int(b)] = (f"{what} t={t_fail:.6g}", reason, t_fail, kept, eval_count)
         states[kept:, running] = np.nan
         controls[kept:, running] = np.nan
+        dense[kept - 1:, running] = np.nan
 
     def go_on(keep):
         """Carry on with the live members marked in ``keep``, and their gains."""
-        nonlocal x, live, table, made, u_func, params
+        nonlocal x, live, table, made, u_func, params, sums
         if not np.any(keep):
             raise _Stopped
         if not np.all(keep):
             x, live = x[keep], members[live][keep]
+            sums = np.empty(sums.shape[:2] + x.shape)  # its steps are formed
             if np.ndim(params.alpha):
                 params = replace(params, alpha=params.alpha[keep])
             if table is not None:
                 table, made = table[:, :, :, keep], made[:, :, :, keep]
                 u_func = lambda t, f=u_func: f(t)[..., keep, :]
+
+    def form_dense(upto: int):
+        """The distances inside the steps from ``formed`` up to step ``upto``."""
+        nonlocal formed
+        if upto > formed:
+            steps = slice(formed - base, upto - base)
+            points = sums[steps, _B.size:].reshape(upto - formed, offsets.size, -1, sys.n)
+            dense[formed:upto, live] = np.linalg.norm(
+                points - gamma_dense[steps], axis=-1).swapaxes(1, 2)
+            formed = upto
 
     def solve(t, state):
         # Classic semantics: coefficients from the stage's own state and time.
@@ -275,13 +360,16 @@ def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerPara
     rhs = sampled if freeze else classic
     x = states[0] = x0
     table = made = u_func = None
-    i = 0  # the row being computed
+    sums = np.empty((substeps, len(_SUMS)) + x.shape)  # one interval's step sums
+    i = formed = base = 0  # the row being computed, the steps formed
     try:
         for j in range(n_int):
             base = i = j * substeps
-            # Row k: the left node, midpoint and right node of step k.
             left = times[base:base + substeps]
-            stages = np.stack((left, left + half_h, left + h), axis=1)
+            # Row k: the distinct nodes of step k, and the reference inside it.
+            nodes = left[:, None] + h * _NODES
+            gamma_dense = np.asarray(curve.eval((left[:, None] + offsets).ravel()),
+                                     dtype=float).reshape(substeps, offsets.size, 1, sys.n)
             if freeze:
                 try:
                     coeffs = coefficients(sys, scheme, params, x, gamma_all[base])
@@ -295,31 +383,35 @@ def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerPara
                 if on_coefficients is not None:
                     on_coefficients(j, float(times[base]), x.copy(), coeffs)
                 u_func = make_control_function(scheme, params, coeffs)
-                stages = u_func(stages)  # (substeps, 3) + batch axes + (m,)
-                controls[base:base + substeps, live] = stages[:, 0].reshape(
+                nodes = u_func(nodes)  # (substeps, nodes) + batch axes + (m,)
+                controls[base:base + substeps, live] = nodes[:, 0].reshape(
                     substeps, -1, scheme.m)
-                made = np.moveaxis(stages[..., const, None] * values, -2, 2)
+                made = np.moveaxis(nodes[..., const, None] * values, -2, 2)
                 # Per field, a scalar control or a column (B, 1) of member values.
-                stages = np.moveaxis(stages, -1, 2)[(...,) + (None,) * (x0.ndim - 1)]
-            table = stages
+                nodes = np.moveaxis(nodes, -1, 2)[(...,) + (None,) * (x0.ndim - 1)]
+            table = nodes
 
             for k in range(substeps):
                 i = base + k
-                x_prev, x = x, _rk4_step(rhs, x, h, half_h, sixth_h)
+                x_prev, x = x, _rk_step(rhs, x, shares, sums[k])
                 states[i + 1, live] = x
                 if not (np.isfinite(x).all() and whole(sys.in_domain(x))):
                     t_next = float(times[i + 1])
                     finite = np.isfinite(x).all(-1)
                     inside = finite & np.asarray(
                         sys.in_domain(np.where(finite[..., None], x, x_prev)))
+                    form_dense(i + 1)
                     stop(~finite, "non-finite-state", "state became non-finite by",
                          i + 1, t_next)
                     stop(finite & ~inside, "domain-exit", "state left the domain by",
                          i + 1, t_next)
                     go_on(inside)
+            form_dense(base + substeps)
     except DomainError:
+        form_dense(i)
         stop(True, "domain-exit", "state left the domain near", i + 1, float(times[i]))
     except RankConditionError:
+        form_dense(i)
         stop(True, "rank-deficient", "gain matrix singular near", i + 1, float(times[i]))
     except _Stopped:
         pass
@@ -339,9 +431,10 @@ def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerPara
     def record(member, kept: int, n_intervals: int, evals: int, failed: dict):
         return Trajectory(
             times=times[:kept], states=states[:kept, member], reference=gamma_all[:kept],
-            controls=controls[:kept, member], dist=dist[:kept, member], epsilon=eps,
-            substeps=substeps, n_intervals=n_intervals, coefficient_evals=evals,
-            semantics=semantics, failures=failed)
+            controls=controls[:kept, member], dist=dist[:kept, member],
+            dense_dist=dense[:kept - 1, member], epsilon=eps, substeps=substeps,
+            n_intervals=n_intervals, coefficient_evals=evals, semantics=semantics,
+            failures=failed)
 
     failures = {b: SimulationError(message, reason=reason, time=t_fail,
                                    partial=record(b, kept, (kept - 1) // substeps + 1,

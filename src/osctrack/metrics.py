@@ -19,8 +19,8 @@ from .integrator import Trajectory
 # so states that graze the boundary do not flip the verdict.
 TUBE_EDGE_RTOL = 1e-9
 
-# Rows of the record that ``entry_time`` compares with the tube at a time.
-_BLOCK_ROWS = 4096
+# Steps of the record that ``entry_time`` compares with the tube at a time.
+_BLOCK_ROWS = 2048
 
 
 def tube_distance(traj: Trajectory, rho: float) -> np.ndarray:
@@ -37,18 +37,26 @@ def _above_tube(dist: np.ndarray, rho: float) -> np.ndarray:
 def entry_time(traj: Trajectory, rho: float) -> float:
     """First time after which the trajectory never leaves the rho-tube.
 
-    Returns 0.0 when it never leaves the tube at all, and inf when it is
-    still outside at the end of the record.  The record is searched from
-    its end, ``_BLOCK_ROWS`` rows at a time.
+    The trajectory is read at its nodes and at the points inside every
+    step (``traj.dense_dist``), in time order; the entry time is the
+    first of these points after the last one outside the tube.  Returns
+    0.0 when it never leaves the tube at all, and inf when it is still
+    outside at the end of the record.  The record is searched from its
+    end, ``_BLOCK_ROWS`` steps at a time.
     """
     threshold = rho * (1.0 + TUBE_EDGE_RTOL)
-    rows = traj.dist.size
-    for stop in range(rows, 0, -_BLOCK_ROWS):
+    if traj.dist[-1] > threshold:
+        return np.inf
+    # Point p of step i is at times[i] + offsets[p], its node being p = 0.
+    offsets = np.append(0.0, traj.dense_points) * (traj.epsilon / traj.substeps)
+    for stop in range(traj.times.size - 1, 0, -_BLOCK_ROWS):
         start = max(0, stop - _BLOCK_ROWS)
-        outside = np.flatnonzero(traj.dist[start:stop] > threshold)
-        if outside.size:
-            last_out = start + int(outside[-1])
-            return np.inf if last_out == rows - 1 else float(traj.times[last_out + 1])
+        outside = np.column_stack((traj.dist[start:stop] > threshold,
+                                   traj.dense_dist[start:stop] > threshold)).ravel()
+        if outside.any():
+            after = outside.size - int(np.argmax(outside[::-1]))  # past the last one out
+            step, point = divmod(after, offsets.size)
+            return float(traj.times[start + step] + offsets[point])
     return 0.0
 
 
@@ -58,11 +66,17 @@ def steady_amplitude(traj: Trajectory) -> float:
 
 
 def tail_error(traj: Trajectory, t_start: float) -> float:
-    """Largest raw distance over times >= t_start."""
+    """Largest raw distance over times >= t_start, at the nodes and at the
+    points inside the steps."""
     first = int(np.searchsorted(traj.times, t_start))
     if first == traj.times.size:
         raise UsageError(f"no recorded times at or after {t_start}")
-    return float(np.max(traj.dist[first:]))
+    peaks = [np.max(traj.dist[first:]), np.max(traj.dense_dist[first:], initial=-np.inf)]
+    if first:  # the points of the step that holds t_start
+        late = traj.times[first - 1] + np.multiply(
+            traj.dense_points, traj.epsilon / traj.substeps) >= t_start
+        peaks.append(np.max(traj.dense_dist[first - 1, late], initial=-np.inf))
+    return float(np.max(peaks))
 
 
 @dataclass(frozen=True)

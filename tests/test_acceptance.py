@@ -42,20 +42,22 @@ from osctrack import (
 from tests.test_systems import fd_bracket
 from tests.test_scenarios import random_states
 
-SUBSTEPS = 200
+# The least grid that both scenarios of the shared runs admit: the
+# underwater vehicle's (the unicycle's is 24).
+SUBSTEPS = 48
 TIMING_REPEATS = 3
 
-# Criterion 1: at eps=0.05 with 100 substeps the RK4 step (5e-4) and the
-# step count over the horizon (80,000) are those of the eps=0.1 runs.
+# Criterion 1: at eps=0.05 with 24 substeps the Runge-Kutta step (eps/48)
+# and the step count over the horizon (19,200) are those of the eps=0.1 runs.
 FINE_EPSILON = 0.05
-FINE_SUBSTEPS = 100
+FINE_SUBSTEPS = 24
 
 # Criterion 5: alpha * eps < 1 keeps the sampled error map along the
-# directly actuated directions contracting, and 120 substeps is the
-# least the car's harmonic-3 oscillators admit.
+# directly actuated directions contracting, and 48 substeps is the
+# least grid the car admits.
 CAR_ALPHA = 10.0
 CAR_EPSILON = 0.02
-CAR_SUBSTEPS = 120
+CAR_SUBSTEPS = 48
 
 
 class TimedRun(NamedTuple):

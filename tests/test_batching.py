@@ -197,6 +197,7 @@ def assert_same_run(batch, b, alone):
     assert np.array_equal(batch.states[:, b], alone.states)
     assert np.array_equal(batch.controls[:, b], alone.controls)
     assert np.array_equal(batch.dist[:, b], alone.dist)
+    assert np.array_equal(batch.dense_dist[:, b], alone.dense_dist)
     assert np.array_equal(batch.times, alone.times)
     assert np.array_equal(batch.reference, alone.reference)
     assert batch.n_intervals == alone.n_intervals
@@ -207,7 +208,7 @@ def assert_same_failure(got, want):
     """A stopped member's error equals the one its start raises alone."""
     assert (got.reason, got.time, str(got)) == (want.reason, want.time, str(want))
     a, b = got.partial, want.partial
-    for name in ("times", "states", "reference", "controls", "dist"):
+    for name in ("times", "states", "reference", "controls", "dist", "dense_dist"):
         assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
     assert (a.n_intervals, a.coefficient_evals) == (b.n_intervals, b.coefficient_evals)
 
@@ -276,7 +277,7 @@ def with_plain_fields(system):
 
 
 def assert_same_trajectory(got, want):
-    for name in ("states", "controls", "dist"):
+    for name in ("states", "controls", "dist", "dense_dist"):
         assert np.array_equal(getattr(got, name), getattr(want, name),
                               equal_nan=True), name
     assert sorted(got.failures) == sorted(want.failures)

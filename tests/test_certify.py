@@ -708,8 +708,8 @@ def test_lemma1_flags_violation():
     controls = np.full((3, 2), 0.5)
     traj = Trajectory(times=times, states=states,
                       reference=np.zeros((3, 2)), controls=controls,
-                      dist=np.zeros(3), epsilon=0.1, substeps=2,
-                      n_intervals=1, coefficient_evals=1, semantics="sampled")
+                      dist=np.zeros(3), dense_dist=np.zeros((2, 4)), epsilon=0.1,
+                      substeps=2, n_intervals=1, coefficient_evals=1, semantics="sampled")
     rep = lemma1_growth_check(traj, M1=1.0, L=1.0)
     assert not rep.ok
     assert rep.min_margin < -1.0

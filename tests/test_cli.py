@@ -145,7 +145,8 @@ def built_trajectory(rows, n=3, m=2, seed=0):
         return out
 
     return Trajectory(times=values(rows), states=values(rows, n), reference=values(rows, n),
-                      controls=values(rows, m), dist=values(rows), epsilon=0.1,
+                      controls=values(rows, m), dist=values(rows),
+                      dense_dist=np.zeros((rows - 1, 4)), epsilon=0.1,
                       substeps=120, n_intervals=1, coefficient_evals=1, semantics="sampled")
 
 
@@ -489,8 +490,8 @@ class TestSweep:
         monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
         batches = []
         record_batches(monkeypatch, cli, batches)
-        # 1,201 rows at eps=0.05 and 241 at eps=0.3: two and ten gains a batch.
-        monkeypatch.setattr(cli, "_BATCH_ROWS", 2500)
+        # 241 rows at eps=0.05 and 49 at eps=0.3: two and ten gains a batch.
+        monkeypatch.setattr(cli, "_BATCH_ROWS", 500)
         code = run_cli(tmp_path, "sweep", "--scenario", "unicycle",
                        "--alphas", "1,15,7", "--epsilons", "0.3,0.05",
                        "--horizon", "0.5", "--jobs", "1")

@@ -60,27 +60,90 @@ def make_translation():
 
 
 def test_single_interval_against_adaptive_solver():
-    """Frozen-coefficient dynamics integrated two independent ways."""
+    """Frozen-coefficient dynamics integrated two independent ways: the
+    states at every node and the distances inside every step, on the
+    unicycle at 200 substeps and on each built-in scenario's default grid.
+
+    From starts 0.1 off the defaults, the default grids' nodes are 3.2e-8
+    (unicycle), 3.2e-8 (car) and 5.2e-6 (underwater) off the adaptive
+    solution, the points inside the steps, of order 4, 1.5e-6, 5.3e-7
+    and 2.5e-4.  The underwater vehicle's default start is its hard case:
+    its pitch peaks 0.053 below pi/2 in the first interval, and the nodes
+    are 6.0e-3 off, the points inside 3.4e-2."""
     sys, scheme = make_unicycle()
-    params = ControllerParams(alpha=15.0, epsilon=0.1)
-    curve = curve_gamma1()
-    x0 = np.array([0.0, 0.0, 1.0])
+    cases = [(sys, scheme, ControllerParams(alpha=15.0, epsilon=0.1), curve_gamma1(),
+              np.array([0.0, 0.0, 1.0]), 200, 1e-8, 1e-8)]
+    for name, offset, atol, atol_inside in (
+            ("unicycle", 0.1, 1e-7, 1e-5), ("car", 0.1, 1e-7, 1e-5),
+            ("underwater", 0.1, 1e-5, 1e-3), ("underwater", 0.0, 1e-2, 1e-1)):
+        scenario = get_scenario(name)
+        params = scenario.default_params
+        cases.append((scenario.system, scenario.scheme, params,
+                      get_curve(scenario.default_curve, horizon=params.epsilon),
+                      scenario.default_x0 + offset, None, atol, atol_inside))
+    for sys, scheme, params, curve, x0, substeps, atol, atol_inside in cases:
+        eps = params.epsilon
+        traj = simulate(sys, scheme, params, curve, x0,
+                        SamplerGrid(eps, eps, substeps=substeps))
 
-    traj = simulate(sys, scheme, params, curve, x0,
-                    SamplerGrid(0.1, 0.1, substeps=200))
+        coeffs = coefficients(sys, scheme, params, x0, curve(0.0))
+        u = make_control_function(scheme, params, coeffs)
 
-    coeffs = coefficients(sys, scheme, params, x0, curve(0.0))
-    u = make_control_function(scheme, params, coeffs)
+        def rhs(t, x):
+            ut = u(t)
+            return sum(ut[i] * f.eval(x) for i, f in enumerate(sys.fields))
 
-    def rhs(t, x):
-        ut = u(t)
-        return ut[0] * sys.fields[0].eval(x) + ut[1] * sys.fields[1].eval(x)
+        sol = solve_ivp(rhs, (0.0, eps), x0, rtol=1e-11, atol=1e-13,
+                        dense_output=True)
+        assert np.allclose(traj.states[-1], sol.y[:, -1], rtol=0, atol=atol)
+        assert np.allclose(traj.states, sol.sol(traj.times).T, rtol=0, atol=atol)
+        inside = (traj.times[:-1, None] + np.multiply(
+            traj.dense_points, eps / traj.substeps)).ravel()
+        want = np.linalg.norm(sol.sol(inside).T - curve.eval(inside), axis=-1)
+        assert np.allclose(traj.dense_dist.ravel(), want, rtol=0, atol=atol_inside)
 
-    sol = solve_ivp(rhs, (0.0, 0.1), x0, rtol=1e-11, atol=1e-13,
-                    dense_output=True)
-    assert np.allclose(traj.states[-1], sol.y[:, -1], atol=1e-8)
-    mid = traj.substeps // 2
-    assert np.allclose(traj.states[mid], sol.sol(traj.times[mid]), atol=1e-8)
+
+def test_tableau_rows_sum_to_the_nodes():
+    """A 1 = c, A strictly lower triangular (explicit), b(1) = b, and the
+    control is tabulated at the five distinct nodes."""
+    A, c = integrator._A, integrator._C
+    np.testing.assert_allclose(A.sum(axis=1), c, rtol=0, atol=1e-15)
+    assert not np.triu(A).any()
+    np.testing.assert_allclose(integrator._B_DENSE.sum(axis=1), integrator._B,
+                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(integrator._NODES, [0, 1 / 3, 1 / 2, 2 / 3, 1], atol=1e-16)
+    np.testing.assert_array_equal(integrator._NODES[list(integrator._STAGE_NODE)], c)
+
+
+def fixed_step_errors(n_steps, horizon=1.0):
+    """Errors of the integrator's step on y' = y cos t, y(0) = 1, whose
+    solution is exp(sin t): at the end, and the largest at the points
+    inside the steps."""
+    h = horizon / n_steps
+    shares = integrator._stage_shares(h, 1)
+    acc = np.empty((len(integrator._SUMS), 1))
+    y, worst_inside = np.ones(1), 0.0
+    for i in range(n_steps):
+        t = i * h
+
+        def rhs(node, state):
+            return state * np.cos(t + integrator._NODES[node] * h)
+
+        y = integrator._rk_step(rhs, y, shares, acc).copy()
+        inside = t + np.multiply(integrator.DENSE_POINTS, h)
+        worst_inside = max(worst_inside, float(np.max(np.abs(
+            acc[integrator._B.size:, 0] - np.exp(np.sin(inside))))))
+    return abs(float(y[0]) - np.exp(np.sin(horizon))), worst_inside
+
+
+def test_step_has_order_6_and_its_dense_points_order_4():
+    """Halving the step divides the end error by about 2^6; the error at the
+    points inside the steps by at least 2^4."""
+    errors = [fixed_step_errors(n) for n in (8, 16, 32)]
+    for (end, inside), (end_half, inside_half) in zip(errors, errors[1:]):
+        assert 5.5 < np.log2(end / end_half) < 6.5
+        assert np.log2(inside / inside_half) >= 4.0
+    assert errors[-1][0] < 1e-11
 
 
 def test_bracket_direction_displacement():
@@ -144,7 +207,8 @@ def test_nested_bracket_displacement(coeff):
 
 def test_constant_field_recursion_exact():
     """With constant fields each interval is linear, so the sampled loop
-    reduces to x_{j+1} = (1 - eps*alpha) x_j, which RK4 reproduces exactly."""
+    reduces to x_{j+1} = (1 - eps*alpha) x_j, which the Runge-Kutta step
+    reproduces exactly."""
     sys, scheme = make_translation()
     alpha, eps = 1.0, 0.1
     params = ControllerParams(alpha=alpha, epsilon=eps)
@@ -178,7 +242,8 @@ def test_classic_semantics_matches_exponential():
     expected = target + np.exp(-alpha * traj.times)[:, None] * (x0 - target)
     assert np.allclose(traj.states, expected, atol=1e-9)
     assert traj.semantics == "classic"
-    assert traj.coefficient_evals == 4 * traj.n_intervals * traj.substeps + 1
+    stages = integrator._B.size
+    assert traj.coefficient_evals == stages * traj.n_intervals * traj.substeps + 1
 
 
 def test_equilibrium_hold():
@@ -273,7 +338,7 @@ def test_times_and_dist_equal_whole_record_formulas(monkeypatch, case, block):
     else:
         scenario = get_scenario("unicycle")
         params = scenario.default_params
-        horizon = 4.0 if case == "single" else 4.37
+        horizon = 18.0 if case == "single" else 18.37
         x0, grid = scenario.default_x0, SamplerGrid(params.epsilon, horizon)
     traj = simulate(scenario.system, scenario.scheme, params,
                     get_curve(scenario.default_curve, horizon=horizon), x0, grid)
@@ -285,10 +350,15 @@ def test_times_and_dist_equal_whole_record_formulas(monkeypatch, case, block):
     times, dist = record_formulas(traj)
     assert traj.times.tobytes() == times.tobytes()
     assert traj.dist.tobytes() == dist.tobytes()
-    for error in traj.failures.values():
+    for b, error in traj.failures.items():
         times, dist = record_formulas(error.partial)
         assert error.partial.times.tobytes() == times.tobytes()
         assert error.partial.dist.tobytes() == dist.tobytes()
+        # Inside the steps too, the member has values up to its last row only.
+        steps = error.partial.times.size - 1
+        assert error.partial.dense_dist.tobytes() == traj.dense_dist[:steps, b].tobytes()
+        assert np.isfinite(traj.dense_dist[:steps, b]).all()
+        assert np.isnan(traj.dense_dist[steps:, b]).all()
 
 
 def test_horizon_truncation_mid_interval():
@@ -352,15 +422,17 @@ def test_grid_validation():
 
 
 def test_default_substeps_scale_with_frequency():
-    assert default_substeps(BracketScheme(m=2, s1=(1, 2))) == 120
+    assert default_substeps(BracketScheme(m=2, s1=(1, 2))) == 24
     fast = BracketScheme(m=2, s1=(1, 2), s2=((1, 2),), kappa=(7,))
-    assert default_substeps(fast) == 280
+    assert default_substeps(fast) == 72
+    assert [default_substeps(get_scenario(name).scheme)
+            for name in ("unicycle", "underwater", "car")] == [24, 48, 48]
 
 
 def _unicycle_seed_1009_start():
     """The benchmark's unicycle start for seed 1009: gamma1(0) plus an
-    error of radius 2 in a normal direction.  On this start the integration
-    error grows about 100x more than on a typical one."""
+    error of radius 2 in a normal direction.  On this start doubling the
+    substeps moves the endpoint 25 times as far as on a typical one."""
     direction = np.random.default_rng(1009).normal(size=3)
     gamma0 = get_curve("gamma1", horizon=10.0).eval(0.0)
     return gamma0 + 2.0 * direction / np.linalg.norm(direction)
@@ -375,7 +447,7 @@ def test_default_grid_meets_the_doubled_substep_tolerance(name, curve, alpha, ep
                                                            horizon, x0):
     """Criterion 9's oracle at the default grid, with margin: doubling the
     substeps moves the endpoint by less than 1e-7 relative (criterion 9
-    allows 1e-6).  At the 40-node floor the unicycle case moves 3.9e-6."""
+    allows 1e-6).  From 16 substeps the unicycle case moves 9.2e-8."""
     scenario = get_scenario(name)
     params = ControllerParams(alpha=alpha, epsilon=epsilon)
     ref = get_curve(curve, horizon=horizon)

@@ -40,7 +40,7 @@ WARNING_AT = re.compile(r"^(.*):\d+: (\w*Warning: .*)\n  .*$", re.MULTILINE)
 SWEEP_CURVE = "5*sin(t/4), 5*sin(t/4)*cos(t/4), 0, 0"
 
 COMMANDS = [
-    # The defaults: the car records 360,001 rows.
+    # The defaults: the car records 144,001 rows.
     ["run", "--scenario", "car"],
     ["run", "--scenario", "underwater"],
     ["run", "--scenario", "unicycle", "--curve", "gamma1", "--alpha", "15",
