@@ -445,7 +445,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     batches = []
     for cells in columns.values():
         grid = grids[cells[0]]
-        length = grid.n_intervals * (grid.substeps or default_substeps(scenario.scheme)) + 1
+        substeps = grid.substeps or default_substeps(scenario.system, scenario.scheme)
+        length = grid.n_intervals * substeps + 1
         size = max(1, min(_BATCH_ROWS // length, -(-len(cells) // parts)))
         batches += [cells[i:i + size] for i in range(0, len(cells), size)]
     # Every batch shares the scheme and horizon, so its cost goes with its
@@ -548,9 +549,10 @@ def _add_simulation(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--x0", help="initial state, comma separated")
     parser.add_argument("--substeps", type=int,
                         help="Runge-Kutta steps per sampling interval; the default "
-                             "is also the least: 24 x ceil(sqrt(fastest harmonic)), "
-                             "24 for the unicycle, 48 for the underwater vehicle "
-                             "and the car")
+                             "is also the least: 16 per period of the fastest "
+                             "harmonic per oscillating control on a state-dependent "
+                             "field, at least 24: 24 for the unicycle, 48 for the "
+                             "car, 96 for the underwater vehicle")
     parser.add_argument("--semantics", choices=_SEMANTICS,
                         help="sampled (coefficients frozen per interval) or classic")
 

@@ -81,37 +81,55 @@ _W_DENSE = (np.array(DENSE_POINTS)[:, None] ** np.arange(1, 5)) @ _B_DENSE.T
 # 1, 2, ... read, the new state, and the states at DENSE_POINTS.
 _SUMS = np.vstack((_A[1:], _B, _W_DENSE))
 
+
+def _point_offsets(h: float, count: int = len(DENSE_POINTS)) -> np.ndarray:
+    """Times after the start of a step of length h of its first ``count``
+    ``DENSE_POINTS``."""
+    return h * np.array(DENSE_POINTS[:count])
+
+
 # Rows of the record whose distance to the reference is formed at a time.
 _DIST_BLOCK_ROWS = 4096
 
 
-def default_substeps(scheme: BracketScheme) -> int:
+def default_substeps(sys: ControlSystem, scheme: BracketScheme) -> int:
     """Substeps per sampling interval when none are given, and the least
-    a grid accepts: ``24 * ceil(sqrt(scheme.max_frequency))``.
+    a grid accepts: ``max(24, 16 * scheme.max_frequency * coupled)``.
 
-    That is 24 for the unicycle (fastest harmonic 1) and 48 for the
-    underwater vehicle (2) and the car (3).  The floors were measured
-    per scenario; criterion 9 allows an endpoint shift of 1e-6 when the
-    substeps double, and the tests hold the default grid to 1e-7:
+    ``coupled`` counts the oscillating controls (those in a bracket pair
+    or a nested triple) whose field depends on the state: each couples a
+    fast oscillation to the state, while one on a constant field only
+    adds a forcing term.  So 16 steps per period of the fastest harmonic
+    per coupled control, and at least 24: 24 for the unicycle (harmonic
+    1, one coupled control), 48 for the car (harmonic 3, one) and 96 for
+    the underwater vehicle (harmonic 2; surge, pitch and yaw).  The
+    floors were measured per scenario; criterion 9 allows an endpoint
+    shift of 1e-6 when the substeps double, and the tests hold the
+    default grid to 1e-7:
 
     - unicycle: doubling moves the endpoint by at most 7.1e-9 relative
       over 50 benchmark starts (gamma1, alpha=15, epsilon=0.1, H=10), and
       by 9.2e-8 from 16 substeps.
-    - underwater vehicle: at 36 and 40 substeps a start 0.3 off its
-      default leaves the domain in the first interval, where its pitch
-      comes within 0.022 of pi/2; 42 is the least that holds it.  On the
-      default start's first interval, whose pitch peaks 0.053 below
-      pi/2, the nodes are 6e-3 off an adaptive solution; that error
-      contracts, and doubling moves the H=5 endpoint by 9.4e-11.
     - car: doubling moves the endpoints of the benchmark's sweep cells
       (alpha 3 to 10, epsilon 0.1 and 0.05, H=6) by at most 2.7e-9, by
       1.5e-8 from 36 substeps and by 1.6e-7 from 24.
+    - underwater vehicle: from its default start the pitch comes within
+      0.053 of pi/2 in the first interval, where the fields grow like
+      1/cos(pitch).  There the nodes are 6.0e-3, 3.0e-3, 5.4e-4 and
+      1.3e-4 off an adaptive solution at 48, 64, 80 and 96 substeps
+      (the classical fourth-order step at 120: 5.4e-4); at 36 and 40 a
+      start 0.3 off the default leaves the domain.
 
-    A rule linear in the harmonic would give the car 72 steps, 1.5 times
-    the stage evaluations of 48 for no gate it fails at 48.  No scenario
-    measures a floor beyond harmonic 3.
+    The factor ``coupled`` is fitted to these three systems, and no
+    scenario measures a floor beyond harmonic 3; the per-period term
+    keeps a faster scheme at 16 steps a period at least.
     """
-    return 24 * math.ceil(math.sqrt(scheme.max_frequency))
+    if scheme.m != sys.m:
+        raise UsageError(f"scheme is for m={scheme.m}, system has m={sys.m}")
+    oscillating = {i for pair in scheme.s2 for i in pair}
+    oscillating.update(i for term in scheme.degree2 for i in term.triple)
+    coupled = sum(sys.fields[i - 1].value is None for i in oscillating)
+    return max(24, 16 * scheme.max_frequency * coupled)
 
 
 @dataclass(frozen=True)
@@ -120,9 +138,9 @@ class SamplerGrid:
 
     ``epsilon`` and ``horizon`` must be finite and positive.
     ``substeps``, an integer, is the number of Runge-Kutta steps per
-    sampling interval, at least ``default_substeps(scheme)``; None picks
-    that least count, at which doubling the substeps moves the endpoint
-    of the built-in scenarios' runs by at most 7.1e-9 relative
+    sampling interval, at least ``default_substeps(sys, scheme)``; None
+    picks that least count, at which doubling the substeps moves the
+    endpoint of the built-in scenarios' runs by at most 7.1e-9 relative
     (criterion 9 allows 1e-6).
     """
 
@@ -139,13 +157,15 @@ class SamplerGrid:
                 isinstance(self.substeps, (int, np.integer)) and self.substeps >= 1):
             raise UsageError(f"substeps must be a positive integer, got {self.substeps}")
 
-    def resolve(self, scheme: BracketScheme, params: ControllerParams) -> int:
-        """Validate against the scheme and params, return the substep count."""
+    def resolve(self, sys: ControlSystem, scheme: BracketScheme,
+                params: ControllerParams) -> int:
+        """Validate against the system, scheme and params, return the
+        substep count."""
         if abs(self.epsilon - params.epsilon) > 1e-12 * max(1.0, params.epsilon):
             raise UsageError(
                 f"grid epsilon {self.epsilon} does not match controller epsilon "
                 f"{params.epsilon}")
-        needed = default_substeps(scheme)
+        needed = default_substeps(sys, scheme)
         substeps = needed if self.substeps is None else self.substeps
         if substeps < needed:
             raise UsageError(
@@ -168,9 +188,9 @@ class Trajectory:
     is right-continuous), except for the very last row, which keeps the
     final interval's control.  ``dist`` is the raw distance to the
     reference, row by row.  ``dense_dist[i, p]`` is that distance inside
-    step i, at ``times[i] + dense_points[p] * epsilon / substeps``, read
-    from the step's continuous extension; a run records it at
-    ``DENSE_POINTS``, and the tracking metrics read it with ``dist``.  In
+    step i, at ``times[i] + dense_offsets()[p]``, read from the step's
+    continuous extension; a run records it at all ``DENSE_POINTS``, and
+    the tracking metrics read it with ``dist``.  In
     the partial trace of a failed run the last row holds the state
     reached and NaN for any control never computed.
 
@@ -195,12 +215,17 @@ class Trajectory:
     n_intervals: int
     coefficient_evals: int
     semantics: str
-    dense_points: tuple[float, ...] = DENSE_POINTS
     failures: dict[int, SimulationError] = field(default_factory=dict)
 
     def sample_indices(self) -> np.ndarray:
         """Row indices of the sampling instants present in the record."""
         return np.arange(0, self.times.size, self.substeps)
+
+    def dense_offsets(self) -> np.ndarray:
+        """Times after the start of a step of the columns of ``dense_dist``,
+        which hold the first of ``DENSE_POINTS``, as many as there are
+        columns; a record without columns has none."""
+        return _point_offsets(self.epsilon / self.substeps, self.dense_dist.shape[-1])
 
     @property
     def horizon(self) -> float:
@@ -256,7 +281,7 @@ def _rk_step(rhs: Callable, x: np.ndarray, shares: list, acc: np.ndarray) -> np.
 def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerParams,
                curve: ReferenceCurve, x0: np.ndarray, grid: SamplerGrid,
                freeze: bool, on_coefficients=None) -> Trajectory:
-    substeps = grid.resolve(scheme, params)
+    substeps = grid.resolve(sys, scheme, params)
     if curve.dim != sys.n:
         raise DimensionMismatchError(
             f"curve has dim {curve.dim}, system has n={sys.n}")
@@ -277,7 +302,7 @@ def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerPara
     eps = params.epsilon
     h = eps / substeps
     shares = _stage_shares(h, x0.ndim)
-    offsets = h * np.array(DENSE_POINTS)  # of the points inside a step
+    offsets = _point_offsets(h)  # of the points inside a step
     n_int = grid.n_intervals
     rows = n_int * substeps + 1
     # Row j * substeps + k is at j * eps + k * h.

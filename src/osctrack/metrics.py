@@ -48,7 +48,7 @@ def entry_time(traj: Trajectory, rho: float) -> float:
     if traj.dist[-1] > threshold:
         return np.inf
     # Point p of step i is at times[i] + offsets[p], its node being p = 0.
-    offsets = np.append(0.0, traj.dense_points) * (traj.epsilon / traj.substeps)
+    offsets = np.append(0.0, traj.dense_offsets())
     for stop in range(traj.times.size - 1, 0, -_BLOCK_ROWS):
         start = max(0, stop - _BLOCK_ROWS)
         outside = np.column_stack((traj.dist[start:stop] > threshold,
@@ -73,8 +73,7 @@ def tail_error(traj: Trajectory, t_start: float) -> float:
         raise UsageError(f"no recorded times at or after {t_start}")
     peaks = [np.max(traj.dist[first:]), np.max(traj.dense_dist[first:], initial=-np.inf)]
     if first:  # the points of the step that holds t_start
-        late = traj.times[first - 1] + np.multiply(
-            traj.dense_points, traj.epsilon / traj.substeps) >= t_start
+        late = traj.times[first - 1] + traj.dense_offsets() >= t_start
         peaks.append(np.max(traj.dense_dist[first - 1, late], initial=-np.inf))
     return float(np.max(peaks))
 

@@ -44,7 +44,7 @@ from tests.test_scenarios import random_states
 
 # The least grid that both scenarios of the shared runs admit: the
 # underwater vehicle's (the unicycle's is 24).
-SUBSTEPS = 48
+SUBSTEPS = 96
 TIMING_REPEATS = 3
 
 # Criterion 1: at eps=0.05 with 24 substeps the Runge-Kutta step (eps/48)

@@ -37,6 +37,7 @@ from osctrack import (
     constant_curve,
     contraction_check,
     curve_gamma1,
+    default_substeps,
     finite_difference_jacobian,
     get_curve,
     get_scenario,
@@ -304,7 +305,10 @@ def test_constant_fields_formed_per_interval_equal_plain_evals(case):
     assert sum(f.value is not None for f in system.fields) == 1
     assert all(f.value is None for f in plain.fields)
     curve = get_curve(scenario.default_curve, horizon=horizon)
-    grid = SamplerGrid(params.epsilon, horizon)
+    # Both on the plain system's default grid: it counts every field not
+    # given by its value as depending on the state, so it is the finer one.
+    grid = SamplerGrid(params.epsilon, horizon,
+                       substeps=default_substeps(plain, scenario.scheme))
     integrate = classic_solution_simulate if case == "classic" else simulate
     got, want = (integrate(sys, scenario.scheme, params, curve, x0, grid)
                  for sys in (system, plain))

@@ -65,17 +65,18 @@ def test_single_interval_against_adaptive_solver():
     unicycle at 200 substeps and on each built-in scenario's default grid.
 
     From starts 0.1 off the defaults, the default grids' nodes are 3.2e-8
-    (unicycle), 3.2e-8 (car) and 5.2e-6 (underwater) off the adaptive
+    (unicycle), 3.2e-8 (car) and 7.3e-8 (underwater) off the adaptive
     solution, the points inside the steps, of order 4, 1.5e-6, 5.3e-7
-    and 2.5e-4.  The underwater vehicle's default start is its hard case:
+    and 6.5e-6.  The underwater vehicle's default start is its hard case:
     its pitch peaks 0.053 below pi/2 in the first interval, and the nodes
-    are 6.0e-3 off, the points inside 3.4e-2."""
+    are 1.3e-4 off (the classical fourth-order step at 120: 5.4e-4), the
+    points inside 1.7e-3."""
     sys, scheme = make_unicycle()
     cases = [(sys, scheme, ControllerParams(alpha=15.0, epsilon=0.1), curve_gamma1(),
               np.array([0.0, 0.0, 1.0]), 200, 1e-8, 1e-8)]
     for name, offset, atol, atol_inside in (
             ("unicycle", 0.1, 1e-7, 1e-5), ("car", 0.1, 1e-7, 1e-5),
-            ("underwater", 0.1, 1e-5, 1e-3), ("underwater", 0.0, 1e-2, 1e-1)):
+            ("underwater", 0.1, 1e-7, 1e-5), ("underwater", 0.0, 5e-4, 5e-3)):
         scenario = get_scenario(name)
         params = scenario.default_params
         cases.append((scenario.system, scenario.scheme, params,
@@ -97,8 +98,7 @@ def test_single_interval_against_adaptive_solver():
                         dense_output=True)
         assert np.allclose(traj.states[-1], sol.y[:, -1], rtol=0, atol=atol)
         assert np.allclose(traj.states, sol.sol(traj.times).T, rtol=0, atol=atol)
-        inside = (traj.times[:-1, None] + np.multiply(
-            traj.dense_points, eps / traj.substeps)).ravel()
+        inside = (traj.times[:-1, None] + traj.dense_offsets()).ravel()
         want = np.linalg.norm(sol.sol(inside).T - curve.eval(inside), axis=-1)
         assert np.allclose(traj.dense_dist.ravel(), want, rtol=0, atol=atol_inside)
 
@@ -130,7 +130,7 @@ def fixed_step_errors(n_steps, horizon=1.0):
             return state * np.cos(t + integrator._NODES[node] * h)
 
         y = integrator._rk_step(rhs, y, shares, acc).copy()
-        inside = t + np.multiply(integrator.DENSE_POINTS, h)
+        inside = t + integrator._point_offsets(h)
         worst_inside = max(worst_inside, float(np.max(np.abs(
             acc[integrator._B.size:, 0] - np.exp(np.sin(inside))))))
     return abs(float(y[0]) - np.exp(np.sin(horizon))), worst_inside
@@ -409,7 +409,8 @@ def test_grid_validation():
     for bad in (120.5, 120.0, np.nan, np.inf, "120", 0, -1, np.int64(0)):
         with pytest.raises(UsageError, match="substeps must be a positive integer"):
             SamplerGrid(0.1, 1.0, substeps=bad)
-    assert SamplerGrid(0.1, 1.0, substeps=np.int64(120)).resolve(scheme, params) == 120
+    assert SamplerGrid(0.1, 1.0, substeps=np.int64(120)).resolve(sys, scheme,
+                                                                 params) == 120
     with pytest.raises(UsageError):
         simulate(sys, scheme, params, curve_gamma1(), np.zeros(3),
                  SamplerGrid(0.2, 1.0))  # epsilon mismatch
@@ -422,11 +423,21 @@ def test_grid_validation():
 
 
 def test_default_substeps_scale_with_frequency():
-    assert default_substeps(BracketScheme(m=2, s1=(1, 2))) == 24
+    """16 steps per period of the fastest harmonic per oscillating control
+    on a field that may depend on the state (one not given by its value),
+    and at least 24."""
+    sys = get_scenario("unicycle").system
+    assert default_substeps(sys, BracketScheme(m=2, s1=(1, 2))) == 24
     fast = BracketScheme(m=2, s1=(1, 2), s2=((1, 2),), kappa=(7,))
-    assert default_substeps(fast) == 72
-    assert [default_substeps(get_scenario(name).scheme)
-            for name in ("unicycle", "underwater", "car")] == [24, 48, 48]
+    assert default_substeps(sys, fast) == 112
+    constant = ControlSystem(3, 2, tuple(VectorField(dim=3, value=v)
+                                         for v in np.eye(3)[:2]))
+    assert default_substeps(constant, fast) == 24
+    assert default_substeps(make_unicycle()[0], fast) == 224  # turn given by eval
+    assert [default_substeps(get_scenario(name).system, get_scenario(name).scheme)
+            for name in ("unicycle", "underwater", "car")] == [24, 96, 48]
+    with pytest.raises(UsageError, match="scheme is for m=4"):
+        default_substeps(sys, get_scenario("underwater").scheme)
 
 
 def _unicycle_seed_1009_start():
@@ -454,7 +465,7 @@ def test_default_grid_meets_the_doubled_substep_tolerance(name, curve, alpha, ep
     x0 = scenario.default_x0 if x0 is None else x0
     default = SamplerGrid(params.epsilon, horizon)
     doubled = SamplerGrid(params.epsilon, horizon,
-                          substeps=2 * default_substeps(scenario.scheme))
+                          substeps=2 * default_substeps(scenario.system, scenario.scheme))
     end = simulate(scenario.system, scenario.scheme, params, ref, x0,
                    default).states[-1]
     end_fine = simulate(scenario.system, scenario.scheme, params, ref, x0,
@@ -565,6 +576,6 @@ def test_rank_failure_at_sampling_instant_keeps_reached_state():
     err = exc.value
     assert err.reason == "rank-deficient"
     assert err.time == pytest.approx(0.1)
-    assert err.partial.times.size == default_substeps(scheme) + 1
+    assert err.partial.times.size == default_substeps(sys, scheme) + 1
     np.testing.assert_allclose(err.partial.states[-1], target, rtol=0, atol=1e-12)
     _assert_rows_before_failure_complete(err.partial)

@@ -22,7 +22,7 @@ from osctrack import (
     tail_error,
     tube_distance,
 )
-from osctrack.integrator import DENSE_POINTS
+from osctrack.integrator import DENSE_POINTS, _point_offsets
 from osctrack.metrics import TUBE_EDGE_RTOL, StabilityReport
 
 
@@ -49,7 +49,6 @@ def synthetic_trajectory(times, dist, substeps=1, dense=None):
         n_intervals=max(1, (n - 1) // substeps),
         coefficient_evals=max(1, (n - 1) // substeps),
         semantics="sampled",
-        dense_points=() if dense is None else DENSE_POINTS,
     )
 
 
@@ -209,7 +208,7 @@ def test_stability_report_equals_the_whole_row_formula(rho):
 def all_points(traj):
     """Times and distances of the nodes and the points inside the steps,
     in time order, as whole-record arrays."""
-    offsets = np.append(0.0, traj.dense_points) * (traj.epsilon / traj.substeps)
+    offsets = np.append(0.0, traj.dense_offsets())
     times = np.append((traj.times[:-1, None] + offsets).ravel(), traj.times[-1])
     dist = np.append(np.column_stack((traj.dist[:-1], traj.dense_dist)).ravel(),
                      traj.dist[-1])
@@ -280,7 +279,7 @@ def test_entry_time_and_tail_error_form_no_rows_sized_arrays():
     import tracemalloc
 
     times = np.linspace(0.0, 100.0, 200_001)
-    inside = times[:-1, None] + np.multiply(DENSE_POINTS, times[1] - times[0])
+    inside = times[:-1, None] + _point_offsets(times[1] - times[0])
     traj = synthetic_trajectory(times, 2.0 * np.exp(-times / 10.0),
                                 dense=2.0 * np.exp(-inside / 10.0))
     tracemalloc.start()
@@ -315,12 +314,11 @@ def test_metrics_on_the_default_grid_hold_at_four_times_its_substeps(name, curve
     ref = get_curve(curve, horizon=horizon)
     runs = [simulate(scenario.system, scenario.scheme, params, ref, scenario.default_x0,
                      SamplerGrid(epsilon, horizon, substeps=substeps))
-            for substeps in (None, 4 * default_substeps(scenario.scheme))]
+            for substeps in (None, 4 * default_substeps(scenario.system, scenario.scheme))]
     coarse, fine = (stability_report(traj, 0.5) for traj in runs)
     assert abs(coarse.steady_amplitude - fine.steady_amplitude) <= \
         3e-4 * fine.steady_amplitude
     assert abs(coarse.entry_time - fine.entry_time) <= 1e-3
     if name == "unicycle":
-        nodes = [replace(traj, dense_dist=traj.dense_dist[:, :0], dense_points=())
-                 for traj in runs]
+        nodes = [replace(traj, dense_dist=traj.dense_dist[:, :0]) for traj in runs]
         assert abs(entry_time(nodes[0], 0.5) - entry_time(nodes[1], 0.5)) > 0.05
