@@ -20,14 +20,20 @@ import numpy as np
 from .errors import DegenerateCurveError, UsageError
 
 
-def _stack_components(funcs):
-    """Vector-valued eval from per-component vectorized scalar functions."""
+def _stacked(components):
+    """Vector-valued function of t from ``components(t)``, which returns
+    the components as a sequence, so that they can share factors."""
     def ev(t):
         t_arr = np.asarray(t, dtype=float)
-        cols = [np.broadcast_to(np.asarray(f(t_arr), dtype=float), t_arr.shape)
-                for f in funcs]
+        cols = [np.broadcast_to(np.asarray(c, dtype=float), t_arr.shape)
+                for c in components(t_arr)]
         return np.stack(cols, axis=-1)
     return ev
+
+
+def _stack_components(funcs):
+    """Vector-valued eval from per-component vectorized scalar functions."""
+    return _stacked(lambda t: [f(t) for f in funcs])
 
 
 class _ComputedOnRead:
@@ -122,21 +128,23 @@ def curve_gamma1(horizon: float = 40.0) -> ReferenceCurve:
     Not admissible for the unicycle: the heading coordinate moves
     independently of the planar direction of travel.
     """
-    ev = _stack_components([
-        lambda t: 2 * np.cos(t / 2) * np.cos(t),
-        lambda t: 2 * np.cos(t / 2) * np.sin(t),
-        lambda t: np.cos(t / 10),
-    ])
-    dv = _stack_components([
-        lambda t: -np.sin(t / 2) * np.cos(t) - 2 * np.cos(t / 2) * np.sin(t),
-        lambda t: -np.sin(t / 2) * np.sin(t) + 2 * np.cos(t / 2) * np.cos(t),
-        lambda t: -np.sin(t / 10) / 10,
-    ])
-    dv2 = _stack_components([
-        lambda t: -2.5 * np.cos(t / 2) * np.cos(t) + 2 * np.sin(t / 2) * np.sin(t),
-        lambda t: -2.5 * np.cos(t / 2) * np.sin(t) - 2 * np.sin(t / 2) * np.cos(t),
-        lambda t: -np.cos(t / 10) / 100,
-    ])
+    # Each sine and cosine is computed once per call and shared.
+    @_stacked
+    def ev(t):
+        c2 = np.cos(t / 2)
+        return 2 * c2 * np.cos(t), 2 * c2 * np.sin(t), np.cos(t / 10)
+
+    @_stacked
+    def dv(t):
+        s2, c2, s1, c1 = np.sin(t / 2), np.cos(t / 2), np.sin(t), np.cos(t)
+        return -s2 * c1 - 2 * c2 * s1, -s2 * s1 + 2 * c2 * c1, -np.sin(t / 10) / 10
+
+    @_stacked
+    def dv2(t):
+        s2, c2, s1, c1 = np.sin(t / 2), np.cos(t / 2), np.sin(t), np.cos(t)
+        return (-2.5 * c2 * c1 + 2 * s2 * s1, -2.5 * c2 * s1 - 2 * s2 * c1,
+                -np.cos(t / 10) / 100)
+
     return ReferenceCurve(3, ev, dv, _bound_on_read(dv, horizon), name="gamma1", deriv2=dv2)
 
 
@@ -160,6 +168,15 @@ def curve_gamma2(horizon: float = 40.0) -> ReferenceCurve:
     return ReferenceCurve(3, ev, dv, _bound_on_read(dv, horizon), name="gamma2", deriv2=dv2)
 
 
+# The heading table of curve_gamma3_admissible: the heading turns by at
+# most _HEADING_TURN between grid points, whose step lies between the two
+# bounds; a planar speed below _SPEED_MIN on the grid is degenerate.
+_HEADING_STEP_MAX = 1e-2
+_HEADING_STEP_MIN = 1e-4
+_HEADING_TURN = np.pi / 32
+_SPEED_MIN = 1e-4
+
+
 def curve_gamma3_admissible(base: ReferenceCurve, gamma3_0: float | None = None,
                             horizon: float = 40.0) -> ReferenceCurve:
     """Admissible companion of a planar curve for the unicycle.
@@ -167,26 +184,46 @@ def curve_gamma3_admissible(base: ReferenceCurve, gamma3_0: float | None = None,
     Keeps the first two components of ``base`` and replaces the third by
     the heading angle of the planar path, so the result can be followed
     exactly by a unicycle.  The heading is atan2(y', x') taken on its
-    continuous branch: a grid of step 1e-4 tabulates the unwrapped angle,
-    and at a query time the exact atan2 is shifted by the multiple of 2 pi
-    that puts it nearest the interpolated table.  The start is atan2 at t = 0,
-    or ``gamma3_0`` when given.  Its rate, the heading component of
+    continuous branch: a grid tabulates the unwrapped angle, and at a query
+    time the exact atan2 is shifted by the multiple of 2 pi that puts it
+    nearest the interpolated table.  The start is atan2 at t = 0, or
+    ``gamma3_0`` when given.  Its rate, the heading component of
     ``deriv``, is
 
         theta' = (x' y'' - y' x'') / (x'^2 + y'^2).
 
-    The grid extends past the horizon by a safety pad so the closed-loop
-    simulation can sample slightly beyond it.
+    The grid's step is chosen from that rate on a probe grid of step 0.01:
+    between grid points the heading turns by at most pi/32 at the largest
+    rate probed, far below the pi at which unwrapping or the rounding
+    could pick another branch; the step is at most 0.01 and at least
+    1e-4, the step taken wherever the planar speed may come near 1e-4
+    between probe points.  So, wherever the probe resolves the rate, the
+    branch and the heading are those a table of step 1e-4 gives.  The grid
+    extends past the horizon by a safety pad so the closed-loop simulation
+    can sample slightly beyond it.
     """
     if base.deriv2 is None:
         raise UsageError("heading construction needs second derivatives of the base curve")
     _check_horizon(horizon)
 
     t_end = horizon + 0.05 * horizon + 2.0
-    n_grid = int(np.ceil(t_end / 1e-4)) + 1
-    ts = np.linspace(0.0, t_end, n_grid)
-    d = np.asarray(base.deriv(ts), dtype=float)
-    if float(np.min(d[:, 0] ** 2 + d[:, 1] ** 2)) < 1e-8:
+
+    def grid(step):
+        ts = np.linspace(0.0, t_end, int(np.ceil(t_end / step)) + 1)
+        return ts, np.asarray(base.deriv(ts), dtype=float)
+
+    ts, d = grid(_HEADING_STEP_MAX)
+    dd = np.asarray(base.deriv2(ts), dtype=float)
+    speed = np.hypot(d[:, 0], d[:, 1])
+    if np.min(speed - 2 * _HEADING_STEP_MAX * np.hypot(dd[:, 0], dd[:, 1])) < _SPEED_MIN:
+        step = _HEADING_STEP_MIN
+    else:
+        rate = np.max(np.abs(d[:, 0] * dd[:, 1] - d[:, 1] * dd[:, 0]) / speed ** 2)
+        step = max(_HEADING_STEP_MIN,
+                   _HEADING_TURN / max(rate, _HEADING_TURN / _HEADING_STEP_MAX))
+    if step < _HEADING_STEP_MAX:
+        ts, d = grid(step)
+    if float(np.min(d[:, 0] ** 2 + d[:, 1] ** 2)) < _SPEED_MIN ** 2:
         raise DegenerateCurveError(
             "planar speed vanishes; the path has no well-defined heading")
     branch = np.unwrap(np.arctan2(d[:, 1], d[:, 0]))
@@ -251,12 +288,11 @@ def curve_gamma4_underwater(horizon: float = 40.0) -> ReferenceCurve:
 
 def curve_gamma4_car(horizon: float = 60.0) -> ReferenceCurve:
     """Figure-eight position reference for the rear-wheel car."""
-    ev = _stack_components([
-        lambda t: 5 * np.sin(t / 4),
-        lambda t: 5 * np.sin(t / 4) * np.cos(t / 4),
-        lambda t: np.zeros_like(t),
-        lambda t: np.zeros_like(t),
-    ])
+    @_stacked
+    def ev(t):
+        s4 = np.sin(t / 4)
+        return 5 * s4, 5 * s4 * np.cos(t / 4), 0.0, 0.0
+
     dv = _stack_components([
         lambda t: 1.25 * np.cos(t / 4),
         lambda t: 1.25 * np.cos(t / 2),

@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from osctrack import (
     CertificateInputs,
@@ -28,12 +29,14 @@ from osctrack import (
     Trajectory,
     admissible_vs_nonadmissible_gap,
     bound_constants,
+    coefficients,
     contraction_check,
     entry_time,
     get_curve,
     get_scenario,
     lemma1_growth_check,
     lie_bracket,
+    make_control_function,
     simulate,
     steady_amplitude,
     tail_error,
@@ -276,16 +279,40 @@ def test_criterion_03_nonadmissible_gap(criterion_report, gamma1_sharp_run,
            f"{gap.tail_admissible:.4f}, need > 3)")
 
 
+def first_interval_peak_pitch(traj):
+    """Peak |pitch| over the first sampling interval, where the default
+    start's pitch comes nearest pi/2, from an adaptive re-integration of
+    that interval (rtol 1e-11) read on a grid 1000 times finer than the
+    run's; the nodes alone miss the peak by 2.6e-3."""
+    scenario = get_scenario("underwater")
+    params = ControllerParams(alpha=15.0, epsilon=traj.epsilon)
+    x0 = traj.states[0]
+    coeffs = coefficients(scenario.system, scenario.scheme, params, x0,
+                          traj.reference[0])
+    u = make_control_function(scenario.scheme, params, coeffs)
+
+    def rhs(t, x):
+        ut = u(t)
+        return sum(ut[i] * f.eval(x) for i, f in enumerate(scenario.system.fields))
+
+    sol = solve_ivp(rhs, (0.0, traj.epsilon), x0, rtol=1e-11, atol=1e-13,
+                    dense_output=True)
+    t = np.linspace(0.0, traj.epsilon, 1000 * traj.substeps + 1)
+    return float(np.abs(sol.sol(t)[4]).max())
+
+
 def test_criterion_04_underwater_completes_and_enters(criterion_report,
                                                       underwater_run):
     traj = underwater_run.traj
-    peak_pitch = float(np.abs(traj.states[:, 4]).max())
+    later = float(np.abs(traj.states[traj.substeps:, 4]).max())
+    peak_pitch = max(first_interval_peak_pitch(traj), later)
     entry = entry_time(traj, 0.5)
     ok = peak_pitch < np.pi / 2 and entry <= 10.0
     criterion_report(4, ok,
            f"underwater vehicle: completes horizon 40 with peak |pitch| "
-           f"{peak_pitch:.4f} < pi/2, inside 0.5-tube from t={entry:.2f} "
-           f"(need <= 10)")
+           f"{peak_pitch:.5f} < pi/2 (first interval re-integrated "
+           f"adaptively, {later:.4f} at the later nodes), inside 0.5-tube "
+           f"from t={entry:.2f} (need <= 10)")
 
 
 def test_criterion_05_car_enters_and_stays(criterion_report):

@@ -117,6 +117,66 @@ def test_velocity_bound_nan_in_a_late_block(monkeypatch, block):
     assert np.isnan(velocity_bound(dv, 40.0))
 
 
+# Each registry function written out one component at a time, each with
+# its own sines and cosines: the oracle for the curves' shared factors.
+PER_COMPONENT = {
+    ("gamma1", "eval"): [
+        lambda t: 2 * np.cos(t / 2) * np.cos(t),
+        lambda t: 2 * np.cos(t / 2) * np.sin(t),
+        lambda t: np.cos(t / 10)],
+    ("gamma1", "deriv"): [
+        lambda t: -np.sin(t / 2) * np.cos(t) - 2 * np.cos(t / 2) * np.sin(t),
+        lambda t: -np.sin(t / 2) * np.sin(t) + 2 * np.cos(t / 2) * np.cos(t),
+        lambda t: -np.sin(t / 10) / 10],
+    ("gamma1", "deriv2"): [
+        lambda t: -2.5 * np.cos(t / 2) * np.cos(t) + 2 * np.sin(t / 2) * np.sin(t),
+        lambda t: -2.5 * np.cos(t / 2) * np.sin(t) - 2 * np.sin(t / 2) * np.cos(t),
+        lambda t: -np.cos(t / 10) / 100],
+    ("gamma4_car", "eval"): [
+        lambda t: 5 * np.sin(t / 4),
+        lambda t: 5 * np.sin(t / 4) * np.cos(t / 4),
+        lambda t: np.zeros_like(t),
+        lambda t: np.zeros_like(t)],
+}
+
+
+@pytest.mark.parametrize("name, what", list(PER_COMPONENT),
+                         ids=[f"{name}-{what}" for name, what in PER_COMPONENT])
+def test_shared_factors_keep_the_bits(name, what):
+    """On the velocity bound's grid, and at a scalar time, a registry
+    function equals its per-component formulas bit for bit."""
+    func = getattr(get_curve(name, horizon=40.0), what)
+    ts = np.linspace(0.0, 40.0, curves.VELOCITY_SAMPLES)
+    want = np.stack([f(ts) for f in PER_COMPONENT[name, what]], axis=-1)
+    assert np.array_equal(func(ts), want)
+    scalar = np.array([f(7.3) for f in PER_COMPONENT[name, what]], dtype=float)
+    assert np.array_equal(func(7.3), scalar)
+
+
+def heading_on_fine_table(base, horizon, t):
+    """The heading of curve_gamma3_admissible as a table of step 1e-4
+    gives it: the unwrapped atan2 tabulated on that grid picks the branch
+    of the exact atan2 at t."""
+    t_end = horizon + 0.05 * horizon + 2.0
+    ts = np.linspace(0.0, t_end, int(np.ceil(t_end / 1e-4)) + 1)
+    d = base.deriv(ts)
+    branch = np.unwrap(np.arctan2(d[:, 1], d[:, 0]))
+    dv = base.deriv(t)
+    raw = np.arctan2(dv[:, 1], dv[:, 0])
+    return raw + 2 * np.pi * np.round((np.interp(t, ts, branch) - raw) / (2 * np.pi))
+
+
+@pytest.mark.parametrize("horizon", [10.0, 40.0])
+def test_heading_equals_that_of_the_fine_table(horizon):
+    """The heading table's step comes from the heading rate; on a dense
+    grid over the whole tabulated range the heading is the one a table of
+    step 1e-4 gives, bit for bit."""
+    base = curve_gamma1(horizon)
+    curve = curve_gamma3_admissible(base, horizon=horizon)
+    t = np.linspace(0.0, curve.t_max, 400_001)
+    assert np.array_equal(curve(t)[:, 2], heading_on_fine_table(base, horizon, t))
+
+
 def test_constant_curve():
     curve = constant_curve(np.array([1.0, 2.0]))
     assert curve.nu == 0.0

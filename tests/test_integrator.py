@@ -115,35 +115,48 @@ def test_tableau_rows_sum_to_the_nodes():
     np.testing.assert_array_equal(integrator._NODES[list(integrator._STAGE_NODE)], c)
 
 
-def fixed_step_errors(n_steps, horizon=1.0):
-    """Errors of the integrator's step on y' = y cos t, y(0) = 1, whose
-    solution is exp(sin t): at the end, and the largest at the points
-    inside the steps."""
+def fixed_step_errors(n_steps, semantics, horizon=1.0):
+    """Errors of the integrator's step on y' = (y + 1) cos t, y(0) = 1, whose
+    solution is 2 exp(sin t) - 1: at the end, and the largest at the points
+    inside the steps.
+
+    Sampled, the equation is the open-loop control cos t on the field y
+    and on the constant field 1, whose terms go into the step's offset;
+    classic, it is the feedback (y + 1) cos t on the constant field alone,
+    formed at each stage from the stage's state."""
     h = horizon / n_steps
-    shares = integrator._stage_shares(h, 1)
+    hs = (h * integrator._SUMS.T)[None, :, :, None]  # as simulate shapes it
+    one = np.ones(1)
     acc = np.empty((len(integrator._SUMS), 1))
     y, worst_inside = np.ones(1), 0.0
     for i in range(n_steps):
         t = i * h
-
-        def rhs(node, state):
-            return state * np.cos(t + integrator._NODES[node] * h)
-
-        y = integrator._rk_step(rhs, y, shares, acc).copy()
+        u = np.cos(t + h * integrator._C)
+        if semantics == "sampled":
+            folded = hs * u[None, :, None, None]
+            stage = lambda s, state: [(lambda x: x, folded[0, s, s:])]
+            nodes = np.cos(t + h * integrator._NODES)
+            integrator._offsets(h, [nodes[:, None]], one[None], acc[:, None])
+        else:
+            stage = lambda s, state: [(lambda x: one,
+                                       hs[0, s, s:] * ((state[0] + 1) * u[s]))]
+            acc[...] = 0.0
+        y = integrator._rk_step(stage, y, acc).copy()
         inside = t + integrator._point_offsets(h)
         worst_inside = max(worst_inside, float(np.max(np.abs(
-            acc[integrator._B.size:, 0] - np.exp(np.sin(inside))))))
-    return abs(float(y[0]) - np.exp(np.sin(horizon))), worst_inside
+            acc[integrator._B.size:, 0] - (2 * np.exp(np.sin(inside)) - 1)))))
+    return abs(float(y[0]) - (2 * np.exp(np.sin(horizon)) - 1)), worst_inside
 
 
 def test_step_has_order_6_and_its_dense_points_order_4():
-    """Halving the step divides the end error by about 2^6; the error at the
-    points inside the steps by at least 2^4."""
-    errors = [fixed_step_errors(n) for n in (8, 16, 32)]
-    for (end, inside), (end_half, inside_half) in zip(errors, errors[1:]):
-        assert 5.5 < np.log2(end / end_half) < 6.5
-        assert np.log2(inside / inside_half) >= 4.0
-    assert errors[-1][0] < 1e-11
+    """Under both semantics, halving the step divides the end error by
+    about 2^6; the error at the points inside the steps by at least 2^4."""
+    for semantics in ("sampled", "classic"):
+        errors = [fixed_step_errors(n, semantics) for n in (8, 16, 32)]
+        for (end, inside), (end_half, inside_half) in zip(errors, errors[1:]):
+            assert 5.5 < np.log2(end / end_half) < 6.5, semantics
+            assert np.log2(inside / inside_half) >= 4.0, semantics
+        assert errors[-1][0] < 1e-11, semantics
 
 
 def test_bracket_direction_displacement():

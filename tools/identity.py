@@ -15,7 +15,14 @@ prints the ``repr`` of ``contraction_check`` and ``volterra_scaling``
 reports, of ``estimate_sup_bounds`` results and of each registry curve's
 ``nu``, and for batched ``simulate`` runs whose members stop, each
 member's failure and a sha256 of the arrays; these are compared line by
-line.  Last, a table gives each command's and each
+line.  Next to each differing output file, stdout and probe line it
+prints how large the difference is: the largest absolute and relative
+difference of the numbers in it (CSV cells, relative to their column's
+largest magnitude; JSON leaves; the numbers of a text line), and how
+many other items differ (text cells or leaves,
+lines whose words differ, a changed shape), so a change in the last
+digits can be told from a real one.  The parent's output files are kept
+aside for this before the change runs.  Last, a table gives each command's and each
 probe's peak resident memory (``ru_maxrss`` of its process) on both trees,
 for information only: it never counts as a difference.
 
@@ -25,7 +32,11 @@ Exits 0 when nothing differs, 1 naming every differing item otherwise.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import itertools
+import json
+import math
 import os
 import re
 import shutil
@@ -36,6 +47,9 @@ from pathlib import Path
 
 # "file:line: SomeWarning: message" and the indented source line after it.
 WARNING_AT = re.compile(r"^(.*):\d+: (\w*Warning: .*)\n  .*$", re.MULTILINE)
+
+# A number as the outputs print it: decimal, scientific, inf or nan.
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan)(?![\w.])")
 
 SWEEP_CURVE = "5*sin(t/4), 5*sin(t/4)*cos(t/4), 0, 0"
 
@@ -207,12 +221,124 @@ def run(tree: Path, code: str, args: list[str], out: Path) -> dict:
             "peak rss mb": usage.ru_maxrss / 1024}  # ru_maxrss is in KiB on Linux
 
 
-def differences(parent: dict, change: dict) -> list[str]:
-    """The items of one command that differ between the two runs."""
-    found = [key for key in ("exit code", "stdout", "stderr") if parent[key] != change[key]]
+class Gap:
+    """How far apart two outputs are: the largest absolute and relative
+    difference of their differing numbers, and the count of other
+    differing items."""
+
+    def __init__(self):
+        self.abs = self.rel = 0.0
+        self.numbers = self.other = 0
+
+    def number(self, a: float, b: float, scale: float = 0.0) -> None:
+        """Two numbers; the relative difference is to ``scale``, or to the
+        larger of the two when it is larger."""
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            return
+        self.numbers += 1
+        if not (math.isfinite(a) and math.isfinite(b)):
+            self.abs = self.rel = math.inf
+            return
+        gap = abs(a - b)
+        self.abs = max(self.abs, gap)
+        self.rel = max(self.rel, gap / max(abs(a), abs(b), scale))
+
+    def text(self, a: str, b: str) -> None:
+        """Two lines: their numbers, if their words agree, else one item."""
+        if a == b:
+            return
+        if NUMBER.sub("#", a) != NUMBER.sub("#", b):
+            self.other += 1
+            return
+        for x, y in zip(NUMBER.findall(a), NUMBER.findall(b)):
+            self.number(float(x), float(y))
+
+    def lines(self, a: str, b: str) -> None:
+        """Two texts, line by line; a line only one has is one item."""
+        a, b = a.splitlines(), b.splitlines()
+        self.other += abs(len(a) - len(b))
+        for x, y in zip(a, b):
+            self.text(x, y)
+
+    def cells(self, a: Path, b: Path) -> None:
+        """Two CSV files, cell by cell, each relative to the largest finite
+        magnitude in its column, so that a value crossing zero in a column
+        of large ones does not read as a relative change of 2.  Both are
+        read row by row, keeping this process small (see ``digest``)."""
+        scale = {}
+        for path in (a, b):
+            with open(path, newline="") as fh:
+                for row in csv.reader(fh):
+                    for col, cell in enumerate(row):
+                        try:
+                            value = abs(float(cell))
+                        except ValueError:
+                            continue
+                        if math.isfinite(value):
+                            scale[col] = max(scale.get(col, 0.0), value)
+        with open(a, newline="") as fa, open(b, newline="") as fb:
+            for row_a, row_b in itertools.zip_longest(csv.reader(fa), csv.reader(fb)):
+                if row_a is None or row_b is None:
+                    self.other += 1
+                    continue
+                self.other += abs(len(row_a) - len(row_b))
+                for col, (x, y) in enumerate(zip(row_a, row_b)):
+                    try:
+                        self.number(float(x), float(y), scale.get(col, 0.0))
+                    except ValueError:
+                        self.other += x != y
+
+    def leaves(self, a, b) -> None:
+        """JSON values, leaf by leaf."""
+        if isinstance(a, dict) and isinstance(b, dict):
+            self.other += len(a.keys() ^ b.keys())
+            for key in a.keys() & b.keys():
+                self.leaves(a[key], b[key])
+        elif isinstance(a, list) and isinstance(b, list):
+            self.other += abs(len(a) - len(b))
+            for x, y in zip(a, b):
+                self.leaves(x, y)
+        elif (isinstance(a, (int, float)) and isinstance(b, (int, float))
+              and not isinstance(a, bool) and not isinstance(b, bool)):
+            self.number(float(a), float(b))
+        else:
+            self.other += a != b
+
+    def file(self, a: Path, b: Path) -> None:
+        """Two output files of the same name: CSV and JSON by their
+        numbers; a missing file, or one of another kind, is one item."""
+        if a.is_file() and b.is_file() and a.suffix == ".csv":
+            self.cells(a, b)
+        elif a.is_file() and b.is_file() and a.suffix == ".json":
+            with open(a) as fa, open(b) as fb:
+                self.leaves(json.load(fa), json.load(fb))
+        else:
+            self.other += 1
+
+    def __str__(self) -> str:
+        parts = []
+        if self.numbers:
+            parts.append(f"{self.numbers} numbers, largest abs {self.abs:.2g}, "
+                         f"rel {self.rel:.2g}")
+        if self.other:
+            parts.append(f"{self.other} other")
+        return "; ".join(parts) or "no number differs"
+
+
+def differences(parent: dict, change: dict, parent_out: Path, change_out: Path) -> list[str]:
+    """The items of one command that differ between the two runs, each
+    with how large its difference is (see ``Gap``) where it has one."""
+    found = ["exit code"] if parent["exit code"] != change["exit code"] else []
+    for key in ("stdout", "stderr"):
+        if parent[key] != change[key]:
+            gap = Gap()
+            gap.lines(parent[key], change[key])
+            found.append(f"{key} ({gap})")
     for name in sorted(parent["files"].keys() | change["files"].keys()):
         if parent["files"].get(name) != change["files"].get(name):
-            found.append(name)
+            gap = Gap()
+            gap.file(parent_out / name, change_out / name)
+            found.append(f"{name} ({gap})")
     return found
 
 
@@ -229,12 +355,15 @@ def main(argv: list[str] | None = None) -> int:
     failed = 0
     peaks = []  # (label, parent MB, change MB)
     with tempfile.TemporaryDirectory(prefix="osctrack-identity-") as tmp:
-        out = Path(tmp) / "out"
+        out, aside = Path(tmp) / "out", Path(tmp) / "parent-out"
         for cmd in COMMANDS:
             label = " ".join(cmd)
             argv = cmd if cmd == ["list-curves"] else [*cmd, "--output-dir", str(out)]
-            parent, change = (run(tree, MAIN, argv, out) for tree in trees)
-            found = differences(parent, change)
+            parent = run(trees[0], MAIN, argv, out)
+            shutil.rmtree(aside, ignore_errors=True)
+            shutil.copytree(out, aside)  # the change's run empties out
+            change = run(trees[1], MAIN, argv, out)
+            found = differences(parent, change, aside, out)
             peaks.append((label, parent["peak rss mb"], change["peak rss mb"]))
             failed += bool(found)
             status = "DIFFERS: " + ", ".join(found) if found else "identical"
@@ -253,7 +382,12 @@ def main(argv: list[str] | None = None) -> int:
         for want, got in zip(parent, change):
             name = want.split(":")[0]
             failed += want != got
-            print(f"{name}: {'identical' if want == got else 'DIFFERS'}")
+            if want == got:
+                print(f"{name}: identical")
+            else:
+                gap = Gap()
+                gap.text(want, got)
+                print(f"{name}: DIFFERS ({gap})")
     print("\npeak RSS in MB (ru_maxrss; for information, never a difference)\n"
           "  parent  change  command")
     for label, parent_mb, change_mb in peaks:
