@@ -31,11 +31,6 @@ def _stacked(components):
     return ev
 
 
-def _stack_components(funcs):
-    """Vector-valued eval from per-component vectorized scalar functions."""
-    return _stacked(lambda t: [f(t) for f in funcs])
-
-
 class _ComputedOnRead:
     """A dataclass field that holds a value, or a zero-argument callable
     that is called the first time the field is read; its result then
@@ -150,21 +145,18 @@ def curve_gamma1(horizon: float = 40.0) -> ReferenceCurve:
 
 def curve_gamma2(horizon: float = 40.0) -> ReferenceCurve:
     """Curve whose velocity decays to zero, settling at (3, 0, 0)."""
-    ev = _stack_components([
-        lambda t: 3 - np.exp(1 - t),
-        lambda t: np.exp(-t ** 2),
-        lambda t: np.zeros_like(t),
-    ])
-    dv = _stack_components([
-        lambda t: np.exp(1 - t),
-        lambda t: -2 * t * np.exp(-t ** 2),
-        lambda t: np.zeros_like(t),
-    ])
-    dv2 = _stack_components([
-        lambda t: -np.exp(1 - t),
-        lambda t: (4 * t ** 2 - 2) * np.exp(-t ** 2),
-        lambda t: np.zeros_like(t),
-    ])
+    @_stacked
+    def ev(t):
+        return 3 - np.exp(1 - t), np.exp(-t ** 2), 0.0
+
+    @_stacked
+    def dv(t):
+        return np.exp(1 - t), -2 * t * np.exp(-t ** 2), 0.0
+
+    @_stacked
+    def dv2(t):
+        return -np.exp(1 - t), (4 * t ** 2 - 2) * np.exp(-t ** 2), 0.0
+
     return ReferenceCurve(3, ev, dv, _bound_on_read(dv, horizon), name="gamma2", deriv2=dv2)
 
 
@@ -267,22 +259,14 @@ def curve_gamma3_admissible(base: ReferenceCurve, gamma3_0: float | None = None,
 
 def curve_gamma4_underwater(horizon: float = 40.0) -> ReferenceCurve:
     """Helical position reference for the six-state underwater vehicle."""
-    ev = _stack_components([
-        lambda t: np.cos(t / 4),
-        lambda t: t / 4,
-        lambda t: np.sin(t / 4),
-        lambda t: np.zeros_like(t),
-        lambda t: np.zeros_like(t),
-        lambda t: np.zeros_like(t),
-    ])
-    dv = _stack_components([
-        lambda t: -np.sin(t / 4) / 4,
-        lambda t: np.full_like(t, 0.25),
-        lambda t: np.cos(t / 4) / 4,
-        lambda t: np.zeros_like(t),
-        lambda t: np.zeros_like(t),
-        lambda t: np.zeros_like(t),
-    ])
+    @_stacked
+    def ev(t):
+        return np.cos(t / 4), t / 4, np.sin(t / 4), 0.0, 0.0, 0.0
+
+    @_stacked
+    def dv(t):
+        return -np.sin(t / 4) / 4, 0.25, np.cos(t / 4) / 4, 0.0, 0.0, 0.0
+
     return ReferenceCurve(6, ev, dv, _bound_on_read(dv, horizon), name="gamma4_underwater")
 
 
@@ -293,12 +277,10 @@ def curve_gamma4_car(horizon: float = 60.0) -> ReferenceCurve:
         s4 = np.sin(t / 4)
         return 5 * s4, 5 * s4 * np.cos(t / 4), 0.0, 0.0
 
-    dv = _stack_components([
-        lambda t: 1.25 * np.cos(t / 4),
-        lambda t: 1.25 * np.cos(t / 2),
-        lambda t: np.zeros_like(t),
-        lambda t: np.zeros_like(t),
-    ])
+    @_stacked
+    def dv(t):
+        return 1.25 * np.cos(t / 4), 1.25 * np.cos(t / 2), 0.0, 0.0
+
     return ReferenceCurve(4, ev, dv, _bound_on_read(dv, horizon), name="gamma4_car")
 
 

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .curves import (CURVE_REGISTRY, ReferenceCurve, _grid_blocks, _stack_components,
+from .curves import (CURVE_REGISTRY, ReferenceCurve, _grid_blocks, _stacked,
                      velocity_bound)
 from .errors import UsageError
 
@@ -141,7 +141,7 @@ def curve_from_expression(src: str, horizon: float = 40.0,
     block of curve values.
     """
     funcs = [compile_component(p) for p in split_components(src)]
-    ev = _stack_components(funcs)
+    ev = _stacked(lambda t: [f(t) for f in funcs])
 
     def dv(t):
         t_arr = np.asarray(t, dtype=float)

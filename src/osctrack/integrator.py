@@ -15,11 +15,7 @@ seven-stage method of order 6 (Hairer, Norsett & Wanner, *Solving
 Ordinary Differential Equations I*, section II.5).  Its stages also give
 a continuous extension of order 4 (section II.6) at no extra field
 evaluation, from which the distance to the reference is recorded at
-``DENSE_POINTS`` inside every step as well as at the nodes.  Under
-sampled semantics the control at every stage of a step is known before
-the step starts, so it is folded into the tableau's weights first, and a
-stage is one call of each field that depends on the state and one
-multiply-add.
+``DENSE_POINTS`` inside every step as well as at the nodes.
 """
 
 from __future__ import annotations
@@ -84,11 +80,6 @@ _W_DENSE = (np.array(DENSE_POINTS)[:, None] ** np.arange(1, 5)) @ _B_DENSE.T
 # The weights of the sums a step forms, one row each: the states stages
 # 1, 2, ... read, the new state, and the states at DENSE_POINTS.
 _SUMS = np.vstack((_A[1:], _B, _W_DENSE))
-# Per distinct node, the weights in those sums of its stages, added, and
-# its first stage: the rows before that one do not read the node.
-_NODE_SUMS = np.array([_SUMS[:, np.equal(_STAGE_NODE, v)].sum(axis=1)
-                       for v in range(_NODES.size)])
-_NODE_FIRST = tuple(_STAGE_NODE.index(v) for v in range(_NODES.size))
 
 
 def _point_offsets(h: float, count: int = len(DENSE_POINTS)) -> np.ndarray:
@@ -245,28 +236,53 @@ class _Stopped(Exception):
     """Every member of the run has stopped."""
 
 
-def _rk_step(stage: Callable, x: np.ndarray, acc: np.ndarray) -> np.ndarray:
-    """One step of the tableau from x; returns the new state, a view of
-    ``acc``.
+def _drift(terms, u, made, x: np.ndarray) -> np.ndarray:
+    """Right-hand side u_1 f_1(x) + u_2 f_2(x) + ..., summed left to right.
 
-    ``acc``, of shape (len(_SUMS),) + x.shape, holds on entry the terms
-    the step adds whatever its states (those of the constant fields under
-    sampled semantics, see ``_offsets``; zero otherwise) and receives the
-    step's sums: row ``stages - 1`` the new state, the rows after it the
-    states at ``DENSE_POINTS``.  ``stage(s, state)`` gives stage s's terms,
-    pairs (f, w) of a field's evaluation and its weight rows: h *
-    ``_SUMS[s:, s]`` times the field's control at the stage, along the axes
-    of a state.  So a stage costs one call of each field and one
-    multiply-add, element by element and in stage order; no stage
-    derivative is kept, and a member of a batch gets the bits of its run
-    alone (a BLAS product would not).
+    ``terms[i]`` is ``(f_i.eval, i)`` for a field that depends on the
+    state and ``(None, j)`` for the j-th constant field, whose term
+    u_i f_i was formed beforehand as ``made[j]``.  ``u[i]`` is a scalar
+    for one state, a column (B, 1) for states (B, n).
     """
-    acc += x
+    out = None
+    for ev, j in terms:
+        term = made[j] if ev is None else u[j] * ev(x)
+        out = term if out is None else out + term
+    return out
+
+
+def _stage_shares(h: float, ndim: int) -> list:
+    """Per stage j, h times its weights in the sums from row j of ``_SUMS``
+    on (the rows before it do not read it), with ndim unit axes appended."""
+    return [h * _SUMS[j:, j][(...,) + (None,) * ndim] for j in range(_B.size)]
+
+
+def _stage_views(acc: np.ndarray) -> list:
+    """Per stage j, the views of ``acc`` it reads and writes: the sums from
+    row j on, and row j, the state stage j + 1 starts from.  Made once per
+    buffer, so that a step slices nothing."""
+    return [(acc[j:], acc[j]) for j in range(_B.size)]
+
+
+def _rk_step(rhs: Callable, x: np.ndarray, shares: list, views: list) -> np.ndarray:
+    """One step of the tableau from x; returns the new state, a view of
+    the step's sums.
+
+    ``shares`` is ``_stage_shares(h, x.ndim)``, ``views`` is
+    ``_stage_views(acc)``.  ``acc``, of shape (len(_SUMS),) + x.shape,
+    receives the step's sums: row ``stages - 1`` the new state, the rows
+    after it the states at ``DENSE_POINTS``.  ``rhs(node, state)`` is the
+    right-hand side at one of the distinct nodes ``_NODES``.  Each stage's
+    derivative is added to every sum as soon as it is known, element by
+    element and in stage order, so no stage derivative is kept and a
+    member of a batch gets the bits of its run alone (a BLAS product
+    would not).
+    """
+    views[0][0][...] = x
     state = x
-    for s in range(_B.size):
-        for f, w in stage(s, state):
-            acc[s:] += w * f(state)
-        state = acc[s]
+    for (sums_from, row), share, node in zip(views, shares, _STAGE_NODE):
+        sums_from += share * rhs(node, state)
+        state = row
     return state
 
 
@@ -279,29 +295,6 @@ def _distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for component in range(1, d.shape[-1]):
         out += d[..., component] * d[..., component]
     return np.sqrt(out, out=out)
-
-
-def _offsets(h: float, u, values: np.ndarray, out: np.ndarray) -> None:
-    """Write into ``out`` the terms of the constant fields that each step
-    of an interval adds: the sum over fields c of (the sum over the
-    distinct nodes v of h * ``_NODE_SUMS[v]`` * u[c][v]) * values[c],
-    summed element by element in that order.
-
-    ``u[c]`` of shape (nodes, steps) + batch axes holds field c's controls
-    at the distinct nodes, ``values`` (fields, n) the fields' values;
-    ``out`` is (len(_SUMS), steps) + batch axes + (n,), so that every
-    product runs along all steps and members at once.
-    """
-    out[...] = 0.0
-    weight = np.empty(out.shape[:-1])
-    unit = (1,) * (out.ndim - 2)
-    for field, value in zip(u, values):
-        np.multiply((h * _NODE_SUMS[0]).reshape((-1,) + unit), field[0], out=weight)
-        for v in range(1, _NODES.size):
-            first = _NODE_FIRST[v]
-            weight[first:] += (h * _NODE_SUMS[v, first:]).reshape((-1,) + unit) * field[v]
-        for component in np.flatnonzero(value):
-            out[..., component] += weight * value[component]
 
 
 def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerParams,
@@ -327,6 +320,7 @@ def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerPara
 
     eps = params.epsilon
     h = eps / substeps
+    shares = _stage_shares(h, x0.ndim)
     offsets = _point_offsets(h)  # of the points inside a step
     n_int = grid.n_intervals
     rows = n_int * substeps + 1
@@ -339,14 +333,12 @@ def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerPara
     states = np.full((rows, x0.size // sys.n, sys.n), np.nan)
     controls = np.full(states.shape[:2] + (scheme.m,), np.nan)
     dense = np.full((rows - 1, states.shape[1], len(DENSE_POINTS)), np.nan)
-    # Under sampled semantics the constant fields' terms are written into
-    # the step sums once per interval, before the steps; only the other
-    # fields are evaluated per stage.  Classic semantics adds every term
-    # per stage.
+    # Each constant field's term u_i * value is formed from the control
+    # table, once per interval; only the other fields are evaluated per stage.
     const = [i for i, f in enumerate(sys.fields) if f.value is not None]
-    dep = [i for i, f in enumerate(sys.fields) if f.value is None]
     values = np.array([sys.fields[i].value for i in const]).reshape(-1, sys.n)
-    fields = tuple(sys.fields[i].eval for i in (dep if freeze else range(scheme.m)))
+    terms = tuple((None, const.index(i)) if i in const else (f.eval, i)
+                  for i, f in enumerate(sys.fields))
     semantics = "sampled" if freeze else "classic"
     # The per-step check: bool on one start, since np.all costs about 4 us a step.
     whole = np.all if x0.ndim == 2 else bool
@@ -367,19 +359,17 @@ def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerPara
 
     def go_on(keep):
         """Carry on with the live members marked in ``keep``, and their gains."""
-        nonlocal x, live, u_dep, sums, hs, u_func, params
+        nonlocal x, live, table, made, sums, views, u_func, params
         if not np.any(keep):
             raise _Stopped
         if not np.all(keep):
             x, live = x[keep], members[live][keep]
-            # The interval's steps so far are formed; the sums of those to
-            # come hold their constant-field terms already.
-            sums, hs = sums[:, :, keep], hs[..., keep, :]
-            fold_buffer()
+            sums = np.empty(sums.shape[:2] + x.shape)  # its steps are formed
+            views = [_stage_views(acc) for acc in sums]
             if np.ndim(params.alpha):
                 params = replace(params, alpha=params.alpha[keep])
-            if u_dep is not None:
-                u_dep = u_dep[:, :, :, :, keep]
+            if table is not None:
+                table, made = table[:, :, :, keep], made[:, :, :, keep]
                 u_func = lambda t, f=u_func: f(t)[..., keep, :]
 
     def form_dense(upto: int):
@@ -398,43 +388,33 @@ def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerPara
         eval_count += 1
         return make_control_function(scheme, params, c)(t)
 
-    def fold_buffer():
-        """For the live members, the buffer of a step's folded weights and
-        each stage's terms, which view their rows."""
-        nonlocal folded, stage_terms
-        folded = np.empty((len(fields), _B.size, len(_SUMS)) + x.shape)
-        stage_terms = [[(f, rows[s, s:]) for f, rows in zip(fields, folded)]
-                       for s in range(_B.size)]
-
     def sampled(s, state):
-        # The step's weights were folded with its controls before it began.
-        return stage_terms[s]
+        # The controls and constant-field terms were tabulated for the interval.
+        return _drift(terms, table[k][s], made[k, s], state)
 
     def classic(s, state):
-        # The left-node control is recorded first, so a step that fails on
-        # a later stage still leaves it in the trace.
-        u = solve(left[k] + h * _C[s], state)
+        # The constant-field terms are formed on the spot; the left-node
+        # control is recorded first, so a step that fails on a later stage
+        # still leaves it in the trace.
+        u = solve(table[k, s], state)
         if s == 0:
             controls[i] = u
-        return zip(fields, hs[0, s, s:] * u[:, None, None])
+        return _drift(terms, u, u[const, None] * values, state)
 
-    stage = sampled if freeze else classic
+    rhs = sampled if freeze else classic
     x = states[0] = x0
-    u_dep = u_func = folded = stage_terms = None
-    fold_buffer()
-    # h * _SUMS[r, s] at [0, s, r], repeated along the axes of the states,
-    # as folding then runs fastest.
-    hs = (h * _SUMS.T)[(None, ...) + (None,) * x.ndim] * np.ones(x.shape)
+    table = made = u_func = None
     sums = np.empty((substeps, len(_SUMS)) + x.shape)  # one interval's step sums
+    views = [_stage_views(acc) for acc in sums]
     i = formed = base = 0  # the row being computed, the steps formed
     try:
         for j in range(n_int):
             base = i = j * substeps
             left = times[base:base + substeps]
-            # Row k: the reference inside step k.
+            # Row k: the distinct nodes of step k, and the reference inside it.
+            nodes = left[:, None] + h * _NODES
             gamma_dense = np.asarray(curve.eval((left[:, None] + offsets).ravel()),
                                      dtype=float).reshape(substeps, offsets.size, 1, sys.n)
-            x = x.copy()  # a view of the sums, which are written anew below
             if freeze:
                 try:
                     coeffs = coefficients(sys, scheme, params, x, gamma_all[base])
@@ -448,22 +428,19 @@ def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerPara
                 if on_coefficients is not None:
                     on_coefficients(j, float(times[base]), x.copy(), coeffs)
                 u_func = make_control_function(scheme, params, coeffs)
-                u = u_func(h * _NODES[:, None] + left)  # (nodes, substeps) + batch + (m,)
-                controls[base:base + substeps, live] = u[0].reshape(substeps, -1, scheme.m)
-                u = np.ascontiguousarray(np.moveaxis(u, -1, 0))
-                _offsets(h, [u[c] for c in const], values, sums.swapaxes(0, 1))
-                # At the stages, spread over the state's components, so that
-                # folding has a long inner loop: (substeps, fields, stages, 1)
-                # + x.shape.
-                u_dep = np.moveaxis(u[np.ix_(dep, _STAGE_NODE)], 2, 0)
-                u_dep = np.repeat(u_dep[:, :, :, None, ..., None], sys.n, axis=-1)
-            else:
-                sums.fill(0.0)  # classic semantics adds no term before a step
+                nodes = u_func(nodes)  # (substeps, nodes) + batch axes + (m,)
+                controls[base:base + substeps, live] = nodes[:, 0].reshape(
+                    substeps, -1, scheme.m)
+                made = np.moveaxis(nodes[..., const, None] * values, -2, 2)
+                # Per field, a scalar control or a column (B, 1) of member values.
+                nodes = np.moveaxis(nodes, -1, 2)[(...,) + (None,) * (x0.ndim - 1)]
+                if x0.ndim == 1:  # floats, which a stage reads without indexing an array
+                    nodes = nodes.tolist()
+            table = nodes
+
             for k in range(substeps):
                 i = base + k
-                if freeze:
-                    np.multiply(hs, u_dep[k], out=folded)
-                x_prev, x = x, _rk_step(stage, x, sums[k])
+                x_prev, x = x, _rk_step(rhs, x, shares, views[k])
                 states[i + 1, live] = x
                 # x . x is finite exactly when x is, unless it overflows;
                 # then the members are checked one by one below.

@@ -121,27 +121,26 @@ def fixed_step_errors(n_steps, semantics, horizon=1.0):
     inside the steps.
 
     Sampled, the equation is the open-loop control cos t on the field y
-    and on the constant field 1, whose terms go into the step's offset;
+    and on the constant field 1, whose term is formed before the step;
     classic, it is the feedback (y + 1) cos t on the constant field alone,
     formed at each stage from the stage's state."""
     h = horizon / n_steps
-    hs = (h * integrator._SUMS.T)[None, :, :, None]  # as simulate shapes it
-    one = np.ones(1)
+    shares = integrator._stage_shares(h, 1)
     acc = np.empty((len(integrator._SUMS), 1))
+    views = integrator._stage_views(acc)
+    one = np.ones(1)
+    terms = ((lambda x: x, 0), (None, 0))  # the field y, the constant field 1
     y, worst_inside = np.ones(1), 0.0
     for i in range(n_steps):
         t = i * h
-        u = np.cos(t + h * integrator._C)
+        u = np.cos(t + h * integrator._NODES)
         if semantics == "sampled":
-            folded = hs * u[None, :, None, None]
-            stage = lambda s, state: [(lambda x: x, folded[0, s, s:])]
-            nodes = np.cos(t + h * integrator._NODES)
-            integrator._offsets(h, [nodes[:, None]], one[None], acc[:, None])
+            rhs = lambda node, state: integrator._drift(terms, (u[node],),
+                                                        (u[node] * one,), state)
         else:
-            stage = lambda s, state: [(lambda x: one,
-                                       hs[0, s, s:] * ((state[0] + 1) * u[s]))]
-            acc[...] = 0.0
-        y = integrator._rk_step(stage, y, acc).copy()
+            rhs = lambda node, state: integrator._drift(
+                terms[1:], (), ((state[0] + 1) * u[node] * one,), state)
+        y = integrator._rk_step(rhs, y, shares, views).copy()
         inside = t + integrator._point_offsets(h)
         worst_inside = max(worst_inside, float(np.max(np.abs(
             acc[integrator._B.size:, 0] - (2 * np.exp(np.sin(inside)) - 1)))))

@@ -19,10 +19,10 @@ line.  Next to each differing output file, stdout and probe line it
 prints how large the difference is: the largest absolute and relative
 difference of the numbers in it (CSV cells, relative to their column's
 largest magnitude; JSON leaves; the numbers of a text line), and how
-many other items differ (text cells or leaves,
-lines whose words differ, a changed shape), so a change in the last
-digits can be told from a real one.  The parent's output files are kept
-aside for this before the change runs.  Last, a table gives each command's and each
+many other items differ (text cells or leaves, lines whose words
+differ, a changed shape), so a change in the last digits can be told
+from a real one.  The parent's output files are kept aside for this
+before the change runs.  Last, a table gives each command's and each
 probe's peak resident memory (``ru_maxrss`` of its process) on both trees,
 for information only: it never counts as a difference.
 
