@@ -24,7 +24,6 @@ from .systems import (
     VectorField,
     bracket_field,
     build_gain_matrix,
-    check_rank_condition,
     finite_difference_jacobian,
     lie_bracket,
 )
@@ -37,16 +36,10 @@ from .controller import (
 from .curves import (
     CURVE_REGISTRY,
     ReferenceCurve,
-    constant_curve,
-    curve_gamma1,
-    curve_gamma2,
-    curve_gamma3_admissible,
-    curve_gamma4_car,
-    curve_gamma4_underwater,
     get_curve,
     velocity_bound,
 )
-from .expressions import compile_component, curve_from_expression, split_components
+from .expressions import curve_from_expression
 from .integrator import (
     SamplerGrid,
     Trajectory,
@@ -61,7 +54,6 @@ from .metrics import (
     stability_report,
     steady_amplitude,
     tail_error,
-    tube_distance,
 )
 from .scenarios import (
     SCENARIO_REGISTRY,

@@ -40,7 +40,6 @@ from .errors import (
     DegenerateCurveError,
     DimensionMismatchError,
     DomainError,
-    OscTrackError,
     RankConditionError,
     SimulationError,
     UnsupportedSchemeError,
@@ -50,7 +49,6 @@ from .integrator import (
     SamplerGrid,
     Trajectory,
     classic_solution_simulate,
-    default_substeps,
     simulate,
 )
 from .metrics import stability_report
@@ -355,13 +353,13 @@ def cmd_certify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _row(config: RunConfig, curve: ReferenceCurve | None,
-         outcome: Trajectory | OscTrackError) -> dict:
-    """The summary row of one sweep cell: its run's report, or its error."""
+def _row(config: RunConfig, curve: ReferenceCurve,
+         outcome: Trajectory | SimulationError) -> dict:
+    """The summary row of one sweep cell: its run's report, or how it failed."""
     row = {"alpha": config.alpha, "epsilon": config.epsilon, "status": "ok",
            "steady_amplitude": None, "entry_time": None, "fitted_lambda": None,
            "flag": None}
-    if isinstance(outcome, OscTrackError):
+    if isinstance(outcome, SimulationError):
         row["status"] = f"error: {outcome}"
         return row
     rep = stability_report(outcome, config.rho)
@@ -375,13 +373,13 @@ def _row(config: RunConfig, curve: ReferenceCurve | None,
 
 def _sweep_row(config: RunConfig) -> dict:
     """Worker for one sweep cell: the sweep's config at the cell's alpha and epsilon."""
+    scenario, curve, params, x0, grid = resolve_run(config, _SWEEP_BUILDS)
+    integrate = simulate if config.semantics == "sampled" else classic_solution_simulate
     try:
-        scenario, curve, params, x0, grid = resolve_run(config, _SWEEP_BUILDS)
-        integrate = simulate if config.semantics == "sampled" else classic_solution_simulate
         traj = integrate(scenario.system, scenario.scheme, params, curve, x0, grid)
-        return _row(config, curve, traj)
-    except OscTrackError as exc:
-        return _row(config, None, exc)
+    except SimulationError as exc:
+        return _row(config, curve, exc)
+    return _row(config, curve, traj)
 
 
 def _sweep_batch(cells: list[RunConfig]) -> list[dict]:
@@ -394,11 +392,8 @@ def _sweep_batch(cells: list[RunConfig]) -> list[dict]:
         return [_sweep_row(cells[0])]
     scenario, curve, params, x0, grid = resolve_run(cells[0], _SWEEP_BUILDS)
     gains = replace(params, alpha=[cell.alpha for cell in cells])
-    try:
-        traj = simulate(scenario.system, scenario.scheme, gains, curve,
-                        np.tile(x0, (len(cells), 1)), grid)
-    except OscTrackError as exc:  # bad input, refused for every member alike
-        return [_row(cell, curve, exc) for cell in cells]
+    traj = simulate(scenario.system, scenario.scheme, gains, curve,
+                    np.tile(x0, (len(cells), 1)), grid)
     return [_row(cell, curve, traj.failures[b] if b in traj.failures else
                  replace(traj, states=traj.states[:, b], controls=traj.controls[:, b],
                          dist=traj.dist[:, b], dense_dist=traj.dense_dist[:, b],
@@ -429,7 +424,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     tasks = [replace(config, alpha=a, epsilon=e)
              for a, e in itertools.product(alphas, epsilons)]
     # A bad gain or period fails before any run starts.
-    grids = [resolve_run(task, _SWEEP_BUILDS)[4] for task in tasks]
+    runs = [resolve_run(task, _SWEEP_BUILDS) for task in tasks]
     jobs = args.jobs or os.cpu_count() or 1
     # The cells of one period form a column, run as batches of at most
     # _BATCH_ROWS member-rows; under classic semantics each cell runs alone.
@@ -444,9 +439,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     parts = -(-jobs // len(columns))
     batches = []
     for cells in columns.values():
-        grid = grids[cells[0]]
-        substeps = grid.substeps or default_substeps(scenario.system, scenario.scheme)
-        length = grid.n_intervals * substeps + 1
+        _, _, params, _, grid = runs[cells[0]]
+        # Too few substeps fail here, before any run starts, as in ``run``.
+        length = grid.n_intervals * grid.resolve(scenario.system, scenario.scheme,
+                                                 params) + 1
         size = max(1, min(_BATCH_ROWS // length, -(-len(cells) // parts)))
         batches += [cells[i:i + size] for i in range(0, len(cells), size)]
     # Every batch shares the scheme and horizon, so its cost goes with its
@@ -454,7 +450,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # loaded bin (Graham's LPT list scheduling), keeps the longest batch
     # from running alone at the end; ties keep grid order.
     def cost(cells):
-        return grids[cells[0]].n_intervals
+        return runs[cells[0]][4].n_intervals
 
     bins = [[] for _ in range(min(jobs, len(batches)))]
     for cells in sorted(batches, key=lambda cells: -cost(cells)):

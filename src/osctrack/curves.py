@@ -169,8 +169,7 @@ _HEADING_TURN = np.pi / 32
 _SPEED_MIN = 1e-4
 
 
-def curve_gamma3_admissible(base: ReferenceCurve, gamma3_0: float | None = None,
-                            horizon: float = 40.0) -> ReferenceCurve:
+def curve_gamma3_admissible(base: ReferenceCurve, horizon: float = 40.0) -> ReferenceCurve:
     """Admissible companion of a planar curve for the unicycle.
 
     Keeps the first two components of ``base`` and replaces the third by
@@ -178,9 +177,8 @@ def curve_gamma3_admissible(base: ReferenceCurve, gamma3_0: float | None = None,
     exactly by a unicycle.  The heading is atan2(y', x') taken on its
     continuous branch: a grid tabulates the unwrapped angle, and at a query
     time the exact atan2 is shifted by the multiple of 2 pi that puts it
-    nearest the interpolated table.  The start is atan2 at t = 0, or
-    ``gamma3_0`` when given.  Its rate, the heading component of
-    ``deriv``, is
+    nearest the interpolated table, which starts at atan2 at t = 0.  Its
+    rate, the heading component of ``deriv``, is
 
         theta' = (x' y'' - y' x'') / (x'^2 + y'^2).
 
@@ -219,13 +217,12 @@ def curve_gamma3_admissible(base: ReferenceCurve, gamma3_0: float | None = None,
         raise DegenerateCurveError(
             "planar speed vanishes; the path has no well-defined heading")
     branch = np.unwrap(np.arctan2(d[:, 1], d[:, 0]))
-    offset = 0.0 if gamma3_0 is None else gamma3_0 - branch[0]
 
     def heading(t_arr):
         dv = np.asarray(base.deriv(t_arr), dtype=float)
         raw = np.arctan2(dv[..., 1], dv[..., 0])
         turns = np.round((np.interp(t_arr, ts, branch) - raw) / (2 * np.pi))
-        return raw + 2 * np.pi * turns + offset
+        return raw + 2 * np.pi * turns
 
     def heading_rate(t):
         t_arr = np.asarray(t, dtype=float)
@@ -282,24 +279,6 @@ def curve_gamma4_car(horizon: float = 60.0) -> ReferenceCurve:
         return 1.25 * np.cos(t / 4), 1.25 * np.cos(t / 2), 0.0, 0.0
 
     return ReferenceCurve(4, ev, dv, _bound_on_read(dv, horizon), name="gamma4_car")
-
-
-def constant_curve(point: np.ndarray, name: str = "constant") -> ReferenceCurve:
-    """A stationary target; nu is exactly zero."""
-    point = np.asarray(point, dtype=float)
-    if point.ndim != 1:
-        raise UsageError("constant curve needs a 1-d target point")
-    n = point.size
-
-    def ev(t):
-        t_arr = np.asarray(t, dtype=float)
-        return np.broadcast_to(point, t_arr.shape + (n,)).copy()
-
-    def dv(t):
-        t_arr = np.asarray(t, dtype=float)
-        return np.zeros(t_arr.shape + (n,))
-
-    return ReferenceCurve(n, ev, dv, 0.0, name=name, deriv2=dv)
 
 
 CURVE_REGISTRY: dict[str, Callable[[float], ReferenceCurve]] = {

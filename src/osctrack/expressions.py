@@ -131,8 +131,7 @@ def compile_component(src: str) -> Callable[[np.ndarray], np.ndarray]:
     return _compile_node(tree)
 
 
-def curve_from_expression(src: str, horizon: float = 40.0,
-                          name: str | None = None) -> ReferenceCurve:
+def curve_from_expression(src: str, horizon: float = 40.0) -> ReferenceCurve:
     """Build a ReferenceCurve from a component expression string.
 
     Values and speed must be finite on the velocity-bound grid over
@@ -155,4 +154,4 @@ def curve_from_expression(src: str, horizon: float = 40.0,
     if not finite:
         raise UsageError(f"curve expression {src!r} or its speed is not finite "
                          f"somewhere on [0, {horizon:g}]")
-    return ReferenceCurve(len(funcs), ev, dv, nu, name=name or f"expr:{src}")
+    return ReferenceCurve(len(funcs), ev, dv, nu, name=f"expr:{src}")

@@ -227,10 +227,6 @@ class Trajectory:
         columns; a record without columns has none."""
         return _point_offsets(self.epsilon / self.substeps, self.dense_dist.shape[-1])
 
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
-
 
 class _Stopped(Exception):
     """Every member of the run has stopped."""

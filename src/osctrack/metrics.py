@@ -23,11 +23,6 @@ TUBE_EDGE_RTOL = 1e-9
 _BLOCK_ROWS = 2048
 
 
-def tube_distance(traj: Trajectory, rho: float) -> np.ndarray:
-    """Distance to the rho-tube around the reference: max(0, dist - rho)."""
-    return _above_tube(traj.dist, rho)
-
-
 def _above_tube(dist: np.ndarray, rho: float) -> np.ndarray:
     if rho < 0:
         raise UsageError(f"tube radius must be nonnegative, got {rho}")

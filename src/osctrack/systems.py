@@ -27,10 +27,6 @@ from .errors import (
 # of the largest column norm means the gain matrix is treated as singular.
 SINGULARITY_RTOL = 1e-12
 
-# Condition numbers at or above this are flagged as "near singular" in
-# rank-condition reports without failing them outright.
-NEAR_SINGULAR_COND = 1e8
-
 
 def finite_difference_jacobian(func: Callable[[np.ndarray], np.ndarray],
                                x: np.ndarray,
@@ -364,47 +360,3 @@ def build_gain_matrix(sys: ControlSystem, scheme: BracketScheme,
             f"gain matrix singular at state {state} "
             f"(smallest singular value {smallest:.3e})", state=state)
     return gains.matrices
-
-
-@dataclass(frozen=True)
-class RankConditionReport:
-    """Result of sampling the gain matrix over a batch of states."""
-
-    ok: bool
-    n_samples: int
-    min_singular_value: float
-    singular_values: np.ndarray
-    failed_indices: tuple[int, ...]
-    near_singular_indices: tuple[int, ...]
-
-
-def check_rank_condition(sys: ControlSystem, scheme: BracketScheme,
-                         samples: np.ndarray) -> RankConditionReport:
-    """Evaluate the gain matrix on a batch of sample states and grade it.
-
-    Samples where the smallest singular value drops below the hard
-    threshold are failures; samples whose condition number reaches
-    NEAR_SINGULAR_COND are flagged but still pass.
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim == 1:
-        samples = samples[None, :]
-    if samples.size == 0:
-        raise UsageError("rank condition check needs at least one sample state")
-    if samples.shape[1] != sys.n:
-        raise DimensionMismatchError(
-            f"samples must have {sys.n} columns, got {samples.shape[1]}")
-
-    gains = gain_matrices(sys, scheme, samples)
-    svals = gains.singular_values
-    failed = gains.singular
-    sigmas = np.where(failed, 0.0, svals[:, -1])
-    near = ~failed & (svals[:, 0] >= NEAR_SINGULAR_COND * svals[:, -1])
-    return RankConditionReport(
-        ok=not failed.any(),
-        n_samples=samples.shape[0],
-        min_singular_value=float(np.min(sigmas)),
-        singular_values=sigmas,
-        failed_indices=tuple(np.flatnonzero(failed).tolist()),
-        near_singular_indices=tuple(np.flatnonzero(near).tolist()),
-    )

@@ -1,7 +1,10 @@
 """Shared pytest plumbing: collect acceptance criterion verdicts and print
-them as one block at the end of the run, whether or not capture is on."""
+them as one block at the end of the run, whether or not capture is on;
+``fixed_target`` builds a stationary reference curve."""
 
 import pytest
+
+from osctrack import get_curve
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -17,6 +20,11 @@ def criterion_report():
         assert ok, line
 
     return _report
+
+
+def fixed_target(point):
+    """A stationary reference at ``point`` (nu = 0), named by a curve spec."""
+    return get_curve("; ".join(repr(float(v)) for v in point))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -31,12 +31,9 @@ from osctrack import (
     bound_constants,
     bracket_field,
     build_gain_matrix,
-    check_rank_condition,
     classic_solution_simulate,
     coefficients,
-    constant_curve,
     contraction_check,
-    curve_gamma1,
     default_substeps,
     finite_difference_jacobian,
     get_curve,
@@ -44,7 +41,9 @@ from osctrack import (
     lie_bracket,
     simulate,
 )
+from osctrack.curves import curve_gamma1
 from osctrack.systems import gain_matrices
+from conftest import fixed_target
 from tests.test_systems import (
     components,
     constant,
@@ -173,7 +172,7 @@ def test_non_finite_state_is_outside_the_domain():
     samples[1, 2] = np.nan
     samples[3, 0] = -np.inf
     with pytest.raises(DomainError, match="outside the system domain") as exc:
-        check_rank_condition(scenario.system, scenario.scheme, samples)
+        gain_matrices(scenario.system, scenario.scheme, samples)
     assert str(samples[1]) in str(exc.value)
     assert str(samples[3]) not in str(exc.value)
 
@@ -367,7 +366,7 @@ def test_batch_member_with_a_singular_gain_stops_alone():
     with alpha * eps = 1 every other start reaches it at t=0.1, with
     alpha * eps = 0.5 none does."""
     sys, scheme = make_vanishing_bracket()
-    curve = constant_curve(np.array([0.0, 0.5, 0.5]))
+    curve = fixed_target(np.array([0.0, 0.5, 0.5]))
     grid = SamplerGrid(0.1, 0.3)
     x0 = np.array([[0.3, 0.5, 0.5], [0.0, 0.0, 0.0], [0.3, 0.2, 0.4]])
 

@@ -29,10 +29,8 @@ from osctrack import (
     VectorField,
     bound_constants,
     build_gain_matrix,
-    constant_curve,
     contraction_check,
     control_magnitude_constants,
-    curve_gamma1,
     coefficients,
     estimate_sup_bounds,
     get_curve,
@@ -46,7 +44,9 @@ from osctrack import (
 )
 from osctrack import certify
 from osctrack.certify import SupBounds, _row_norms
+from osctrack.curves import curve_gamma1
 from osctrack.systems import gain_matrices
+from conftest import fixed_target
 from tests.test_systems import components, constant, unicycle_fields, zero_jacobian
 
 UNICYCLE_SCHEME = BracketScheme(m=2, s1=(1, 2), s2=((1, 2),), kappa=(1,))
@@ -479,7 +479,7 @@ def test_estimate_sup_bounds_all_constant_fields():
     sys_never = ControlSystem(n=2, m=2, fields=tuple(
         replace(f, jacobian=never) for f in fields))
     scheme = BracketScheme(m=2, s1=(1, 2))
-    curve = constant_curve(np.array([0.5, -0.5]))
+    curve = fixed_target(np.array([0.5, -0.5]))
     kwargs = dict(delta_prime=0.5, horizon=1.0, n_samples=500, seed=2)
     want = all_fields_sup_bounds(sys_c, scheme, curve, **kwargs)
     assert want.M2 == want.M3 == want.L == 0.0
@@ -505,7 +505,7 @@ def test_estimate_sup_bounds_singular_gain():
                                                         x.shape + (2,)))
     sys_bad = ControlSystem(n=2, m=2, fields=(f1, f2))
     scheme = BracketScheme(m=2, s1=(1, 2))
-    curve = constant_curve(np.zeros(2))
+    curve = fixed_target(np.zeros(2))
     with pytest.raises(CertificationError, match="gain matrix singular") as exc:
         estimate_sup_bounds(sys_bad, scheme, curve, delta_prime=0.5,
                             horizon=1.0, n_samples=50)
@@ -533,7 +533,7 @@ def test_estimate_sup_bounds_reports_the_first_offending_sample():
     sys_mixed = ControlSystem(n=2, m=2, fields=(f1, f2),
                               domain=lambda x: x[..., 1] < 0.3)
     scheme = BracketScheme(m=2, s1=(1, 2))
-    curve = constant_curve(np.zeros(2))
+    curve = fixed_target(np.zeros(2))
     kinds = set()
     for seed in range(8):
         xs = tube_samples(2, curve, delta_prime=0.5, horizon=1.0, n_samples=20,
@@ -583,7 +583,7 @@ def test_estimate_sup_bounds_nan_in_a_late_block(monkeypatch, block):
     makes exactly the sups the whole-batch formula makes NaN: M1, M2 and
     M3 (its offset along that field is NaN), not L or mu."""
     monkeypatch.setattr(certify, "_SUP_BLOCK_SAMPLES", block)
-    curve = constant_curve(np.zeros(2))
+    curve = fixed_target(np.zeros(2))
     kwargs = dict(delta_prime=0.5, horizon=1.0, n_samples=50, seed=4)
     xs = tube_samples(2, curve, **kwargs)
     target = xs[45]
@@ -621,7 +621,7 @@ def test_estimate_sup_bounds_memory_does_not_grow_with_samples():
 
 
 def test_volterra_residual_zero_at_reference(unicycle):
-    curve = constant_curve(np.array([0.3, -0.2, 0.4]))
+    curve = fixed_target(np.array([0.3, -0.2, 0.4]))
     params = ControllerParams(alpha=15.0, epsilon=0.05)
     x0 = np.array([0.3, -0.2, 0.4])
     traj = simulate(unicycle, UNICYCLE_SCHEME, params, curve, x0,
@@ -680,7 +680,7 @@ def test_volterra_scaling_needs_two_points(unicycle, gamma1):
 def test_lemma1_zero_control_degenerate(unicycle):
     point = np.array([0.3, -0.2, 0.4])
     params = ControllerParams(alpha=15.0, epsilon=0.05)
-    traj = simulate(unicycle, UNICYCLE_SCHEME, params, constant_curve(point),
+    traj = simulate(unicycle, UNICYCLE_SCHEME, params, fixed_target(point),
                     point, SamplerGrid(0.05, 0.2))
     rep = lemma1_growth_check(traj, M1=1.0, L=1.0)
     assert rep.ok
@@ -730,7 +730,7 @@ def test_contraction_translation_system_exact():
     sys_t = translation_system()
     scheme = BracketScheme(m=2, s1=(1, 2))
     params = ControllerParams(alpha=5.0, epsilon=0.01)
-    curve = constant_curve(np.zeros(2))
+    curve = fixed_target(np.zeros(2))
     rep = contraction_check(sys_t, scheme, params, curve, lam=1.0, nu=0.0,
                             rho_prime=0.25, delta=2.0, n_draws=50, seed=1)
     assert rep.n_pass == rep.n_draws == 50
@@ -806,7 +806,7 @@ def test_contraction_check_raises_the_first_stopped_draw():
                           domain=lambda x: np.linalg.norm(x, axis=-1) < 2.2)
     scheme = BracketScheme(m=2, s1=(1, 2))
     params = ControllerParams(alpha=250.0, epsilon=0.01)
-    curve = constant_curve(np.zeros(2))
+    curve = fixed_target(np.zeros(2))
     kwargs = dict(lam=1.0, nu=0.0, rho_prime=0.25, delta=2.0, n_draws=30, seed=3)
     with pytest.raises(SimulationError) as batched:
         contraction_check(sys_t, scheme, params, curve, **kwargs)

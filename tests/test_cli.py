@@ -14,6 +14,7 @@ import pytest
 import osctrack
 from osctrack import (
     ControllerParams,
+    DomainError,
     SamplerGrid,
     SimulationError,
     Trajectory,
@@ -291,6 +292,24 @@ class TestValidationErrors:
         assert all(key in err for key in entry)
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--scenario", "unicycle", "--substeps", "10"], "10 substeps cannot resolve"),
+        (["--scenario", "car", "--x0", "0,0,1.6,0"], "outside the system domain"),
+    ])
+    def test_run_and_sweep_refuse_bad_input_alike(self, tmp_path, capsys, flags,
+                                                  message):
+        """Input no run can start from exits 1 from either subcommand with
+        the same error line, and sweep writes no summary."""
+        errors = []
+        for command in (["run", "--epsilon", "0.1"],
+                        ["sweep", "--alphas", "1,15", "--epsilons", "0.1", "--jobs", "1"]):
+            out = tmp_path / command[0]
+            assert run_cli(out, *command, *flags, "--horizon", "0.2") == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0].startswith("error:") and message in errors[0]
+        assert errors[1] == errors[0]
+        assert not (tmp_path / "sweep" / "sweep_summary.csv").exists()
+
     def test_singular_expression_curve(self, tmp_path, capsys):
         """The input curve is at fault, so the run is refused before it starts."""
         code = run_cli(tmp_path, "run", "--scenario", "unicycle",
@@ -561,21 +580,22 @@ class TestSweep:
         assert ((tmp_path / "extra" / "sweep_summary.csv").read_bytes()
                 == (tmp_path / "plain" / "sweep_summary.csv").read_bytes())
 
-    def test_a_batch_refused_whole_gives_each_cell_its_own_error(self, tmp_path):
+    def test_a_batch_refused_whole_gives_each_cell_its_own_error(self, tmp_path, capsys):
         """A start outside the steering chart makes simulate refuse the
-        column's batch; each row still holds the error of its cell alone."""
+        column's batch.  The input is at fault, so the sweep exits 1 with
+        the error of a cell run alone and writes no summary."""
         from osctrack import cli
 
         code = run_cli(tmp_path, "sweep", "--scenario", "car", "--x0", "0,0,1.6,0",
                        "--alphas", "1,2", "--epsilons", "0.1", "--horizon", "0.2",
                        "--jobs", "1")
-        assert code == 0
+        assert code == 1
         config = cli.RunConfig(scenario="car", x0=(0.0, 0.0, 1.6, 0.0), horizon=0.2)
-        rows = [cli._sweep_row(replace(config, alpha=a, epsilon=0.1)) for a in (1.0, 2.0)]
+        with pytest.raises(DomainError, match="outside the system domain") as alone:
+            cli._sweep_row(replace(config, alpha=1.0, epsilon=0.1))
         cli._SWEEP_BUILDS.clear()
-        assert all("outside the system domain" in row["status"] for row in rows)
-        lines = (tmp_path / "sweep_summary.csv").read_text().splitlines()[1:]
-        assert [line.split(",")[2] for line in lines] == [row["status"] for row in rows]
+        assert capsys.readouterr().err == f"error: {alone.value}\n"
+        assert not (tmp_path / "sweep_summary.csv").exists()
 
     def test_nu_computed_once_before_the_pool_starts(self, tmp_path, monkeypatch):
         """The registry curve's nu is computed in the parent, so forked

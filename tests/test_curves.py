@@ -12,14 +12,15 @@ from osctrack import (
     DegenerateCurveError,
     ReferenceCurve,
     UsageError,
-    constant_curve,
+    get_curve,
+    velocity_bound,
+)
+from osctrack.curves import (
     curve_gamma1,
     curve_gamma2,
     curve_gamma3_admissible,
     curve_gamma4_car,
     curve_gamma4_underwater,
-    get_curve,
-    velocity_bound,
 )
 
 
@@ -177,14 +178,6 @@ def test_heading_equals_that_of_the_fine_table(horizon):
     assert np.array_equal(curve(t)[:, 2], heading_on_fine_table(base, horizon, t))
 
 
-def test_constant_curve():
-    curve = constant_curve(np.array([1.0, 2.0]))
-    assert curve.nu == 0.0
-    assert np.allclose(curve(5.0), [1.0, 2.0])
-    assert curve(np.zeros(4)).shape == (4, 2)
-    assert np.allclose(curve.deriv(np.linspace(0, 1, 5)), 0.0)
-
-
 @pytest.fixture(scope="module")
 def gamma3():
     return curve_gamma3_admissible(curve_gamma1(), horizon=40.0)
@@ -249,10 +242,6 @@ class TestHeadingCurve:
             gamma3(gamma3.t_max + 1.0)
         # Inside the pad past the horizon is fine.
         assert np.all(np.isfinite(gamma3(gamma3.t_max - 0.5)))
-
-    def test_explicit_initial_heading(self):
-        curve = curve_gamma3_admissible(curve_gamma1(), gamma3_0=0.25, horizon=5.0)
-        assert np.isclose(curve(0.0)[2], 0.25, atol=1e-12)
 
     def test_requires_second_derivatives(self):
         base = curve_gamma1()

@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 
 from osctrack import curves
-from osctrack import (
-    UsageError,
-    compile_component,
-    curve_from_expression,
-    curve_gamma2,
-    split_components,
-)
+from osctrack import UsageError, curve_from_expression
+from osctrack.curves import curve_gamma2
+from osctrack.expressions import compile_component, split_components
 
 
 def test_split_on_semicolons_and_top_level_commas():

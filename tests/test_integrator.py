@@ -22,9 +22,6 @@ from osctrack import (
     VectorField,
     classic_solution_simulate,
     coefficients,
-    constant_curve,
-    curve_gamma1,
-    curve_gamma4_car,
     default_substeps,
     get_curve,
     get_scenario,
@@ -32,7 +29,9 @@ from osctrack import (
     make_control_function,
     simulate,
 )
+from osctrack.curves import curve_gamma1, curve_gamma4_car
 
+from conftest import fixed_target
 from test_systems import (
     car_domain,
     car_fields,
@@ -162,7 +161,7 @@ def test_bracket_direction_displacement():
     """One period moves the state by epsilon * a * [f1, f2] to leading order."""
     sys, scheme = make_unicycle()
     alpha, delta = 2.0, 0.5
-    curve = constant_curve(np.array([0.0, delta, 0.0]))
+    curve = fixed_target(np.array([0.0, delta, 0.0]))
     x0 = np.zeros(3)
     # Error is purely along the bracket direction: a = (0, 0, -alpha*delta).
     eps = 1e-3
@@ -224,7 +223,7 @@ def test_constant_field_recursion_exact():
     sys, scheme = make_translation()
     alpha, eps = 1.0, 0.1
     params = ControllerParams(alpha=alpha, epsilon=eps)
-    curve = constant_curve(np.zeros(2))
+    curve = fixed_target(np.zeros(2))
     x0 = np.array([1.0, -2.0])
     traj = simulate(sys, scheme, params, curve, x0, SamplerGrid(eps, 1.0))
 
@@ -247,7 +246,7 @@ def test_classic_semantics_matches_exponential():
     alpha = 1.5
     params = ControllerParams(alpha=alpha, epsilon=0.1)
     target = np.array([0.3, -0.7])
-    curve = constant_curve(target)
+    curve = fixed_target(target)
     x0 = np.array([2.0, 1.0])
     traj = classic_solution_simulate(sys, scheme, params, curve, x0,
                                      SamplerGrid(0.1, 1.0))
@@ -262,7 +261,7 @@ def test_equilibrium_hold():
     sys, scheme = make_unicycle()
     params = ControllerParams(alpha=15.0, epsilon=0.1)
     point = np.array([0.4, -0.1, 0.8])
-    traj = simulate(sys, scheme, params, constant_curve(point), point,
+    traj = simulate(sys, scheme, params, fixed_target(point), point,
                     SamplerGrid(0.1, 2.0))
     assert np.max(traj.dist) < 1e-9
 
@@ -376,7 +375,7 @@ def test_times_and_dist_equal_whole_record_formulas(monkeypatch, case, block):
 def test_horizon_truncation_mid_interval():
     sys, scheme = make_translation()
     params = ControllerParams(alpha=1.0, epsilon=0.1)
-    traj = simulate(sys, scheme, params, constant_curve(np.zeros(2)),
+    traj = simulate(sys, scheme, params, fixed_target(np.zeros(2)),
                     np.ones(2), SamplerGrid(0.1, 0.95))
     assert traj.n_intervals == 10
     assert np.isclose(traj.times[-1], 0.95, atol=1e-12)
@@ -493,7 +492,7 @@ def test_initial_state_outside_domain():
                            degree2=(NestedBracketTerm((1, 2, 1), 1, 2),))
     params = ControllerParams(alpha=1.0, epsilon=0.1)
     with pytest.raises(DomainError):
-        simulate(sys, scheme, params, constant_curve(np.zeros(4)),
+        simulate(sys, scheme, params, fixed_target(np.zeros(4)),
                  np.array([0.0, 0.0, 2.0, 0.0]), SamplerGrid(0.1, 1.0))
 
 
@@ -527,7 +526,7 @@ def test_domain_exit_aborts_with_partial_trajectory():
     """Driving the car's steering column toward its joint limit."""
     sys, scheme = make_car()
     params = ControllerParams(alpha=2.0, epsilon=0.1)
-    target = constant_curve(np.array([0.0, 0.0, 2.0, 0.0]))
+    target = fixed_target(np.array([0.0, 0.0, 2.0, 0.0]))
     with pytest.raises(SimulationError) as exc:
         simulate(sys, scheme, params, target, np.zeros(4),
                  SamplerGrid(0.1, 20.0))
@@ -565,7 +564,7 @@ def test_rank_failure_at_start_keeps_initial_state(integrate):
     params = ControllerParams(alpha=1.0, epsilon=0.1)
     x0 = np.zeros(3)
     with pytest.raises(SimulationError) as exc:
-        integrate(sys, scheme, params, constant_curve(np.zeros(3)), x0,
+        integrate(sys, scheme, params, fixed_target(np.zeros(3)), x0,
                   SamplerGrid(0.1, 1.0))
     err = exc.value
     assert err.reason == "rank-deficient"
@@ -583,7 +582,7 @@ def test_rank_failure_at_sampling_instant_keeps_reached_state():
     params = ControllerParams(alpha=10.0, epsilon=0.1)
     target = np.array([0.0, 0.5, 0.5])
     with pytest.raises(SimulationError) as exc:
-        simulate(sys, scheme, params, constant_curve(target),
+        simulate(sys, scheme, params, fixed_target(target),
                  np.array([0.3, 0.5, 0.5]), SamplerGrid(0.1, 1.0))
     err = exc.value
     assert err.reason == "rank-deficient"

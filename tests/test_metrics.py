@@ -20,7 +20,6 @@ from osctrack import (
     stability_report,
     steady_amplitude,
     tail_error,
-    tube_distance,
 )
 from osctrack.integrator import DENSE_POINTS, _point_offsets
 from osctrack.metrics import TUBE_EDGE_RTOL, StabilityReport
@@ -52,15 +51,10 @@ def synthetic_trajectory(times, dist, substeps=1, dense=None):
     )
 
 
-def test_tube_distance_clips_at_zero():
-    traj = synthetic_trajectory([0.0, 1.0, 2.0], [1.5, 0.5, 0.2])
-    np.testing.assert_allclose(tube_distance(traj, 0.5), [1.0, 0.0, 0.0])
-
-
 def test_tube_distance_rejects_negative_radius():
     traj = synthetic_trajectory([0.0, 1.0], [1.0, 1.0])
-    with pytest.raises(UsageError):
-        tube_distance(traj, -0.1)
+    with pytest.raises(UsageError, match="tube radius must be nonnegative"):
+        stability_report(traj, -0.1)
 
 
 def test_entry_time_crossing():
@@ -185,7 +179,7 @@ def test_gap_report_rejects_mismatched_grids():
 def whole_row_report(traj, rho):
     """stability_report with the tube distance formed over every row."""
     t_enter = entry_time(traj, rho)
-    tube = tube_distance(traj, rho)
+    tube = np.maximum(0.0, traj.dist - rho)
     idx = traj.sample_indices()
     transient = idx[(traj.times[idx] < t_enter) & (tube[idx] > 0)]
     slope, intercept = np.polyfit(traj.times[transient], np.log(tube[transient]), 1)

@@ -7,13 +7,13 @@ from osctrack import (
     DomainError,
     UsageError,
     build_gain_matrix,
-    check_rank_condition,
     finite_difference_jacobian,
     get_curve,
     get_scenario,
     lie_bracket,
     SCENARIO_REGISTRY,
 )
+from osctrack.systems import gain_matrices
 from tests.test_systems import fd_bracket
 
 SCENARIO_NAMES = sorted(SCENARIO_REGISTRY)
@@ -100,11 +100,10 @@ def test_rank_condition_on_default_tube(name):
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = rng.uniform(0.0, 1.0, 100)[:, None]
     samples = np.asarray(curve.eval(ts)) + radii * dirs
-    report = check_rank_condition(scenario.system, scenario.scheme, samples)
-    assert report.ok
-    assert report.failed_indices == ()
-    assert report.min_singular_value > 0.0
-    assert report.n_samples == 100
+    gains = gain_matrices(scenario.system, scenario.scheme, samples)
+    assert not gains.singular.any()
+    assert gains.singular_values.shape == (100, scenario.system.n)
+    assert gains.singular_values[:, -1].min() > 0.0
 
 
 class TestUnicycleScenario:
@@ -196,10 +195,12 @@ class TestUnderwaterScenario:
         scenario = get_scenario("underwater")
         boundary = np.array([0.0, 0.0, 0.0, 0.2, np.pi / 2 - 1e-9, 0.1])
         fine = np.zeros(6)
-        report = check_rank_condition(scenario.system, scenario.scheme,
-                                      np.stack([fine, boundary]))
-        assert 1 in report.near_singular_indices
-        assert 0 not in report.near_singular_indices
+        gains = gain_matrices(scenario.system, scenario.scheme,
+                              np.stack([fine, boundary]))
+        assert not gains.singular.any()
+        cond = gains.singular_values[:, 0] / gains.singular_values[:, -1]
+        assert cond[1] >= 1e8
+        assert cond[0] < 1e8
 
     def test_outside_pitch_domain(self):
         scenario = get_scenario("underwater")

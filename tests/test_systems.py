@@ -1,4 +1,4 @@
-"""Brackets, gain matrices, and rank-condition reporting.
+"""Brackets and gain matrices.
 
 Analytic bracket values are checked against a central finite-difference
 oracle evaluated independently of the library's own Jacobian plumbing.
@@ -20,7 +20,6 @@ from osctrack import (
     VectorField,
     bracket_field,
     build_gain_matrix,
-    check_rank_condition,
     finite_difference_jacobian,
     lie_bracket,
 )
@@ -214,38 +213,6 @@ def test_singular_gain_matrix_raises():
     with pytest.raises(RankConditionError) as exc:
         build_gain_matrix(sys, scheme, np.array([0.5, 0.0]))
     assert exc.value.state is not None
-
-
-def test_rank_report_flags_near_singular_samples():
-    f1 = VectorField(2, constant(1.0, 0.0))
-    f2 = VectorField(2, lambda x: components(0.0, x[..., 0]))
-    sys = ControlSystem(2, 2, (f1, f2))
-    scheme = BracketScheme(m=2, s1=(1, 2))
-    samples = np.array([[1.0, 0.0], [1e-9, 0.0], [0.0, 0.0]])
-    report = check_rank_condition(sys, scheme, samples)
-    assert not report.ok
-    assert report.failed_indices == (2,)
-    assert report.near_singular_indices == (1,)
-    assert report.min_singular_value == 0.0
-    assert report.n_samples == 3
-
-
-def test_rank_report_all_good():
-    f1, f2 = unicycle_fields()
-    sys = ControlSystem(3, 2, (f1, f2))
-    scheme = BracketScheme(m=2, s1=(1, 2), s2=((1, 2),), kappa=(1,))
-    report = check_rank_condition(sys, scheme, np.random.default_rng(5).normal(size=(30, 3)))
-    assert report.ok
-    assert report.near_singular_indices == ()
-    assert np.isclose(report.min_singular_value, 1.0)
-
-
-def test_rank_report_rejects_empty_batch():
-    f1, f2 = unicycle_fields()
-    sys = ControlSystem(3, 2, (f1, f2))
-    scheme = BracketScheme(m=2, s1=(1, 2), s2=((1, 2),), kappa=(1,))
-    with pytest.raises(UsageError):
-        check_rank_condition(sys, scheme, np.empty((0, 3)))
 
 
 def test_vector_field_shape_checks():
