@@ -31,8 +31,7 @@ def main():
     inputs = CertificateInputs(
         r=3.0, rho=0.5, rho_prime=0.25, delta=2.0, delta_prime=2.5,
         mu=1.0, nu=curve.nu, M1=1.0, M2=1.0, M3=1.0 / 6.0, L=1.0, lam=1.0)
-    report = bound_constants(scenario.system, scenario.scheme,
-                             ControllerParams(15.0, 0.1), inputs)
+    report = bound_constants(scenario.scheme, 15.0, inputs)
     cert = report.certificate
     print("certificate:", report.detail)
     for key, value in cert.as_dict().items():

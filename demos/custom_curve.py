@@ -3,8 +3,8 @@
 
 Reference curves do not have to come from the registry: any trajectory
 whose components are expressions in t can be compiled into a curve
-object, with derivatives taken symbolically underneath.  Here the
-unicycle chases a figure-eight whose demanded heading is deliberately
+object, with derivatives taken by central differences underneath.  Here
+the unicycle chases a figure-eight whose demanded heading is deliberately
 held at zero, another non-admissible reference.
 """
 

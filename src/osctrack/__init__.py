@@ -37,7 +37,6 @@ from .curves import (
     CURVE_REGISTRY,
     ReferenceCurve,
     get_curve,
-    velocity_bound,
 )
 from .expressions import curve_from_expression
 from .integrator import (
@@ -59,7 +58,6 @@ from .scenarios import (
     SCENARIO_REGISTRY,
     Scenario,
     get_scenario,
-    unicycle,
 )
 from .certify import (
     CertificateInputs,

@@ -43,10 +43,12 @@ _SUP_BLOCK_SAMPLES = 1024
 
 
 def _one_gain(alpha):
-    """``alpha``, refused with UsageError when it is a gain array: the
+    """``alpha`` when it is one finite positive gain, else UsageError: the
     certificate and its checks are stated for one gain."""
     if np.ndim(alpha):
         raise UsageError(f"certification takes one gain alpha, got {np.size(alpha)}")
+    if not 0 < alpha < np.inf:
+        raise UsageError(f"alpha must be finite and positive, got {alpha}")
     return alpha
 
 
@@ -56,7 +58,7 @@ class CertificateInputs:
 
     Radii must satisfy the strict chain rho_prime < rho < delta <
     delta_prime < r (with nu/alpha < rho_prime checked against the
-    controller gain later, since alpha lives in ControllerParams).
+    gain later, by ``bound_constants``).
     ``lam`` is the targeted decay rate of the sampled error sequence.
     ``provenance`` records whether the sup bounds are closed-form
     ("analytic") or sampled with a safety factor ("empirical").
@@ -134,20 +136,20 @@ class CertificationReport:
     detail: str
 
 
-def control_magnitude_constants(scheme: BracketScheme, params: ControllerParams,
+def control_magnitude_constants(scheme: BracketScheme, alpha: float,
                                 mu: float) -> tuple[float, float]:
     """Constants (C1, C2) bounding the control: sum_i |u_i(t)| is at most
     C1 ||x - gamma|| + (C2 / sqrt(eps)) sqrt(||x - gamma||)."""
     if mu <= 0:
         raise UsageError(f"mu must be positive, got {mu}")
-    alpha = _one_gain(params.alpha)
+    alpha = _one_gain(alpha)
     c1 = alpha * mu * np.sqrt(len(scheme.s1))
     kappa_sum = sum(k ** (2.0 / 3.0) for k in scheme.kappa)
     c2 = 4.0 * np.sqrt(np.pi * mu * alpha) * kappa_sum ** 0.75
     return float(c1), float(c2)
 
 
-def sigma_value(scheme: BracketScheme, params: ControllerParams,
+def sigma_value(scheme: BracketScheme, alpha: float,
                 inputs: CertificateInputs, eps: float) -> float:
     """Remainder constant sigma at a given sampling period.
 
@@ -157,8 +159,8 @@ def sigma_value(scheme: BracketScheme, params: ControllerParams,
     """
     if eps <= 0:
         raise UsageError(f"eps must be positive, got {eps}")
-    c1, c2 = control_magnitude_constants(scheme, params, inputs.mu)
-    am = params.alpha * inputs.mu
+    c1, c2 = control_magnitude_constants(scheme, alpha, inputs.mu)
+    am = alpha * inputs.mu
     inv_sum = 0.0
     for j in range(1, scheme.m + 1):
         inner = sum(k ** (-2.0 / 3.0)
@@ -171,8 +173,7 @@ def sigma_value(scheme: BracketScheme, params: ControllerParams,
         + inputs.M3 * (c2 + c1 * root) ** 3)
 
 
-def bound_constants(sys: ControlSystem, scheme: BracketScheme,
-                    params: ControllerParams,
+def bound_constants(scheme: BracketScheme, alpha: float,
                     inputs: CertificateInputs) -> CertificationReport:
     """Compute the certificate for a first-order bracket scheme.
 
@@ -188,9 +189,7 @@ def bound_constants(sys: ControlSystem, scheme: BracketScheme,
     if not scheme.s1:
         raise UnsupportedSchemeError(
             "certification needs at least one directly actuated direction")
-    if scheme.m != sys.m:
-        raise UsageError(f"scheme is for m={scheme.m}, system has m={sys.m}")
-    alpha = _one_gain(params.alpha)
+    alpha = _one_gain(alpha)
     if inputs.nu / alpha >= inputs.rho_prime:
         raise UsageError(
             f"need nu/alpha < rho_prime, got {inputs.nu / alpha:.6g} >= "
@@ -201,7 +200,7 @@ def bound_constants(sys: ControlSystem, scheme: BracketScheme,
             f"lam must lie in (0, alpha - nu/rho_prime) = (0, {lam_max:.6g}), "
             f"got {inputs.lam}")
 
-    c1, c2 = control_magnitude_constants(scheme, params, inputs.mu)
+    c1, c2 = control_magnitude_constants(scheme, alpha, inputs.mu)
     L = max(inputs.L, L_FLOOR)
     d = min(inputs.delta_prime - inputs.delta,
             (inputs.rho - inputs.rho_prime) / 2.0)
@@ -227,7 +226,7 @@ def bound_constants(sys: ControlSystem, scheme: BracketScheme,
     eps = eps1
     converged = False
     for _ in range(20):
-        sig = sigma_value(scheme, params, inputs, eps)
+        sig = sigma_value(scheme, alpha, inputs, eps)
         eps_new = min(eps1, eps3, eps2_of(sig))
         if not np.isfinite(eps_new) or eps_new <= 0:
             return CertificationReport(
@@ -243,7 +242,7 @@ def bound_constants(sys: ControlSystem, scheme: BracketScheme,
             ok=False, certificate=None,
             detail="sigma-eps recursion did not reach a fixed point in 20 rounds")
 
-    sig = sigma_value(scheme, params, inputs, eps)
+    sig = sigma_value(scheme, alpha, inputs, eps)
     eps2 = eps2_of(sig)
     slack = 1.0 + 1e-9
     if not (eps <= eps1 * slack and eps <= eps2 * slack and eps <= eps3 * slack):
@@ -275,15 +274,15 @@ class SupBounds(NamedTuple):
 
 def estimate_sup_bounds(sys: ControlSystem, scheme: BracketScheme,
                         curve: ReferenceCurve, *, delta_prime: float,
-                        horizon: float, n_samples: int = 10_000,
-                        seed: int = 0) -> SupBounds:
+                        n_samples: int = 10_000, seed: int = 0) -> SupBounds:
     """Monte-Carlo sup bounds over the tube of radius delta_prime.
 
-    Samples x = gamma(t) + radius * direction with t uniform on the
-    horizon and radius distributed so points fill the ball uniformly.
-    Second Lie derivatives are taken by central differences along the
-    field directions.  All five outputs carry the factor SUP_INFLATION; the
-    certificate they feed should be labeled "empirical".  The samples are
+    Samples x = gamma(t) + radius * direction with t uniform on
+    [0, curve.horizon] and radius distributed so points fill the ball
+    uniformly.  Second Lie derivatives are taken by central differences
+    along the field directions.  All five outputs carry the factor
+    SUP_INFLATION; the certificate they feed should be labeled
+    "empirical".  The samples are
     drawn at once and evaluated in blocks of ``_SUP_BLOCK_SAMPLES``, so
     the fields, Jacobians and Lie tables held at a time do not grow with
     ``n_samples``; every sup is an exact maximum, so the result does not
@@ -291,13 +290,13 @@ def estimate_sup_bounds(sys: ControlSystem, scheme: BracketScheme,
     A sample outside the domain or with a singular gain matrix aborts the
     estimate, and the first such sample is the one reported.
     """
-    if not (0 < delta_prime < np.inf and 0 < horizon < np.inf):
-        raise UsageError("delta_prime and horizon must be finite and positive")
+    if not 0 < delta_prime < np.inf:
+        raise UsageError("delta_prime must be finite and positive")
     if n_samples < 1:
         raise UsageError("need at least one sample")
     rng = np.random.default_rng(seed)
     n = sys.n
-    ts = rng.uniform(0.0, horizon, n_samples)
+    ts = rng.uniform(0.0, curve.horizon, n_samples)
     dirs = rng.normal(size=(n_samples, n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = delta_prime * rng.uniform(0.0, 1.0, n_samples) ** (1.0 / n)

@@ -306,7 +306,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     config = build_run_config(args)
-    scenario, curve, params, _, grid = resolve_run(config)
+    scenario, curve, params, *_ = resolve_run(config)
     out_dir = output_directory(config)
 
     nu = args.nu if args.nu is not None else curve.nu
@@ -314,7 +314,6 @@ def cmd_certify(args: argparse.Namespace) -> int:
     if args.empirical:
         sup = estimate_sup_bounds(scenario.system, scenario.scheme, curve,
                                   delta_prime=args.delta_prime,
-                                  horizon=grid.horizon,
                                   n_samples=args.bound_samples,
                                   seed=config.seed)
         m1, m2, m3, lip, mu = sup.M1, sup.M2, sup.M3, sup.L, sup.mu
@@ -332,7 +331,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         delta=args.delta, delta_prime=args.delta_prime,
         mu=mu, nu=nu, M1=m1, M2=m2, M3=m3, L=lip, lam=args.lam,
         provenance=provenance)
-    report = bound_constants(scenario.system, scenario.scheme, params, inputs)
+    report = bound_constants(scenario.scheme, params.alpha, inputs)
 
     payload = {
         "ok": report.ok,
@@ -515,7 +514,7 @@ def cmd_list_scenarios(_: argparse.Namespace) -> int:
 def cmd_list_curves(_: argparse.Namespace) -> int:
     for name in CURVE_REGISTRY:
         curve = get_curve(name)
-        print(f"{name}: dim={curve.dim} nu={curve.nu:.6g} horizon={curve.t_max:g}")
+        print(f"{name}: dim={curve.dim} nu={curve.nu:.6g} horizon={curve.horizon:g}")
     return EXIT_OK
 
 
@@ -604,8 +603,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, DomainError, DimensionMismatchError,
-            DegenerateCurveError, RankConditionError) as exc:
+    except (UsageError, DomainError, DegenerateCurveError,
+            RankConditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SimulationError as exc:

@@ -3,8 +3,8 @@
 A reference curve is any smooth map t -> gamma(t) into the state space;
 it does not need to be a trajectory the system can actually follow.
 Curves carry their dimension, first (and optionally second) derivative,
-and a bound nu on the velocity norm over the horizon of interest, which
-feeds the sampling-period certificates.
+the horizon their bounds cover, and a bound nu on the velocity norm over
+[0, horizon], which feeds the sampling-period certificates.
 
 Evaluation convention: a scalar t yields shape (n,), an array of shape
 (k,) yields shape (k, n).
@@ -13,6 +13,7 @@ Evaluation convention: a scalar t yields shape (n,), an array of shape
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -31,48 +32,36 @@ def _stacked(components):
     return ev
 
 
-class _ComputedOnRead:
-    """A dataclass field that holds a value, or a zero-argument callable
-    that is called the first time the field is read; its result then
-    replaces the callable."""
-
-    def __set_name__(self, owner, name):
-        self.slot = "_" + name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            raise AttributeError(self.slot)  # no class-level default
-        value = obj.__dict__[self.slot]
-        if callable(value):
-            value = obj.__dict__[self.slot] = value()
-        return value
-
-    def __set__(self, obj, value):
-        obj.__dict__[self.slot] = value
-
-
 @dataclass(frozen=True)
 class ReferenceCurve:
-    """Smooth curve in R^n with derivative data and a velocity bound.
+    """Smooth curve in R^n with derivative data, over [0, horizon].
 
-    ``nu`` bounds the true velocity norm on [0, horizon]; a margin is
-    baked in by the factories so sampled suprema stay on the safe side.
-    It may be given as a zero-argument callable, which runs the first
-    time ``nu`` is read; the registry curves do so, since most callers
-    never read it.  ``t_max`` marks the end of the range on which the
-    curve data is valid (infinite for closed-form curves).
+    ``horizon`` must be finite and positive; the curve's bounds cover
+    [0, horizon]: ``nu`` bounds the velocity norm there, and the
+    certificate's tube sample is drawn there.  ``t_max`` marks the end of
+    the range on which the curve data is valid (infinite for closed-form
+    curves).
     """
 
     dim: int
     eval: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray], np.ndarray]
-    nu: float | Callable[[], float] = _ComputedOnRead()
+    horizon: float
     name: str = ""
     deriv2: Callable[[np.ndarray], np.ndarray] | None = None
     t_max: float = np.inf
 
+    def __post_init__(self):
+        _check_horizon(self.horizon)
+
     def __call__(self, t):
         return self.eval(t)
+
+    @cached_property
+    def nu(self) -> float:
+        """``velocity_bound`` over [0, horizon], computed the first time it
+        is read, since most callers never read it."""
+        return velocity_bound(self.deriv, self.horizon)
 
 
 # Points of the uniform grid on [0, horizon] that velocity_bound samples.
@@ -110,13 +99,6 @@ def _check_horizon(horizon: float) -> None:
         raise UsageError(f"horizon must be finite and positive, got {horizon}")
 
 
-def _bound_on_read(deriv, horizon: float) -> Callable[[], float]:
-    """``velocity_bound(deriv, horizon)`` deferred to the first read of
-    ``nu``; the horizon is checked now, so a bad one fails at build time."""
-    _check_horizon(horizon)
-    return lambda: velocity_bound(deriv, horizon)
-
-
 def curve_gamma1(horizon: float = 40.0) -> ReferenceCurve:
     """Flower-shaped planar curve with a slowly rocking third component.
 
@@ -140,7 +122,7 @@ def curve_gamma1(horizon: float = 40.0) -> ReferenceCurve:
         return (-2.5 * c2 * c1 + 2 * s2 * s1, -2.5 * c2 * s1 - 2 * s2 * c1,
                 -np.cos(t / 10) / 100)
 
-    return ReferenceCurve(3, ev, dv, _bound_on_read(dv, horizon), name="gamma1", deriv2=dv2)
+    return ReferenceCurve(3, ev, dv, horizon, name="gamma1", deriv2=dv2)
 
 
 def curve_gamma2(horizon: float = 40.0) -> ReferenceCurve:
@@ -157,7 +139,7 @@ def curve_gamma2(horizon: float = 40.0) -> ReferenceCurve:
     def dv2(t):
         return -np.exp(1 - t), (4 * t ** 2 - 2) * np.exp(-t ** 2), 0.0
 
-    return ReferenceCurve(3, ev, dv, _bound_on_read(dv, horizon), name="gamma2", deriv2=dv2)
+    return ReferenceCurve(3, ev, dv, horizon, name="gamma2", deriv2=dv2)
 
 
 # The heading table of curve_gamma3_admissible: the heading turns by at
@@ -169,7 +151,7 @@ _HEADING_TURN = np.pi / 32
 _SPEED_MIN = 1e-4
 
 
-def curve_gamma3_admissible(base: ReferenceCurve, horizon: float = 40.0) -> ReferenceCurve:
+def curve_gamma3_admissible(base: ReferenceCurve) -> ReferenceCurve:
     """Admissible companion of a planar curve for the unicycle.
 
     Keeps the first two components of ``base`` and replaces the third by
@@ -188,15 +170,14 @@ def curve_gamma3_admissible(base: ReferenceCurve, horizon: float = 40.0) -> Refe
     could pick another branch; the step is at most 0.01 and at least
     1e-4, the step taken wherever the planar speed may come near 1e-4
     between probe points.  So, wherever the probe resolves the rate, the
-    branch and the heading are those a table of step 1e-4 gives.  The grid
-    extends past the horizon by a safety pad so the closed-loop simulation
-    can sample slightly beyond it.
+    branch and the heading are those a table of step 1e-4 gives.  The
+    result keeps the horizon of ``base``; the grid extends past it by a
+    safety pad so the closed-loop simulation can sample slightly beyond it.
     """
     if base.deriv2 is None:
         raise UsageError("heading construction needs second derivatives of the base curve")
-    _check_horizon(horizon)
 
-    t_end = horizon + 0.05 * horizon + 2.0
+    t_end = base.horizon + 0.05 * base.horizon + 2.0
 
     def grid(step):
         ts = np.linspace(0.0, t_end, int(np.ceil(t_end / step)) + 1)
@@ -250,7 +231,7 @@ def curve_gamma3_admissible(base: ReferenceCurve, horizon: float = 40.0) -> Refe
         return np.concatenate(
             [planar, heading_rate(t_arr)[..., None]], axis=-1)
 
-    return ReferenceCurve(3, ev, dv_full, _bound_on_read(dv_full, horizon),
+    return ReferenceCurve(3, ev, dv_full, base.horizon,
                           name=f"{base.name or 'base'}-heading", t_max=t_end)
 
 
@@ -264,7 +245,7 @@ def curve_gamma4_underwater(horizon: float = 40.0) -> ReferenceCurve:
     def dv(t):
         return -np.sin(t / 4) / 4, 0.25, np.cos(t / 4) / 4, 0.0, 0.0, 0.0
 
-    return ReferenceCurve(6, ev, dv, _bound_on_read(dv, horizon), name="gamma4_underwater")
+    return ReferenceCurve(6, ev, dv, horizon, name="gamma4_underwater")
 
 
 def curve_gamma4_car(horizon: float = 60.0) -> ReferenceCurve:
@@ -278,14 +259,13 @@ def curve_gamma4_car(horizon: float = 60.0) -> ReferenceCurve:
     def dv(t):
         return 1.25 * np.cos(t / 4), 1.25 * np.cos(t / 2), 0.0, 0.0
 
-    return ReferenceCurve(4, ev, dv, _bound_on_read(dv, horizon), name="gamma4_car")
+    return ReferenceCurve(4, ev, dv, horizon, name="gamma4_car")
 
 
 CURVE_REGISTRY: dict[str, Callable[[float], ReferenceCurve]] = {
     "gamma1": curve_gamma1,
     "gamma2": curve_gamma2,
-    "gamma3": lambda horizon: curve_gamma3_admissible(
-        curve_gamma1(horizon), horizon=horizon),
+    "gamma3": lambda horizon: curve_gamma3_admissible(curve_gamma1(horizon)),
     "gamma4_underwater": curve_gamma4_underwater,
     "gamma4_car": curve_gamma4_car,
 }

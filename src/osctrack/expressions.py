@@ -17,8 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .curves import (CURVE_REGISTRY, ReferenceCurve, _grid_blocks, _stacked,
-                     velocity_bound)
+from .curves import CURVE_REGISTRY, ReferenceCurve, _grid_blocks, _stacked
 from .errors import UsageError
 
 _FUNCTIONS = {
@@ -147,11 +146,11 @@ def curve_from_expression(src: str, horizon: float = 40.0) -> ReferenceCurve:
         h = 1e-6 * np.maximum(1.0, np.abs(t_arr))
         return (ev(t_arr + h) - ev(t_arr - h)) / (2.0 * h)[..., None]
 
+    curve = ReferenceCurve(len(funcs), ev, dv, horizon, name=f"expr:{src}")
     with np.errstate(all="ignore"):
-        nu = velocity_bound(dv, horizon)
-        finite = np.isfinite(nu) and all(np.isfinite(ev(ts)).all()
-                                         for ts in _grid_blocks(horizon))
+        finite = np.isfinite(curve.nu) and all(np.isfinite(ev(ts)).all()
+                                               for ts in _grid_blocks(horizon))
     if not finite:
         raise UsageError(f"curve expression {src!r} or its speed is not finite "
                          f"somewhere on [0, {horizon:g}]")
-    return ReferenceCurve(len(funcs), ev, dv, nu, name=f"expr:{src}")
+    return curve

@@ -146,7 +146,7 @@ def lie_bracket(f: VectorField, g: VectorField, x: np.ndarray) -> np.ndarray:
     return (g.jacobian(x) @ f(x)[..., None] - f.jacobian(x) @ g(x)[..., None])[..., 0]
 
 
-def bracket_field(f: VectorField, g: VectorField, name: str = "") -> VectorField:
+def bracket_field(f: VectorField, g: VectorField) -> VectorField:
     """The bracket [f, g] packaged as a vector field of its own.
 
     Its Jacobian is finite-differenced; that is enough for the nested
@@ -159,7 +159,7 @@ def bracket_field(f: VectorField, g: VectorField, name: str = "") -> VectorField
     return VectorField(
         dim=f.dim,
         eval=lambda x: lie_bracket(f, g, x),
-        name=name or f"[{f.name},{g.name}]",
+        name=f"[{f.name},{g.name}]",
     )
 
 

@@ -229,8 +229,7 @@ def unicycle_certificate():
     inputs = CertificateInputs(
         r=3.0, rho=0.5, rho_prime=0.25, delta=2.0, delta_prime=2.5,
         mu=1.0, nu=curve.nu, M1=1.0, M2=1.0, M3=1.0 / 6.0, L=1.0, lam=1.0)
-    rep = bound_constants(scenario.system, scenario.scheme,
-                          ControllerParams(15.0, 0.1), inputs)
+    rep = bound_constants(scenario.scheme, 15.0, inputs)
     assert rep.ok, rep.detail
     return rep.certificate, inputs
 

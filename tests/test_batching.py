@@ -514,7 +514,7 @@ def test_gain_array_refusals():
                                delta_prime=2.5, mu=1.0, nu=1.0, M1=1.0, M2=1.0,
                                M3=1.0, L=1.0, lam=1.0)
     with pytest.raises(UsageError, match="one gain"):
-        bound_constants(unicycle.system, unicycle.scheme, gains, inputs)
+        bound_constants(unicycle.scheme, gains.alpha, inputs)
     with pytest.raises(UsageError, match="one gain"):
         contraction_check(unicycle.system, unicycle.scheme, gains, curve_gamma1(),
                           lam=1.0, nu=1.0, rho_prime=0.25, delta=2.0, n_draws=2)

@@ -21,6 +21,7 @@ from osctrack import (
     ControllerParams,
     ControlSystem,
     NestedBracketTerm,
+    ReferenceCurve,
     SamplerGrid,
     SimulationError,
     Trajectory,
@@ -132,30 +133,26 @@ def oracle_thresholds(scheme, alpha, inputs):
 
 
 def test_control_magnitude_constants_frozen():
-    params = ControllerParams(alpha=15.0, epsilon=0.1)
-    c1, c2 = control_magnitude_constants(UNICYCLE_SCHEME, params, 1.0)
+    c1, c2 = control_magnitude_constants(UNICYCLE_SCHEME, 15.0, 1.0)
     assert c1 == pytest.approx(15.0 * math.sqrt(2.0), rel=1e-12)
     assert c2 == pytest.approx(4.0 * math.sqrt(15.0 * math.pi), rel=1e-12)
 
 
 def test_control_magnitude_constants_rejects_bad_mu():
-    params = ControllerParams(alpha=15.0, epsilon=0.1)
     with pytest.raises(UsageError):
-        control_magnitude_constants(UNICYCLE_SCHEME, params, 0.0)
+        control_magnitude_constants(UNICYCLE_SCHEME, 15.0, 0.0)
 
 
 @pytest.mark.parametrize("eps", [0.04, 1e-6])
 def test_sigma_value_matches_hand_formula(unicycle_inputs, eps):
-    params = ControllerParams(alpha=15.0, epsilon=0.1)
-    got = sigma_value(UNICYCLE_SCHEME, params, unicycle_inputs, eps)
+    got = sigma_value(UNICYCLE_SCHEME, 15.0, unicycle_inputs, eps)
     want = oracle_sigma(UNICYCLE_SCHEME, 15.0, unicycle_inputs, eps)
     assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_sigma_value_rejects_nonpositive_eps(unicycle_inputs):
-    params = ControllerParams(alpha=15.0, epsilon=0.1)
     with pytest.raises(UsageError):
-        sigma_value(UNICYCLE_SCHEME, params, unicycle_inputs, 0.0)
+        sigma_value(UNICYCLE_SCHEME, 15.0, unicycle_inputs, 0.0)
 
 
 @pytest.mark.parametrize("overrides", [
@@ -183,9 +180,8 @@ def test_certificate_inputs_validation(overrides):
         CertificateInputs(**base)
 
 
-def test_unicycle_certificate_matches_oracle(unicycle, unicycle_inputs):
-    params = ControllerParams(alpha=15.0, epsilon=0.1)
-    rep = bound_constants(unicycle, UNICYCLE_SCHEME, params, unicycle_inputs)
+def test_unicycle_certificate_matches_oracle(unicycle_inputs):
+    rep = bound_constants(UNICYCLE_SCHEME, 15.0, unicycle_inputs)
     assert rep.ok and rep.detail == "certified"
     cert = rep.certificate
     c1, c2 = oracle_constants(UNICYCLE_SCHEME, 15.0, 1.0)
@@ -200,10 +196,8 @@ def test_unicycle_certificate_matches_oracle(unicycle, unicycle_inputs):
         rel=1e-12)
 
 
-def test_unicycle_certificate_frozen_values(unicycle, unicycle_inputs):
-    params = ControllerParams(alpha=15.0, epsilon=0.1)
-    cert = bound_constants(unicycle, UNICYCLE_SCHEME, params,
-                           unicycle_inputs).certificate
+def test_unicycle_certificate_frozen_values(unicycle_inputs):
+    cert = bound_constants(UNICYCLE_SCHEME, 15.0, unicycle_inputs).certificate
     # The sampling-period guarantee lands in the microsecond range for
     # these tube radii; the quadratic arm of eps2 is the binding one.
     assert 5e-7 < cert.eps_hat < 5e-6
@@ -218,10 +212,8 @@ def test_unicycle_certificate_frozen_values(unicycle, unicycle_inputs):
         assert np.isfinite(value) and value > 0
 
 
-def test_certificate_as_dict(unicycle, unicycle_inputs):
-    params = ControllerParams(alpha=15.0, epsilon=0.1)
-    cert = bound_constants(unicycle, UNICYCLE_SCHEME, params,
-                           unicycle_inputs).certificate
+def test_certificate_as_dict(unicycle_inputs):
+    cert = bound_constants(UNICYCLE_SCHEME, 15.0, unicycle_inputs).certificate
     payload = cert.as_dict()
     assert payload["eps_hat"] == cert.eps_hat
     assert set(payload) == {"C1", "C2", "sigma", "eps1", "eps2", "eps3",
@@ -229,54 +221,47 @@ def test_certificate_as_dict(unicycle, unicycle_inputs):
 
 
 def test_degree2_scheme_rejected(unicycle_inputs):
-    car = ControlSystem(n=4, m=2, fields=(
-        VectorField(dim=4, eval=lambda x: components(
-            np.cos(x[..., 3]), np.sin(x[..., 3]), 0.0, np.tan(x[..., 2]))),
-        VectorField(dim=4, eval=constant(0.0, 0.0, 1.0, 0.0)),
-    ), name="car")
     scheme = BracketScheme(m=2, s1=(1, 2), s2=((1, 2),), kappa=(3,),
                            degree2=(NestedBracketTerm((1, 2, 1), 1, 2),))
-    params = ControllerParams(alpha=5.0, epsilon=0.5)
     with pytest.raises(UnsupportedSchemeError):
-        bound_constants(car, scheme, params, unicycle_inputs)
+        bound_constants(scheme, 5.0, unicycle_inputs)
 
 
-def test_empty_s1_rejected(unicycle, unicycle_inputs):
+def test_empty_s1_rejected(unicycle_inputs):
     scheme = BracketScheme(m=2, s1=(), s2=((1, 2),), kappa=(1,))
-    params = ControllerParams(alpha=15.0, epsilon=0.1)
     with pytest.raises(UnsupportedSchemeError):
-        bound_constants(unicycle, scheme, params, unicycle_inputs)
+        bound_constants(scheme, 15.0, unicycle_inputs)
 
 
-def test_scheme_system_width_mismatch(unicycle, unicycle_inputs):
-    scheme = BracketScheme(m=3, s1=(1, 2, 3))
-    params = ControllerParams(alpha=15.0, epsilon=0.1)
-    with pytest.raises(UsageError):
-        bound_constants(unicycle, scheme, params, unicycle_inputs)
-
-
-def test_drift_too_fast_for_gain(unicycle, unicycle_inputs):
+def test_drift_too_fast_for_gain(unicycle_inputs):
     # nu/alpha must stay below rho_prime.
-    params = ControllerParams(alpha=1.0, epsilon=0.1)
-    with pytest.raises(UsageError):
-        bound_constants(unicycle, UNICYCLE_SCHEME, params, unicycle_inputs)
+    with pytest.raises(UsageError, match="nu/alpha"):
+        bound_constants(UNICYCLE_SCHEME, 1.0, unicycle_inputs)
 
 
-def test_lam_outside_admissible_range(unicycle, gamma1):
+@pytest.mark.parametrize("alpha", [0.0, -1.0, np.inf, np.nan])
+def test_certificate_refuses_a_bad_gain(unicycle_inputs, alpha):
+    """The certificate functions take the gain itself, so they check it
+    as ControllerParams does."""
+    with pytest.raises(UsageError, match="alpha must be finite and positive"):
+        bound_constants(UNICYCLE_SCHEME, alpha, unicycle_inputs)
+    with pytest.raises(UsageError, match="alpha must be finite and positive"):
+        sigma_value(UNICYCLE_SCHEME, alpha, unicycle_inputs, 0.01)
+
+
+def test_lam_outside_admissible_range(gamma1):
     inputs = CertificateInputs(
         r=3.0, rho=0.5, rho_prime=0.25, delta=2.0, delta_prime=2.5,
         mu=1.0, nu=gamma1.nu, M1=1.0, M2=1.0, M3=1.0 / 6.0, L=1.0, lam=7.0)
-    params = ControllerParams(alpha=15.0, epsilon=0.1)
     with pytest.raises(UsageError):
-        bound_constants(unicycle, UNICYCLE_SCHEME, params, inputs)
+        bound_constants(UNICYCLE_SCHEME, 15.0, inputs)
 
 
-def test_static_reference_uses_quadratic_arm(unicycle):
+def test_static_reference_uses_quadratic_arm():
     inputs = CertificateInputs(
         r=3.0, rho=0.5, rho_prime=0.25, delta=2.0, delta_prime=2.5,
         mu=1.0, nu=0.0, M1=1.0, M2=1.0, M3=1.0 / 6.0, L=1.0, lam=1.0)
-    params = ControllerParams(alpha=15.0, epsilon=0.1)
-    cert = bound_constants(unicycle, UNICYCLE_SCHEME, params, inputs).certificate
+    cert = bound_constants(UNICYCLE_SCHEME, 15.0, inputs).certificate
     c1, c2 = oracle_constants(UNICYCLE_SCHEME, 15.0, 1.0)
     big_k = math.log(0.125 * 1.0 / 1.0 + 1.0) / 1.0
     z1 = float(np.max(np.roots([c1, c2, -big_k])))
@@ -285,13 +270,11 @@ def test_static_reference_uses_quadratic_arm(unicycle):
 
 
 def test_constant_fields_certificate():
-    sys_t = translation_system()
     scheme = BracketScheme(m=2, s1=(1, 2))
-    params = ControllerParams(alpha=2.0, epsilon=0.01)
     inputs = CertificateInputs(
         r=3.0, rho=0.5, rho_prime=0.25, delta=2.0, delta_prime=2.5,
         mu=1.0, nu=0.0, M1=1.0, M2=0.0, M3=0.0, L=0.0, lam=1.0)
-    rep = bound_constants(sys_t, scheme, params, inputs)
+    rep = bound_constants(scheme, 2.0, inputs)
     assert rep.ok
     cert = rep.certificate
     assert cert.C2 == 0.0
@@ -308,7 +291,7 @@ def test_constant_fields_certificate():
 def test_control_magnitude_bound_random_states(unicycle, gamma1):
     """The closed-loop control obeys sum_i |u_i| <= C1 ||e|| + C2 sqrt(||e||/eps)."""
     params = ControllerParams(alpha=15.0, epsilon=0.1)
-    c1, c2 = control_magnitude_constants(UNICYCLE_SCHEME, params, 1.0)
+    c1, c2 = control_magnitude_constants(UNICYCLE_SCHEME, params.alpha, 1.0)
     rng = np.random.default_rng(7)
     ts = np.linspace(0.0, params.epsilon, 4001)
     for _ in range(40):
@@ -325,28 +308,26 @@ def test_control_magnitude_bound_random_states(unicycle, gamma1):
         assert worst <= bound * (1.0 + 1e-12)
 
 
-def test_eps_hat_monotone_in_nu(unicycle):
-    params = ControllerParams(alpha=15.0, epsilon=0.1)
+def test_eps_hat_monotone_in_nu():
     values = []
     for nu in (0.0, 0.5, 1.0, 2.0, 3.0):
         inputs = CertificateInputs(
             r=3.0, rho=0.5, rho_prime=0.25, delta=2.0, delta_prime=2.5,
             mu=1.0, nu=nu, M1=1.0, M2=1.0, M3=1.0 / 6.0, L=1.0, lam=0.5)
-        rep = bound_constants(unicycle, UNICYCLE_SCHEME, params, inputs)
+        rep = bound_constants(UNICYCLE_SCHEME, 15.0, inputs)
         assert rep.ok
         values.append(rep.certificate.eps_hat)
     assert all(a >= b - 1e-18 for a, b in zip(values, values[1:]))
     assert values[0] > values[-1]
 
 
-def test_eps_hat_monotone_in_tube_gap(unicycle, gamma1):
-    params = ControllerParams(alpha=15.0, epsilon=0.1)
+def test_eps_hat_monotone_in_tube_gap(gamma1):
     values = []
     for rho in (0.3, 0.35, 0.4, 0.45, 0.5):
         inputs = CertificateInputs(
             r=3.0, rho=rho, rho_prime=0.25, delta=2.0, delta_prime=2.5,
             mu=1.0, nu=gamma1.nu, M1=1.0, M2=1.0, M3=1.0 / 6.0, L=1.0, lam=1.0)
-        rep = bound_constants(unicycle, UNICYCLE_SCHEME, params, inputs)
+        rep = bound_constants(UNICYCLE_SCHEME, 15.0, inputs)
         assert rep.ok
         values.append(rep.certificate.eps_hat)
     assert all(b >= a - 1e-18 for a, b in zip(values, values[1:]))
@@ -356,28 +337,47 @@ def test_estimate_sup_bounds_unicycle(unicycle, gamma1):
     # Unit fields everywhere: every sup equals 1 (M3's sum equals 1, so
     # M3 = 1/6) and the sampler returns exactly the 10%-inflated values.
     got = estimate_sup_bounds(unicycle, UNICYCLE_SCHEME, gamma1,
-                              delta_prime=2.5, horizon=40.0,
-                              n_samples=1200, seed=3)
+                              delta_prime=2.5, n_samples=1200, seed=3)
     np.testing.assert_allclose(
         [got.M1, got.M2, got.M3, got.L, got.mu],
         [1.1, 1.1, 1.1 / 6.0, 1.1, 1.1], rtol=1e-5)
 
 
-def tube_samples(n, curve, *, delta_prime, horizon, n_samples, seed):
+def test_estimate_sup_bounds_samples_the_curve_on_its_horizon(unicycle):
+    """The tube is drawn around gamma(t) at times t in [0, curve.horizon]
+    only, and they spread over all of it."""
+    called = []
+
+    def ev(t):
+        called.append(np.array(t, dtype=float, ndmin=1))
+        return np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=-1)
+
+    def dv(t):
+        return np.stack([-np.sin(t), np.cos(t), np.zeros_like(t)], axis=-1)
+
+    curve = ReferenceCurve(3, ev, dv, 2.5)
+    estimate_sup_bounds(unicycle, UNICYCLE_SCHEME, curve, delta_prime=2.5,
+                        n_samples=2000, seed=1)
+    times = np.concatenate(called)
+    assert times.size == 2000
+    assert 0.0 <= times.min() < 0.01 and 2.49 < times.max() <= 2.5
+
+
+def tube_samples(n, curve, *, delta_prime, n_samples, seed):
     """The tube states estimate_sup_bounds draws: same generator, same order."""
     rng = np.random.default_rng(seed)
-    ts = rng.uniform(0.0, horizon, n_samples)
+    ts = rng.uniform(0.0, curve.horizon, n_samples)
     dirs = rng.normal(size=(n_samples, n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = delta_prime * rng.uniform(0.0, 1.0, n_samples) ** (1.0 / n)
     return np.asarray(curve.eval(ts), dtype=float) + radii[:, None] * dirs
 
 
-def reference_sup_bounds(sys, scheme, curve, *, delta_prime, horizon,
-                         n_samples, seed, inflation=1.1):
+def reference_sup_bounds(sys, scheme, curve, *, delta_prime, n_samples, seed,
+                         inflation=1.1):
     """Oracle: the sup bounds taken one tube sample at a time."""
-    xs = tube_samples(sys.n, curve, delta_prime=delta_prime, horizon=horizon,
-                      n_samples=n_samples, seed=seed)
+    xs = tube_samples(sys.n, curve, delta_prime=delta_prime, n_samples=n_samples,
+                      seed=seed)
 
     def lie_table(x):
         vals = np.stack([f.eval(x) for f in sys.fields])
@@ -412,18 +412,18 @@ def reference_sup_bounds(sys, scheme, curve, *, delta_prime, horizon,
 def test_estimate_sup_bounds_matches_per_sample_oracle(name, delta_prime):
     scenario = get_scenario(name)
     curve = get_curve(scenario.default_curve, horizon=20.0)
-    kwargs = dict(delta_prime=delta_prime, horizon=20.0, n_samples=300, seed=5)
+    kwargs = dict(delta_prime=delta_prime, n_samples=300, seed=5)
     got = estimate_sup_bounds(scenario.system, scenario.scheme, curve, **kwargs)
     want = reference_sup_bounds(scenario.system, scenario.scheme, curve, **kwargs)
     np.testing.assert_allclose(list(got), want, rtol=1e-12, atol=0.0)
 
 
-def all_fields_sup_bounds(sys, scheme, curve, *, delta_prime, horizon, seed,
+def all_fields_sup_bounds(sys, scheme, curve, *, delta_prime, seed,
                           n_samples=10_000, inflation=1.1):
     """The batched estimate with every field differentiated, constant ones
     included: the formula before constant fields were skipped."""
-    xs = tube_samples(sys.n, curve, delta_prime=delta_prime, horizon=horizon,
-                      n_samples=n_samples, seed=seed)
+    xs = tube_samples(sys.n, curve, delta_prime=delta_prime, n_samples=n_samples,
+                      seed=seed)
     gains = gain_matrices(sys, scheme, xs)
 
     def lie_table(x):
@@ -461,7 +461,7 @@ def test_estimate_sup_bounds_equals_all_fields_formula(name, delta_prime, seed):
     Lie table are dropped instead of kept."""
     scenario = get_scenario(name)
     curve = get_curve(scenario.default_curve, horizon=scenario.horizon)
-    kwargs = dict(delta_prime=delta_prime, horizon=scenario.horizon, seed=seed)
+    kwargs = dict(delta_prime=delta_prime, seed=seed)
     assert (estimate_sup_bounds(scenario.system, scenario.scheme, curve, **kwargs)
             == all_fields_sup_bounds(scenario.system, scenario.scheme, curve, **kwargs))
 
@@ -480,7 +480,7 @@ def test_estimate_sup_bounds_all_constant_fields():
         replace(f, jacobian=never) for f in fields))
     scheme = BracketScheme(m=2, s1=(1, 2))
     curve = fixed_target(np.array([0.5, -0.5]))
-    kwargs = dict(delta_prime=0.5, horizon=1.0, n_samples=500, seed=2)
+    kwargs = dict(delta_prime=0.5, n_samples=500, seed=2)
     want = all_fields_sup_bounds(sys_c, scheme, curve, **kwargs)
     assert want.M2 == want.M3 == want.L == 0.0
     assert estimate_sup_bounds(sys_never, scheme, curve, **kwargs) == want
@@ -489,9 +489,8 @@ def test_estimate_sup_bounds_all_constant_fields():
 def test_estimate_sup_bounds_validation(unicycle, gamma1):
     for overrides in ({"delta_prime": 0.0}, {"delta_prime": -1.0},
                       {"delta_prime": np.inf}, {"delta_prime": np.nan},
-                      {"horizon": 0.0}, {"horizon": np.inf}, {"horizon": np.nan},
                       {"n_samples": 0}):
-        kwargs = {"delta_prime": 2.5, "horizon": 40.0, **overrides}
+        kwargs = {"delta_prime": 2.5, **overrides}
         with pytest.raises(UsageError):
             estimate_sup_bounds(unicycle, UNICYCLE_SCHEME, gamma1, **kwargs)
 
@@ -507,9 +506,8 @@ def test_estimate_sup_bounds_singular_gain():
     scheme = BracketScheme(m=2, s1=(1, 2))
     curve = fixed_target(np.zeros(2))
     with pytest.raises(CertificationError, match="gain matrix singular") as exc:
-        estimate_sup_bounds(sys_bad, scheme, curve, delta_prime=0.5,
-                            horizon=1.0, n_samples=50)
-    xs = tube_samples(2, curve, delta_prime=0.5, horizon=1.0, n_samples=50, seed=0)
+        estimate_sup_bounds(sys_bad, scheme, curve, delta_prime=0.5, n_samples=50)
+    xs = tube_samples(2, curve, delta_prime=0.5, n_samples=50, seed=0)
     assert str(xs[0]) in str(exc.value)
 
 
@@ -519,8 +517,8 @@ def test_estimate_sup_bounds_domain_exit(gamma1):
                               domain=lambda x: np.linalg.norm(x, axis=-1) < 1.0)
     with pytest.raises(CertificationError, match="leaves the system domain") as exc:
         estimate_sup_bounds(sys_small, UNICYCLE_SCHEME, gamma1,
-                            delta_prime=2.5, horizon=40.0, n_samples=50)
-    xs = tube_samples(3, gamma1, delta_prime=2.5, horizon=40.0, n_samples=50, seed=0)
+                            delta_prime=2.5, n_samples=50)
+    xs = tube_samples(3, gamma1, delta_prime=2.5, n_samples=50, seed=0)
     first = int(np.argmax(np.linalg.norm(xs, axis=1) >= 1.0))
     assert str(xs[first]) in str(exc.value)
 
@@ -536,15 +534,14 @@ def test_estimate_sup_bounds_reports_the_first_offending_sample():
     curve = fixed_target(np.zeros(2))
     kinds = set()
     for seed in range(8):
-        xs = tube_samples(2, curve, delta_prime=0.5, horizon=1.0, n_samples=20,
-                          seed=seed)
+        xs = tube_samples(2, curve, delta_prime=0.5, n_samples=20, seed=seed)
         outside = xs[:, 1] >= 0.3
         first = int(np.argmax(outside | (xs[:, 0] <= 0.0)))
         kind = "leaves the system domain" if outside[first] else "gain matrix singular"
         kinds.add(kind)
         with pytest.raises(CertificationError, match=kind) as exc:
             estimate_sup_bounds(sys_mixed, scheme, curve, delta_prime=0.5,
-                                horizon=1.0, n_samples=20, seed=seed)
+                                n_samples=20, seed=seed)
         assert str(xs[first]) in str(exc.value)
     assert len(kinds) == 2
 
@@ -559,8 +556,7 @@ def test_estimate_sup_bounds_blocks_equal_the_whole_batch(monkeypatch, name,
     monkeypatch.setattr(certify, "_SUP_BLOCK_SAMPLES", 7)
     scenario = get_scenario(name)
     curve = get_curve(scenario.default_curve, horizon=scenario.horizon)
-    kwargs = dict(delta_prime=delta_prime, horizon=scenario.horizon, seed=1001,
-                  n_samples=n_samples)
+    kwargs = dict(delta_prime=delta_prime, seed=1001, n_samples=n_samples)
     assert (estimate_sup_bounds(scenario.system, scenario.scheme, curve, **kwargs)
             == all_fields_sup_bounds(scenario.system, scenario.scheme, curve, **kwargs))
 
@@ -584,7 +580,7 @@ def test_estimate_sup_bounds_nan_in_a_late_block(monkeypatch, block):
     M3 (its offset along that field is NaN), not L or mu."""
     monkeypatch.setattr(certify, "_SUP_BLOCK_SAMPLES", block)
     curve = fixed_target(np.zeros(2))
-    kwargs = dict(delta_prime=0.5, horizon=1.0, n_samples=50, seed=4)
+    kwargs = dict(delta_prime=0.5, n_samples=50, seed=4)
     xs = tube_samples(2, curve, **kwargs)
     target = xs[45]
     assert np.sort(np.linalg.norm(xs - target, axis=1))[1] > 1e-3
@@ -613,7 +609,7 @@ def test_estimate_sup_bounds_memory_does_not_grow_with_samples():
     tracemalloc.start()
     try:
         estimate_sup_bounds(scenario.system, scenario.scheme, curve, delta_prime=0.5,
-                            horizon=scenario.horizon, n_samples=20_000)
+                            n_samples=20_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -659,9 +655,7 @@ def test_volterra_residual_validations(unicycle, gamma1):
 
 
 def test_volterra_scaling_slope(unicycle, gamma1, unicycle_inputs):
-    params = ControllerParams(alpha=15.0, epsilon=0.1)
-    cert = bound_constants(unicycle, UNICYCLE_SCHEME, params,
-                           unicycle_inputs).certificate
+    cert = bound_constants(UNICYCLE_SCHEME, 15.0, unicycle_inputs).certificate
     rep = volterra_scaling(unicycle, UNICYCLE_SCHEME, 15.0,
                            [0.04, 0.02, 0.01, 0.005], gamma1,
                            np.array([0.0, 0.0, 1.0]), sigma=cert.sigma)
@@ -783,8 +777,7 @@ def test_contraction_check_matches_per_draw_oracle(unicycle, gamma1, unicycle_in
     """The batched draws give the per-draw loop's verdicts exactly; at 0.05
     and 0.08 some draws fail, so the failure bookkeeping is exercised."""
     if eps == "eps_hat":
-        eps = bound_constants(unicycle, UNICYCLE_SCHEME, ControllerParams(15.0, 0.1),
-                              unicycle_inputs).certificate.eps_hat
+        eps = bound_constants(UNICYCLE_SCHEME, 15.0, unicycle_inputs).certificate.eps_hat
     params = ControllerParams(alpha=15.0, epsilon=eps)
     kwargs = dict(lam=unicycle_inputs.lam, nu=unicycle_inputs.nu,
                   rho_prime=unicycle_inputs.rho_prime, delta=unicycle_inputs.delta,
@@ -842,8 +835,7 @@ def test_certified_period_within_the_empirical_one(unicycle_inputs):
     ``osctrack certify --scenario underwater --empirical --bound-samples 500
     --delta-prime 0.5 --delta 0.4 --rho-prime 0.2 --rho 0.3``."""
     unicycle = get_scenario("unicycle")
-    cert = bound_constants(unicycle.system, unicycle.scheme, ControllerParams(15.0, 0.1),
-                           unicycle_inputs).certificate
+    cert = bound_constants(unicycle.scheme, 15.0, unicycle_inputs).certificate
     eps_star = empirical_period(unicycle, get_curve("gamma1", horizon=1.0), 15.0,
                                 unicycle_inputs)
     assert cert.eps_hat <= eps_star
@@ -851,12 +843,12 @@ def test_certified_period_within_the_empirical_one(unicycle_inputs):
     vehicle = get_scenario("underwater")
     curve = get_curve(vehicle.default_curve, horizon=vehicle.horizon)
     sup = estimate_sup_bounds(vehicle.system, vehicle.scheme, curve, delta_prime=0.5,
-                              horizon=vehicle.horizon, n_samples=500, seed=0)
+                              n_samples=500, seed=0)
     inputs = CertificateInputs(
         r=3.0, rho=0.3, rho_prime=0.2, delta=0.4, delta_prime=0.5, mu=sup.mu,
         nu=curve.nu, M1=sup.M1, M2=sup.M2, M3=sup.M3, L=sup.L, lam=1.0,
         provenance="empirical")
-    rep = bound_constants(vehicle.system, vehicle.scheme, vehicle.default_params, inputs)
+    rep = bound_constants(vehicle.scheme, vehicle.default_params.alpha, inputs)
     assert rep.ok, rep.detail
     eps_star = empirical_period(vehicle, curve, vehicle.default_params.alpha, inputs)
     assert rep.certificate.eps_hat <= eps_star

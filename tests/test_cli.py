@@ -668,6 +668,11 @@ class TestListings:
         for name in ("gamma1", "gamma2", "gamma3", "gamma4_underwater",
                      "gamma4_car"):
             assert name in out
+        # The horizon nu was sampled over, not the end of gamma3's heading
+        # table (44) or a closed-form curve's t_max (inf).
+        lines = out.splitlines()
+        assert len(lines) == 5
+        assert all(line.endswith(" horizon=40") for line in lines)
 
 
 def test_cli_import_loads_no_scipy():

@@ -13,7 +13,6 @@ from osctrack import (
     ReferenceCurve,
     UsageError,
     get_curve,
-    velocity_bound,
 )
 from osctrack.curves import (
     curve_gamma1,
@@ -21,6 +20,7 @@ from osctrack.curves import (
     curve_gamma3_admissible,
     curve_gamma4_car,
     curve_gamma4_underwater,
+    velocity_bound,
 )
 
 
@@ -173,14 +173,14 @@ def test_heading_equals_that_of_the_fine_table(horizon):
     grid over the whole tabulated range the heading is the one a table of
     step 1e-4 gives, bit for bit."""
     base = curve_gamma1(horizon)
-    curve = curve_gamma3_admissible(base, horizon=horizon)
+    curve = curve_gamma3_admissible(base)
     t = np.linspace(0.0, curve.t_max, 400_001)
     assert np.array_equal(curve(t)[:, 2], heading_on_fine_table(base, horizon, t))
 
 
 @pytest.fixture(scope="module")
 def gamma3():
-    return curve_gamma3_admissible(curve_gamma1(), horizon=40.0)
+    return curve_gamma3_admissible(curve_gamma1())
 
 
 class TestHeadingCurve:
@@ -245,7 +245,7 @@ class TestHeadingCurve:
 
     def test_requires_second_derivatives(self):
         base = curve_gamma1()
-        stripped = ReferenceCurve(3, base.eval, base.deriv, base.nu)
+        stripped = ReferenceCurve(3, base.eval, base.deriv, base.horizon)
         with pytest.raises(UsageError):
             curve_gamma3_admissible(stripped)
 
@@ -258,9 +258,9 @@ class TestHeadingCurve:
             [-np.sin(t), 0.0 * t, 0.0 * t], axis=-1)
         dv2 = lambda t: np.stack(
             [-np.cos(t), 0.0 * t, 0.0 * t], axis=-1)
-        bad = ReferenceCurve(3, ev, dv, 1.0, deriv2=dv2)
+        bad = ReferenceCurve(3, ev, dv, 10.0, deriv2=dv2)
         with pytest.raises(DegenerateCurveError):
-            curve_gamma3_admissible(bad, horizon=10.0)
+            curve_gamma3_admissible(bad)
 
 
 def test_registry_lookup():
@@ -268,6 +268,7 @@ def test_registry_lookup():
     assert curve.name == "gamma1"
     heading = get_curve("gamma3", horizon=10.0)
     assert heading.dim == 3
+    assert heading.horizon == 10.0
     assert heading.t_max >= 10.0
     with pytest.raises(UsageError):
         get_curve("gamma99")
@@ -284,6 +285,7 @@ def test_expression_spec_with_or_without_prefix():
     prefixed = get_curve("expr:cos(t), sin(t)", horizon=10.0)
     assert bare.name == prefixed.name == "expr:cos(t), sin(t)"
     assert bare.dim == prefixed.dim == 2
+    assert bare.horizon == prefixed.horizon == 10.0
     assert bare.nu == prefixed.nu
     ts = np.linspace(0.0, 10.0, 41)
     assert np.array_equal(bare(ts), prefixed(ts))
@@ -291,8 +293,10 @@ def test_expression_spec_with_or_without_prefix():
 
 @pytest.mark.parametrize("name", CURVE_REGISTRY)
 def test_registry_nu_is_the_sampled_velocity_bound(name):
-    """nu, computed on first read, is the float velocity_bound returns."""
+    """nu, computed on first read, is the float velocity_bound returns
+    over the horizon the curve keeps (gamma3's heading table runs past it)."""
     curve = get_curve(name, horizon=12.5)
+    assert curve.horizon == 12.5
     assert curve.nu == velocity_bound(curve.deriv, 12.5)
 
 
@@ -326,8 +330,12 @@ def test_nonfinite_or_nonpositive_horizon_rejected(name, horizon):
         get_curve(name, horizon=horizon)
 
 
-def test_admissible_companion_rejects_nonfinite_horizon():
-    base = curve_gamma1(horizon=5.0)
-    for horizon in (np.inf, np.nan):
-        with pytest.raises(UsageError, match="horizon"):
-            curve_gamma3_admissible(base, horizon=horizon)
+def test_reference_curve_refuses_a_bad_horizon():
+    """Every curve is built through the constructor, which refuses a
+    horizon that is not finite and positive before anything is sampled."""
+    def never(t):
+        raise AssertionError("the curve was evaluated")
+
+    for horizon in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(UsageError, match="horizon must be finite and positive"):
+            ReferenceCurve(2, never, never, horizon)

@@ -111,15 +111,17 @@ MAIN = "import sys; from osctrack.cli import main; sys.exit(main(sys.argv[1:]))"
 # Per seed: the certificate of `certify --empirical --seed s`, then
 # contraction_check at its eps_hat and at two larger periods, then
 # volterra_scaling with its sigma.  Then estimate_sup_bounds at seed 0 on
-# each scenario's tube (certify's default delta_prime for the unicycle,
-# 0.5 for the others), and nu of every registry curve at horizon 40.  Last,
+# each scenario's tube over its default horizon (certify's default
+# delta_prime for the unicycle, 0.5 for the others), passing the horizon
+# only to a tree whose estimate_sup_bounds still takes it (later trees read
+# curve.horizon), and nu of every registry curve at horizon 40.  Last,
 # batches whose members stop: the car's domain-exit starts at alpha=5,
 # eps=0.5, the first of them as a batch of one, and unicycle starts at
 # alpha=1e160, which overflow.  Per batch, a sha256 of states, controls and
 # dist (NaN bytes included), then per stopped member its reason, time,
 # message and a sha256 of its partial trace.
 PROBE = """
-import hashlib, json, sys
+import hashlib, inspect, json, sys
 import numpy as np
 from osctrack import (CURVE_REGISTRY, ControllerParams, SamplerGrid, contraction_check,
                       estimate_sup_bounds, get_curve, get_scenario, simulate,
@@ -148,11 +150,13 @@ for seed in (1000, 1001, 1002):
                            (0.04, 0.02, 0.01, 0.005), curve, scenario.default_x0,
                            sigma=cert["sigma"])
     print(f"volterra seed={seed}: {rep!r}")
+takes_horizon = "horizon" in inspect.signature(estimate_sup_bounds).parameters
 for name, delta_prime in (("unicycle", 2.5), ("underwater", 0.5), ("car", 0.5)):
     scenario = get_scenario(name)
     tube_curve = get_curve(scenario.default_curve, horizon=scenario.horizon)
+    horizon = {"horizon": scenario.horizon} if takes_horizon else {}
     sup = estimate_sup_bounds(scenario.system, scenario.scheme, tube_curve,
-                              delta_prime=delta_prime, horizon=scenario.horizon)
+                              delta_prime=delta_prime, **horizon)
     print(f"sup bounds {name} delta_prime={delta_prime}: {sup!r}")
 for name in CURVE_REGISTRY:
     print(f"nu {name}: {get_curve(name).nu!r}")
