@@ -28,7 +28,6 @@ from .systems import (
     lie_bracket,
 )
 from .controller import (
-    CoefficientVector,
     ControllerParams,
     coefficients,
     make_control_function,

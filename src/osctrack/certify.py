@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .controller import ControllerParams
+from .controller import ControllerParams, _gain
 from .curves import ReferenceCurve
 from .errors import (
     CertificationError,
@@ -47,9 +47,7 @@ def _one_gain(alpha):
     certificate and its checks are stated for one gain."""
     if np.ndim(alpha):
         raise UsageError(f"certification takes one gain alpha, got {np.size(alpha)}")
-    if not 0 < alpha < np.inf:
-        raise UsageError(f"alpha must be finite and positive, got {alpha}")
-    return alpha
+    return _gain(alpha)
 
 
 @dataclass(frozen=True)

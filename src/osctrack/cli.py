@@ -305,21 +305,28 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
+    analytic = {"--m1": args.m1, "--m2": args.m2, "--m3": args.m3,
+                "--lipschitz": args.lipschitz, "--mu": args.mu}
+    sampling = {"--seed": args.seed, "--bound-samples": args.bound_samples}
+    unread = [flag for flag, value in (analytic if args.empirical else sampling).items()
+              if value is not None]
+    if unread:
+        raise UsageError(f"certify {'with' if args.empirical else 'without'} --empirical "
+                         f"does not read {', '.join(unread)}")
     config = build_run_config(args)
     scenario, curve, params, *_ = resolve_run(config)
     out_dir = output_directory(config)
 
     nu = args.nu if args.nu is not None else curve.nu
-    analytic = [args.m1, args.m2, args.m3, args.lipschitz, args.mu]
     if args.empirical:
+        samples = {} if args.bound_samples is None else {"n_samples": args.bound_samples}
         sup = estimate_sup_bounds(scenario.system, scenario.scheme, curve,
-                                  delta_prime=args.delta_prime,
-                                  n_samples=args.bound_samples,
-                                  seed=config.seed)
+                                  delta_prime=args.delta_prime, seed=config.seed,
+                                  **samples)
         m1, m2, m3, lip, mu = sup.M1, sup.M2, sup.M3, sup.L, sup.mu
         provenance = "empirical"
-    elif all(v is not None for v in analytic):
-        m1, m2, m3, lip, mu = analytic
+    elif None not in analytic.values():
+        m1, m2, m3, lip, mu = analytic.values()
         provenance = "analytic"
     else:
         raise UsageError(
@@ -581,7 +588,7 @@ def build_parser() -> _Parser:
     p_cert.add_argument("--empirical", action="store_true",
                         help="estimate bounds by sampling the tube instead")
     p_cert.add_argument("--bound-samples", dest="bound_samples", type=int,
-                        default=10_000, help="samples for --empirical")
+                        help="samples for --empirical (default 10000)")
     p_cert.set_defaults(func=cmd_certify)
 
     p_sweep = sub.add_parser("sweep", help="grid of runs over alpha and epsilon")

@@ -23,9 +23,9 @@ from .systems import BracketScheme, ControlSystem, build_gain_matrix
 class ControllerParams:
     """Feedback gain alpha and sampling period epsilon, both finite and positive.
     ``alpha`` may also be a 1-D array of gains, one per start of a sampled
-    batch; two params are equal when their gains are, element by element."""
+    batch, kept as a tuple of floats, so params compare and hash by value."""
 
-    alpha: float | np.ndarray
+    alpha: float | tuple[float, ...]
     epsilon: float
 
     def __post_init__(self):
@@ -33,56 +33,11 @@ class ControllerParams:
         if not 0 < self.epsilon < np.inf:
             raise UsageError(f"epsilon must be finite and positive, got {self.epsilon}")
 
-    def _key(self) -> tuple:
-        alpha = tuple(self.alpha.tolist()) if np.ndim(self.alpha) else self.alpha
-        return np.ndim(self.alpha), alpha, self.epsilon
-
-    def __eq__(self, other):
-        if not isinstance(other, ControllerParams):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-
-@dataclass(frozen=True)
-class CoefficientVector:
-    """Solved direction coefficients, sliced by bracket degree.
-
-    ``values`` follows the gain-matrix column order: direct fields
-    first, then first-order bracket pairs, then nested terms.  It has
-    shape (..., n_columns): one row per state of a batch.
-    """
-
-    values: np.ndarray
-    scheme: BracketScheme
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if values.shape[-1:] != (self.scheme.n_columns,):
-            raise DimensionMismatchError(
-                f"expected {self.scheme.n_columns} coefficients, got {values.shape}")
-
-    @property
-    def first_order(self) -> np.ndarray:
-        return self.values[..., :len(self.scheme.s1)]
-
-    @property
-    def pair(self) -> np.ndarray:
-        k = len(self.scheme.s1)
-        return self.values[..., k:k + len(self.scheme.s2)]
-
-    @property
-    def nested(self) -> np.ndarray:
-        return self.values[..., len(self.scheme.s1) + len(self.scheme.s2):]
-
 
 def coefficients(sys: ControlSystem, scheme: BracketScheme,
                  params: ControllerParams, x: np.ndarray,
-                 gamma: np.ndarray) -> CoefficientVector:
-    """Solve F(x) a = -alpha (x - gamma) for the direction coefficients:
+                 gamma: np.ndarray) -> np.ndarray:
+    """Solve F(x) a = -alpha (x - gamma) for the coefficients a (..., n_columns):
     ``x`` is one state (n,) or a batch (..., n), ``gamma`` has its shape or
     is one point (n,), and a gain array (B,) takes states (B, n), one gain
     each (negation is exact, so each row has the bits of its scalar gain)."""
@@ -97,13 +52,17 @@ def coefficients(sys: ControlSystem, scheme: BracketScheme,
             f"{alpha.size} gains need a batch of {alpha.size} states, got shape {x.shape}")
     gain = build_gain_matrix(sys, scheme, x)
     rhs = -alpha[..., None] * (x - gamma)
-    return CoefficientVector(np.linalg.solve(gain, rhs[..., None])[..., 0], scheme)
+    return np.linalg.solve(gain, rhs[..., None])[..., 0]
 
 
 def make_control_function(scheme: BracketScheme, params: ControllerParams,
-                          coeffs: CoefficientVector
+                          coeffs: np.ndarray
                           ) -> Callable[[float | np.ndarray], np.ndarray]:
     """Control u(t) realizing the solved coefficients over one period.
+
+    ``coeffs`` (..., n_columns) follows the gain-matrix column order: direct
+    fields, then first-order bracket pairs, then nested terms; another width
+    raises ``DimensionMismatchError``.
 
     The returned function takes absolute time (the trigonometric phases
     are not reset at sampling instants): a scalar t gives the m-vector
@@ -115,21 +74,27 @@ def make_control_function(scheme: BracketScheme, params: ControllerParams,
     term keeps the sign of its coefficient, so a negative coefficient
     flips the whole oscillation.
     """
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.shape[-1:] != (scheme.n_columns,):
+        raise DimensionMismatchError(
+            f"expected {scheme.n_columns} coefficients, got {coeffs.shape}")
+    columns = np.moveaxis(coeffs, -1, 0)  # a row per gain-matrix column
+    direct, pair, nested = np.split(columns, np.cumsum([len(scheme.s1), len(scheme.s2)]))
     m = scheme.m
-    batch = coeffs.values.shape[:-1]
+    batch = coeffs.shape[:-1]
     static = np.zeros(batch + (m,))
-    for i, a in zip(scheme.s1, np.moveaxis(coeffs.first_order, -1, 0)):
+    for i, a in zip(scheme.s1, direct):
         static[..., i - 1] = a
 
     omega0 = 2.0 * np.pi / params.epsilon
     root = np.sqrt(4.0 * np.pi / params.epsilon)
     osc = []
-    for (i, j), kap, a in zip(scheme.s2, scheme.kappa, np.moveaxis(coeffs.pair, -1, 0)):
+    for (i, j), kap, a in zip(scheme.s2, scheme.kappa, pair):
         amp = root * np.sqrt(kap * abs(a))
         osc.append((i - 1, j - 1, kap * omega0, amp, np.sign(a)))
 
     deg2 = []
-    for term, a in zip(scheme.degree2, np.moveaxis(coeffs.nested, -1, 0)):
+    for term, a in zip(scheme.degree2, nested):
         j1, j2, _ = term.triple
         amp = np.cbrt(16.0 * np.pi ** 2 * (term.k2 ** 2 - term.k1 ** 2)
                       * a / params.epsilon ** 2)
@@ -152,8 +117,8 @@ def make_control_function(scheme: BracketScheme, params: ControllerParams,
 
 
 def _gain(alpha):
-    """``alpha`` when it is one finite positive gain, or a read-only float
-    copy when it is a nonempty 1-D array of them: only a sampled
+    """``alpha`` when it is one finite positive gain, or a tuple of floats
+    when it is a nonempty 1-D array of them: only a sampled
     ``simulate`` of a batch of as many starts takes an array, while the
     classic semantics and the certificate functions need one gain.  Any
     other value is refused with ``UsageError``."""
@@ -161,9 +126,8 @@ def _gain(alpha):
         if not 0 < alpha < np.inf:
             raise UsageError(f"alpha must be finite and positive, got {alpha}")
         return alpha
-    gains = np.array(alpha, dtype=float)
-    gains.flags.writeable = False
+    gains = np.asarray(alpha, dtype=float)
     if gains.ndim != 1 or not gains.size or not np.all((0 < gains) & (gains < np.inf)):
         raise UsageError("alpha must be one gain or a 1-D array of finite positive "
                          f"gains, got {gains}")
-    return gains
+    return tuple(gains.tolist())

@@ -38,9 +38,7 @@ class ReferenceCurve:
 
     ``horizon`` must be finite and positive; the curve's bounds cover
     [0, horizon]: ``nu`` bounds the velocity norm there, and the
-    certificate's tube sample is drawn there.  ``t_max`` marks the end of
-    the range on which the curve data is valid (infinite for closed-form
-    curves).
+    certificate's tube sample is drawn there.
     """
 
     dim: int
@@ -49,7 +47,6 @@ class ReferenceCurve:
     horizon: float
     name: str = ""
     deriv2: Callable[[np.ndarray], np.ndarray] | None = None
-    t_max: float = np.inf
 
     def __post_init__(self):
         _check_horizon(self.horizon)
@@ -232,7 +229,7 @@ def curve_gamma3_admissible(base: ReferenceCurve) -> ReferenceCurve:
             [planar, heading_rate(t_arr)[..., None]], axis=-1)
 
     return ReferenceCurve(3, ev, dv_full, base.horizon,
-                          name=f"{base.name or 'base'}-heading", t_max=t_end)
+                          name=f"{base.name or 'base'}-heading")
 
 
 def curve_gamma4_underwater(horizon: float = 40.0) -> ReferenceCurve:

@@ -24,13 +24,13 @@ class DomainError(OscTrackError):
 class RankConditionError(OscTrackError):
     """The bracket-extended gain matrix is singular at some state.
 
-    Carries the offending state so callers can report where the scheme
-    degenerates.
+    ``singular`` has the states' batch shape and marks the states whose
+    matrix is singular, so a batch can stop just those members.
     """
 
-    def __init__(self, message: str, state: np.ndarray | None = None):
+    def __init__(self, message: str, singular: np.ndarray):
         super().__init__(message)
-        self.state = state
+        self.singular = singular
 
 
 class UnsupportedSchemeError(OscTrackError):

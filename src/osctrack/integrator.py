@@ -39,7 +39,7 @@ from .errors import (
     SimulationError,
     UsageError,
 )
-from .systems import BracketScheme, ControlSystem, gain_matrices
+from .systems import BracketScheme, ControlSystem
 
 # Butcher's seven-stage method of order 6: nodes c, coefficients A
 # (strictly lower triangular, so the method is explicit) and weights b.
@@ -295,7 +295,7 @@ def _distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerParams,
                curve: ReferenceCurve, x0: np.ndarray, grid: SamplerGrid,
-               freeze: bool, on_coefficients=None) -> Trajectory:
+               freeze: bool) -> Trajectory:
     substeps = grid.resolve(sys, scheme, params)
     if curve.dim != sys.n:
         raise DimensionMismatchError(
@@ -304,8 +304,8 @@ def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerPara
     if x0.ndim not in (1, 2) or x0.shape[-1] != sys.n or x0.size == 0:
         raise DimensionMismatchError(
             f"x0 must have shape ({sys.n},) or (B, {sys.n}) with B >= 1, got {x0.shape}")
-    if x0.ndim == 2 and (not freeze or on_coefficients is not None):
-        raise UsageError("classic semantics and on_coefficients take a single start; "
+    if x0.ndim == 2 and not freeze:
+        raise UsageError("classic semantics takes a single start; "
                          f"x0 must have shape ({sys.n},)")
     if not np.isfinite(x0).all():
         raise UsageError("x0 must be finite")
@@ -363,7 +363,7 @@ def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerPara
             sums = np.empty(sums.shape[:2] + x.shape)  # its steps are formed
             views = [_stage_views(acc) for acc in sums]
             if np.ndim(params.alpha):
-                params = replace(params, alpha=params.alpha[keep])
+                params = replace(params, alpha=np.asarray(params.alpha)[keep])
             if table is not None:
                 table, made = table[:, :, :, keep], made[:, :, :, keep]
                 u_func = lambda t, f=u_func: f(t)[..., keep, :]
@@ -414,15 +414,12 @@ def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerPara
             if freeze:
                 try:
                     coeffs = coefficients(sys, scheme, params, x, gamma_all[base])
-                except RankConditionError:  # the singular members stop here
-                    singular = gain_matrices(sys, scheme, x).singular
-                    stop(singular, "rank-deficient", "gain matrix singular near",
+                except RankConditionError as exc:  # the singular members stop here
+                    stop(exc.singular, "rank-deficient", "gain matrix singular near",
                          base + 1, float(times[base]))
-                    go_on(~singular)
+                    go_on(~exc.singular)
                     coeffs = coefficients(sys, scheme, params, x, gamma_all[base])
                 eval_count += 1
-                if on_coefficients is not None:
-                    on_coefficients(j, float(times[base]), x.copy(), coeffs)
                 u_func = make_control_function(scheme, params, coeffs)
                 nodes = u_func(nodes)  # (substeps, nodes) + batch axes + (m,)
                 controls[base:base + substeps, live] = nodes[:, 0].reshape(
@@ -492,13 +489,12 @@ def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerPara
 
 
 def simulate(sys: ControlSystem, scheme: BracketScheme, params: ControllerParams,
-             curve: ReferenceCurve, x0: np.ndarray, grid: SamplerGrid,
-             on_coefficients: Callable | None = None) -> Trajectory:
+             curve: ReferenceCurve, x0: np.ndarray, grid: SamplerGrid) -> Trajectory:
     """Closed-loop run under sampled semantics.
 
     Coefficients are solved exactly once per sampling interval, at its
-    left endpoint; ``on_coefficients(j, t_j, x_j, coeffs)`` is invoked
-    for each solve when given.
+    left endpoint, from the state and reference the record holds at that
+    row.
 
     ``x0`` of shape (n,) runs one start and raises ``SimulationError``,
     with the partial trace, if the run stops early.  ``x0`` of shape
@@ -510,11 +506,9 @@ def simulate(sys: ControlSystem, scheme: BracketScheme, params: ControllerParams
     member that stops early is masked and its error kept in
     ``failures``; the others go on with their own gains, and the batch
     raises only for bad input.  A gain array with a single start, or
-    with a length other than B, is refused with ``UsageError``, as is
-    ``on_coefficients`` with a batch.
+    with a length other than B, is refused with ``UsageError``.
     """
-    return _integrate(sys, scheme, params, curve, x0, grid,
-                      freeze=True, on_coefficients=on_coefficients)
+    return _integrate(sys, scheme, params, curve, x0, grid, freeze=True)
 
 
 def classic_solution_simulate(sys: ControlSystem, scheme: BracketScheme,

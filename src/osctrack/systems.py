@@ -347,16 +347,16 @@ def build_gain_matrix(sys: ControlSystem, scheme: BracketScheme,
 
     Raises DomainError if a state has left the system domain and
     RankConditionError naming the first state whose matrix is singular
-    to working precision.
+    to working precision, with ``singular`` marking every such state.
     """
     x = np.asarray(x, dtype=float)
     gains = gain_matrices(sys, scheme, x)
-    singular = gains.singular.reshape(-1)
+    singular = gains.singular
     if singular.any():
-        first = np.argmax(singular)
+        first = np.argmax(singular)  # of the flattened batch
         state = x.reshape(-1, sys.n)[first]
         smallest = gains.singular_values.reshape(-1, sys.n)[first, -1]
         raise RankConditionError(
             f"gain matrix singular at state {state} "
-            f"(smallest singular value {smallest:.3e})", state=state)
+            f"(smallest singular value {smallest:.3e})", singular=singular)
     return gains.matrices

@@ -408,16 +408,14 @@ def test_batch_where_every_member_stops():
 
 def test_batch_input_checks():
     """A batch is (B, n) with B >= 1, starts inside the domain; only a
-    single start takes on_coefficients or the classic semantics (a batch
-    refuses both with UsageError)."""
+    single start takes the classic semantics (a batch is refused with
+    UsageError)."""
     scenario = get_scenario("car")
     params = scenario.default_params
     curve = get_curve(scenario.default_curve, horizon=0.1)
     grid = SamplerGrid(params.epsilon, 0.1)
     args = (scenario.system, scenario.scheme, params, curve)
     x0 = np.array([[8.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
-    with pytest.raises(UsageError, match="on_coefficients"):
-        simulate(*args, x0, grid, on_coefficients=lambda *a: None)
     with pytest.raises(UsageError, match="classic semantics"):
         classic_solution_simulate(*args, x0, grid)
     for bad in (np.zeros((0, 4)), np.zeros((2, 2, 4)), np.zeros((2, 3))):
@@ -506,7 +504,7 @@ def test_gain_array_refusals():
                 [10.0, np.inf], []):
         with pytest.raises(UsageError, match="alpha"):
             ControllerParams(alpha=bad, epsilon=0.02)
-    assert not gains.alpha.flags.writeable
+    assert gains.alpha == (10.0, 5.0, 7.0)
 
     unicycle = get_scenario("unicycle")
     gains = ControllerParams(alpha=[15.0, 16.0], epsilon=0.01)

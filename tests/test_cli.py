@@ -252,6 +252,14 @@ class TestValidationErrors:
         [*CERTIFY_ANALYTIC, "--lipschitz", "nan"],
         [*CERTIFY_ANALYTIC, "--lam", "nan"],
         [*CERTIFY_ANALYTIC, "--nu", "nan"],
+        # --empirical estimates every field bound, and without it nothing
+        # is sampled.
+        [*CERTIFY_EMPIRICAL, "--m1", "1000", "--mu", "7"],
+        [*CERTIFY_EMPIRICAL, "--m2", "1", "--m3", "1", "--lipschitz", "1"],
+        [*CERTIFY_ANALYTIC, "--seed", "3"],
+        [*CERTIFY_ANALYTIC, "--bound-samples", "500"],
+        ["certify", "--scenario", "unicycle", "--seed", "3"],
+        [*CERTIFY_EMPIRICAL, "--bound-samples", "0"],
     ])
     def test_exit_code_one(self, tmp_path, capsys, args):
         assert run_cli(tmp_path, *args) == 1
@@ -336,6 +344,16 @@ class TestCertify:
         cert = json.loads((tmp_path / "certificate.json").read_text())
         assert cert["certificate"]["provenance"] == "empirical"
         assert 0 < cert["certificate"]["eps_hat"] < 1e-4
+
+    def test_bound_samples_default(self, tmp_path):
+        """Without --bound-samples the estimate draws 10,000 samples."""
+        files = []
+        for extra in ([], ["--bound-samples", "10000"]):
+            out = tmp_path / str(len(extra))
+            assert run_cli(out, "certify", "--scenario", "unicycle", "--empirical",
+                           *extra) == 0
+            files.append((out / "certificate.json").read_bytes())
+        assert files[0] == files[1]
 
     def test_missing_bounds_rejected(self, tmp_path, capsys):
         code = run_cli(tmp_path, "certify", "--scenario", "unicycle")
@@ -669,7 +687,7 @@ class TestListings:
                      "gamma4_car"):
             assert name in out
         # The horizon nu was sampled over, not the end of gamma3's heading
-        # table (44) or a closed-form curve's t_max (inf).
+        # table (44) or infinity for a closed-form curve.
         lines = out.splitlines()
         assert len(lines) == 5
         assert all(line.endswith(" horizon=40") for line in lines)

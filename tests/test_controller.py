@@ -5,7 +5,6 @@ import pytest
 
 from osctrack import (
     BracketScheme,
-    CoefficientVector,
     ControllerParams,
     ControlSystem,
     DimensionMismatchError,
@@ -66,14 +65,14 @@ def test_unicycle_coefficients_closed_form(unicycle):
             e3,
             e1 * np.sin(th) - e2 * np.cos(th),
         ])
-        assert np.allclose(c.values, expected, atol=1e-10)
+        assert np.allclose(c, expected, atol=1e-10)
 
 
 def test_coefficient_spot_value(unicycle):
     sys, scheme = unicycle
     params = ControllerParams(alpha=15.0, epsilon=0.1)
     c = coefficients(sys, scheme, params, np.array([1.0, 0.0, 0.0]), np.zeros(3))
-    assert np.allclose(c.values, [-15.0, 0.0, 0.0], atol=1e-12)
+    assert np.allclose(c, [-15.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_coefficient_round_trip(car):
@@ -87,23 +86,26 @@ def test_coefficient_round_trip(car):
         gamma = rng.normal(size=4)
         c = coefficients(sys, scheme, params, x, gamma)
         gain = build_gain_matrix(sys, scheme, x)
-        assert np.allclose(gain @ c.values, -params.alpha * (x - gamma), atol=1e-10)
+        assert np.allclose(gain @ c, -params.alpha * (x - gamma), atol=1e-10)
 
 
 def test_car_coefficient_spot_value(car):
     sys, scheme = car
     params = ControllerParams(alpha=5.0, epsilon=0.5)
     c = coefficients(sys, scheme, params, np.array([8.0, 0.0, 0.0, 0.0]), np.zeros(4))
-    assert np.allclose(c.values, [-40.0, 0.0, 0.0, 0.0], atol=1e-12)
-    assert c.first_order.shape == (2,)
-    assert c.pair.shape == (1,)
-    assert c.nested.shape == (1,)
+    assert c.shape == (4,)
+    assert np.allclose(c, [-40.0, 0.0, 0.0, 0.0], atol=1e-12)
 
 
-def test_coefficient_vector_shape_check(unicycle):
+def test_control_function_refuses_a_wrong_width(unicycle):
+    """The coefficients must have one column per gain-matrix column, one
+    state or a batch of them."""
     _, scheme = unicycle
-    with pytest.raises(DimensionMismatchError):
-        CoefficientVector(np.zeros(5), scheme)
+    params = ControllerParams(alpha=1.0, epsilon=0.1)
+    for bad in (np.zeros(5), np.zeros(2), np.zeros((2, 4))):
+        with pytest.raises(DimensionMismatchError, match="expected 3 coefficients"):
+            make_control_function(scheme, params, bad)
+    assert make_control_function(scheme, params, np.zeros((2, 3)))(0.0).shape == (2, 2)
 
 
 def test_coefficients_shape_mismatch(unicycle):
@@ -118,7 +120,7 @@ def test_degree1_control_spot_values(unicycle):
     eps = 0.1
     params = ControllerParams(alpha=15.0, epsilon=eps)
     a1, a2, a12 = 2.0, -1.0, -3.0
-    c = CoefficientVector(np.array([a1, a2, a12]), scheme)
+    c = np.array([a1, a2, a12])
     u = make_control_function(scheme, params, c)
     amp = np.sqrt(4 * np.pi / eps) * np.sqrt(abs(a12))
 
@@ -132,7 +134,7 @@ def test_degree1_control_spot_values(unicycle):
 def test_zero_pair_coefficient_is_silent(unicycle):
     _, scheme = unicycle
     params = ControllerParams(alpha=15.0, epsilon=0.1)
-    c = CoefficientVector(np.array([1.5, 0.5, 0.0]), scheme)
+    c = np.array([1.5, 0.5, 0.0])
     ts = np.linspace(0, 0.1, 101)
     prof = make_control_function(scheme, params, c)(ts)
     assert np.all(np.isfinite(prof))
@@ -141,7 +143,7 @@ def test_zero_pair_coefficient_is_silent(unicycle):
 
 def test_amplitude_scales_inverse_sqrt_epsilon(unicycle):
     _, scheme = unicycle
-    c = CoefficientVector(np.array([0.0, 0.0, 1.0]), scheme)
+    c = np.array([0.0, 0.0, 1.0])
     u_a = make_control_function(scheme, ControllerParams(15.0, 0.4), c)
     u_b = make_control_function(scheme, ControllerParams(15.0, 0.1), c)
     # Halving epsilon twice doubles the oscillation amplitude.
@@ -154,7 +156,7 @@ def test_degree2_control_spot_values(car):
     eps = 0.5
     params = ControllerParams(alpha=5.0, epsilon=eps)
     a121 = -2.0
-    c = CoefficientVector(np.array([1.0, -0.5, 0.0, a121]), scheme)
+    c = np.array([1.0, -0.5, 0.0, a121])
     amp = np.cbrt(16 * np.pi ** 2 * (2 ** 2 - 1 ** 2) * a121 / eps ** 2)
     assert amp < 0
 
@@ -168,7 +170,7 @@ def test_degree2_control_spot_values(car):
 
 def test_degree2_amplitude_scales_epsilon_power(car):
     _, scheme = car
-    c = CoefficientVector(np.array([0.0, 0.0, 0.0, 1.0]), scheme)
+    c = np.array([0.0, 0.0, 0.0, 1.0])
     u_a = make_control_function(scheme, ControllerParams(5.0, 0.8), c)
     u_b = make_control_function(scheme, ControllerParams(5.0, 0.1), c)
     # epsilon / 8 multiplies the nested amplitude by 8^(2/3) = 4.
@@ -180,7 +182,7 @@ def test_oscillations_average_out(car):
     _, scheme = car
     eps = 0.5
     params = ControllerParams(alpha=5.0, epsilon=eps)
-    c = CoefficientVector(np.array([0.7, -0.2, 1.3, -0.8]), scheme)
+    c = np.array([0.7, -0.2, 1.3, -0.8])
     ts = np.linspace(0.0, eps, 4097)
     prof = make_control_function(scheme, params, c)(ts)
     means = np.trapezoid(prof, ts, axis=0) / eps
@@ -191,7 +193,7 @@ def test_profile_matches_pointwise_closure(car):
     """An array of times gives exactly the stacked scalar calls."""
     _, scheme = car
     params = ControllerParams(alpha=5.0, epsilon=0.5)
-    c = CoefficientVector(np.array([0.3, 0.9, -1.1, 0.4]), scheme)
+    c = np.array([0.3, 0.9, -1.1, 0.4])
     u = make_control_function(scheme, params, c)
     ts = np.random.default_rng(9).uniform(0, 2, size=50)
     prof = u(ts)
@@ -206,7 +208,7 @@ def test_profile_matches_pointwise_closure(car):
 def test_control_degree1_spot_value(unicycle):
     _, scheme = unicycle
     params = ControllerParams(alpha=15.0, epsilon=0.1)
-    c = CoefficientVector(np.array([2.0, 0.0, 0.25]), scheme)
+    c = np.array([2.0, 0.0, 0.25])
     u = make_control_function(scheme, params, c)(0.0)
     assert np.allclose(u, [2.0 + np.sqrt(10 * np.pi), 0.0], atol=1e-12)
 
@@ -215,7 +217,7 @@ def test_control_degree2_spot_value_and_split(car):
     _, scheme = car
     eps = 0.5
     params = ControllerParams(alpha=5.0, epsilon=eps)
-    c = CoefficientVector(np.array([0.0, 0.0, 0.0, -1.0]), scheme)
+    c = np.array([0.0, 0.0, 0.0, -1.0])
     u = make_control_function(scheme, params, c)(0.0)
     assert np.allclose(u, [-np.cbrt(192 * np.pi ** 2), 0.0], atol=1e-12)
 
@@ -225,7 +227,7 @@ def test_phases_use_absolute_time(unicycle):
     _, scheme = unicycle
     eps = 0.1
     params = ControllerParams(alpha=15.0, epsilon=eps)
-    c = CoefficientVector(np.array([0.2, -0.4, 0.9]), scheme)
+    c = np.array([0.2, -0.4, 0.9])
     u = make_control_function(scheme, params, c)
     for t in (0.013, 1.77, 12.4):
         assert np.allclose(u(t + eps), u(t), atol=1e-7)

@@ -154,11 +154,17 @@ def test_shared_factors_keep_the_bits(name, what):
     assert np.array_equal(func(7.3), scalar)
 
 
+def table_end(horizon):
+    """The end of the heading table of curve_gamma3_admissible for a base
+    curve of this horizon: 1.05 horizon + 2, a pad past the horizon."""
+    return horizon + 0.05 * horizon + 2.0
+
+
 def heading_on_fine_table(base, horizon, t):
     """The heading of curve_gamma3_admissible as a table of step 1e-4
     gives it: the unwrapped atan2 tabulated on that grid picks the branch
     of the exact atan2 at t."""
-    t_end = horizon + 0.05 * horizon + 2.0
+    t_end = table_end(horizon)
     ts = np.linspace(0.0, t_end, int(np.ceil(t_end / 1e-4)) + 1)
     d = base.deriv(ts)
     branch = np.unwrap(np.arctan2(d[:, 1], d[:, 0]))
@@ -174,7 +180,7 @@ def test_heading_equals_that_of_the_fine_table(horizon):
     step 1e-4 gives, bit for bit."""
     base = curve_gamma1(horizon)
     curve = curve_gamma3_admissible(base)
-    t = np.linspace(0.0, curve.t_max, 400_001)
+    t = np.linspace(0.0, table_end(horizon), 400_001)
     assert np.array_equal(curve(t)[:, 2], heading_on_fine_table(base, horizon, t))
 
 
@@ -237,11 +243,15 @@ class TestHeadingCurve:
         assert np.allclose(gamma3.deriv(ts)[:, 2], fd, atol=1e-6)
 
     def test_range_is_guarded(self, gamma3):
-        assert np.isfinite(gamma3.t_max)
-        with pytest.raises(UsageError):
-            gamma3(gamma3.t_max + 1.0)
+        t_end = table_end(gamma3.horizon)
+        for outside in (t_end + 1.0, -1.0):
+            with pytest.raises(UsageError, match="only tabulated"):
+                gamma3(outside)
+            with pytest.raises(UsageError, match="only tabulated"):
+                gamma3.deriv(outside)
         # Inside the pad past the horizon is fine.
-        assert np.all(np.isfinite(gamma3(gamma3.t_max - 0.5)))
+        assert np.all(np.isfinite(gamma3(t_end - 0.5)))
+        assert np.all(np.isfinite(gamma3(t_end)))
 
     def test_requires_second_derivatives(self):
         base = curve_gamma1()
@@ -269,7 +279,7 @@ def test_registry_lookup():
     heading = get_curve("gamma3", horizon=10.0)
     assert heading.dim == 3
     assert heading.horizon == 10.0
-    assert heading.t_max >= 10.0
+    assert np.all(np.isfinite(heading(table_end(10.0))))
     with pytest.raises(UsageError):
         get_curve("gamma99")
 

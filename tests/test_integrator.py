@@ -190,15 +190,13 @@ def test_nested_bracket_displacement(coeff):
     (0, -1, 0, 0).  The two-frequency amplitude makes this the only
     surviving first-order term.
     """
-    from osctrack import CoefficientVector
-
     f1, f2 = car_fields()
     sys = ControlSystem(4, 2, (f1, f2), name="car")
     scheme = BracketScheme(m=2, s1=(1, 2), s2=((1, 2),), kappa=(3,),
                            degree2=(NestedBracketTerm((1, 2, 1), k1=1, k2=2),))
     eps = 0.005
     params = ControllerParams(alpha=1.0, epsilon=eps)
-    coeffs = CoefficientVector(np.array([0.0, 0.0, 0.0, coeff]), scheme)
+    coeffs = np.array([0.0, 0.0, 0.0, coeff])
     control_fn = make_control_function(scheme, params, coeffs)
 
     def rhs(t, x):
@@ -266,16 +264,26 @@ def test_equilibrium_hold():
     assert np.max(traj.dist) < 1e-9
 
 
-def test_coefficients_frozen_once_per_interval():
+def test_coefficients_frozen_once_per_interval(monkeypatch):
+    """One solve per sampling interval, from the state and reference the
+    record holds at the interval's left endpoint."""
     sys, scheme = make_unicycle()
     params = ControllerParams(alpha=15.0, epsilon=0.1)
-    seen = []
+    solved = []
+
+    def counted(sys, scheme, params, x, gamma):
+        solved.append((np.copy(x), np.copy(gamma)))
+        return coefficients(sys, scheme, params, x, gamma)
+
+    monkeypatch.setattr(integrator, "coefficients", counted)
     traj = simulate(sys, scheme, params, curve_gamma1(), np.array([0.0, 0.0, 1.0]),
-                    SamplerGrid(0.1, 1.0),
-                    on_coefficients=lambda j, t, x, c: seen.append((j, t)))
-    assert traj.coefficient_evals == traj.n_intervals == 10
-    assert [j for j, _ in seen] == list(range(10))
-    assert np.allclose([t for _, t in seen], 0.1 * np.arange(10), atol=0)
+                    SamplerGrid(0.1, 1.0))
+    assert traj.coefficient_evals == traj.n_intervals == len(solved) == 10
+    left = traj.sample_indices()[:-1]
+    assert np.array_equal(traj.times[left], 0.1 * np.arange(10))
+    for row, (x, gamma) in zip(left, solved):
+        assert np.array_equal(x, traj.states[row])
+        assert np.array_equal(gamma, traj.reference[row])
     assert traj.semantics == "sampled"
 
 
@@ -296,15 +304,17 @@ def make_car():
 def test_recorded_controls_are_the_interval_synthesis(system, curve, x0, params,
                                                       substeps):
     """Each interval's recorded control rows are exactly its own synthesis
-    evaluated at the interval's grid times, the last row included."""
+    evaluated at the interval's grid times, the last row included.  The
+    coefficients are solved again from the record: its state and reference
+    at the interval's sampling row."""
     sys, scheme = system
-    seen = []
     traj = simulate(sys, scheme, params, curve, x0,
-                    SamplerGrid(params.epsilon, 0.5, substeps=substeps),
-                    on_coefficients=lambda j, t, x, c: seen.append(c))
-    assert len(seen) == traj.n_intervals
-    for j, coeffs in enumerate(seen):
-        rows = slice(j * substeps, (j + 1) * substeps)
+                    SamplerGrid(params.epsilon, 0.5, substeps=substeps))
+    left = traj.sample_indices()[:-1]
+    assert left.size == traj.n_intervals
+    for row in left:
+        coeffs = coefficients(sys, scheme, params, traj.states[row], traj.reference[row])
+        rows = slice(row, row + substeps)
         u = make_control_function(scheme, params, coeffs)
         assert np.array_equal(traj.controls[rows], u(traj.times[rows]))
     assert np.array_equal(traj.controls[-1], u(traj.times[-1]))

@@ -23,6 +23,7 @@ from osctrack import (
     finite_difference_jacobian,
     lie_bracket,
 )
+from osctrack.systems import gain_matrices
 
 
 def fd_jacobian(f, x, h=1e-5):
@@ -212,7 +213,24 @@ def test_singular_gain_matrix_raises():
     scheme = BracketScheme(m=2, s1=(1, 2))
     with pytest.raises(RankConditionError) as exc:
         build_gain_matrix(sys, scheme, np.array([0.5, 0.0]))
-    assert exc.value.state is not None
+    assert exc.value.singular.shape == ()
+    assert exc.value.singular
+
+
+def test_rank_error_marks_the_singular_states():
+    """``RankConditionError.singular`` has the states' batch shape and marks
+    exactly the states whose matrix ``gain_matrices`` finds singular: here
+    f2 = (0, x1) vanishes at x1 = 0, and one state of four sits there."""
+    f1 = VectorField(2, constant(1.0, 0.0))
+    f2 = VectorField(2, lambda x: components(0.0, x[..., 0]))
+    sys = ControlSystem(2, 2, (f1, f2))
+    scheme = BracketScheme(m=2, s1=(1, 2))
+    xs = np.array([[[0.5, 0.0], [0.0, 1.0]], [[1.0, 2.0], [-0.3, 0.4]]])
+    expected = gain_matrices(sys, scheme, xs).singular
+    assert np.array_equal(expected, [[False, True], [False, False]])
+    with pytest.raises(RankConditionError, match=r"at state \[0\. 1\.\]") as exc:
+        build_gain_matrix(sys, scheme, xs)
+    assert np.array_equal(exc.value.singular, expected)
 
 
 def test_vector_field_shape_checks():

@@ -24,7 +24,9 @@ differ, a changed shape), so a change in the last digits can be told
 from a real one.  The parent's output files are kept aside for this
 before the change runs.  Last, a table gives each command's and each
 probe's peak resident memory (``ru_maxrss`` of its process) on both trees,
-for information only: it never counts as a difference.
+for information only: it never counts as a difference.  So are the two
+code-size counts printed after it for each tree: non-blank lines under
+``src/osctrack/`` and names imported by its ``__init__``.
 
 Exits 0 when nothing differs, 1 naming every differing item otherwise.
 """
@@ -32,6 +34,7 @@ Exits 0 when nothing differs, 1 naming every differing item otherwise.
 from __future__ import annotations
 
 import argparse
+import ast
 import csv
 import hashlib
 import itertools
@@ -346,6 +349,18 @@ def differences(parent: dict, change: dict, parent_out: Path, change_out: Path) 
     return found
 
 
+def code_size(tree: Path) -> tuple[int, int]:
+    """Non-blank lines of the package's sources and names its ``__init__``
+    imports."""
+    package = tree / "src" / "osctrack"
+    lines = sum(bool(line.strip()) for path in package.rglob("*.py")
+                for line in path.read_text(encoding="utf-8").splitlines())
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    names = sum(len(node.names) for node in ast.walk(init)
+                if isinstance(node, (ast.Import, ast.ImportFrom)))
+    return lines, names
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, type=Path, help="reference tree")
@@ -396,6 +411,10 @@ def main(argv: list[str] | None = None) -> int:
           "  parent  change  command")
     for label, parent_mb, change_mb in peaks:
         print(f"{parent_mb:8.1f}{change_mb:8.1f}  {label}")
+    (parent_lines, parent_names), (change_lines, change_names) = map(code_size, trees)
+    print("\ncode size (for information, never a difference)\n  parent  change")
+    print(f"{parent_lines:8d}{change_lines:8d}  non-blank lines under src/osctrack/")
+    print(f"{parent_names:8d}{change_names:8d}  names imported by __init__")
     print(f"{failed} differing item(s)" if failed else "no differences")
     return 1 if failed else 0
 
