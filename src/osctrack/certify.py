@@ -20,12 +20,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .controller import ControllerParams, _gain
+from .controller import ControllerParams
 from .curves import ReferenceCurve
 from .errors import (
     CertificationError,
     UnsupportedSchemeError,
     UsageError,
+    in_range,
 )
 from .integrator import SamplerGrid, Trajectory, simulate
 from .systems import BracketScheme, ControlSystem, gain_matrices
@@ -47,16 +48,17 @@ def _one_gain(alpha):
     certificate and its checks are stated for one gain."""
     if np.ndim(alpha):
         raise UsageError(f"certification takes one gain alpha, got {np.size(alpha)}")
-    return _gain(alpha)
+    return in_range("alpha", alpha)
 
 
 @dataclass(frozen=True)
 class CertificateInputs:
     """Geometry and sup bounds feeding the threshold formulas.
 
-    Radii must satisfy the strict chain rho_prime < rho < delta <
-    delta_prime < r (with nu/alpha < rho_prime checked against the
-    gain later, by ``bound_constants``).
+    Every field is finite; the radii, mu, M1 and lam are positive, and
+    nu, M2, M3 and L nonnegative.  Radii must satisfy the strict chain
+    rho_prime < rho < delta < delta_prime < r (with nu/alpha < rho_prime
+    checked against the gain later, by ``bound_constants``).
     ``lam`` is the targeted decay rate of the sampled error sequence.
     ``provenance`` records whether the sup bounds are closed-form
     ("analytic") or sampled with a safety factor ("empirical").
@@ -77,27 +79,15 @@ class CertificateInputs:
     provenance: str = "analytic"
 
     def __post_init__(self):
+        for name in ("rho_prime", "rho", "delta", "delta_prime", "r", "mu", "M1", "lam"):
+            in_range(name, getattr(self, name))
+        for name in ("nu", "M2", "M3", "L"):
+            in_range(name, getattr(self, name), zero_ok=True)
         chain = (self.rho_prime, self.rho, self.delta, self.delta_prime, self.r)
-        if not all(np.isfinite(chain)) or chain[0] <= 0:
-            raise UsageError("tube radii must be finite and positive")
         if not (chain[0] < chain[1] < chain[2] < chain[3] < chain[4]):
             raise UsageError(
                 "radii must satisfy rho_prime < rho < delta < delta_prime < r, "
                 f"got {chain}")
-        if self.mu <= 0:
-            raise UsageError(f"mu must be positive, got {self.mu}")
-        if self.nu < 0:
-            raise UsageError(f"nu must be nonnegative, got {self.nu}")
-        if self.M1 <= 0:
-            raise UsageError(f"M1 must be positive, got {self.M1}")
-        if self.M2 < 0 or self.M3 < 0 or self.L < 0:
-            raise UsageError("M2, M3, and L must be nonnegative")
-        if self.lam <= 0:
-            raise UsageError(f"lam must be positive, got {self.lam}")
-        bounds = (self.M1, self.M2, self.M3, self.L, self.mu, self.nu, self.lam)
-        if not all(np.isfinite(bounds)):
-            raise UsageError(
-                f"M1, M2, M3, L, mu, nu and lam must be finite, got {bounds}")
 
 
 @dataclass(frozen=True)
@@ -138,8 +128,7 @@ def control_magnitude_constants(scheme: BracketScheme, alpha: float,
                                 mu: float) -> tuple[float, float]:
     """Constants (C1, C2) bounding the control: sum_i |u_i(t)| is at most
     C1 ||x - gamma|| + (C2 / sqrt(eps)) sqrt(||x - gamma||)."""
-    if mu <= 0:
-        raise UsageError(f"mu must be positive, got {mu}")
+    in_range("mu", mu)
     alpha = _one_gain(alpha)
     c1 = alpha * mu * np.sqrt(len(scheme.s1))
     kappa_sum = sum(k ** (2.0 / 3.0) for k in scheme.kappa)
@@ -155,8 +144,7 @@ def sigma_value(scheme: BracketScheme, alpha: float,
     ||R|| <= sigma * eps^(3/2) * ||x0 - gamma0||^(3/2)
     and grows with eps through the sqrt(eps * delta_prime) terms.
     """
-    if eps <= 0:
-        raise UsageError(f"eps must be positive, got {eps}")
+    in_range("eps", eps)
     c1, c2 = control_magnitude_constants(scheme, alpha, inputs.mu)
     am = alpha * inputs.mu
     inv_sum = 0.0
@@ -288,8 +276,7 @@ def estimate_sup_bounds(sys: ControlSystem, scheme: BracketScheme,
     A sample outside the domain or with a singular gain matrix aborts the
     estimate, and the first such sample is the one reported.
     """
-    if not 0 < delta_prime < np.inf:
-        raise UsageError("delta_prime must be finite and positive")
+    in_range("delta_prime", delta_prime)
     if n_samples < 1:
         raise UsageError("need at least one sample")
     rng = np.random.default_rng(seed)
@@ -386,9 +373,10 @@ def volterra_residual(traj: Trajectory, alpha: float, *,
 
     x0, gamma0 and eps are the start, the reference start and the
     sampling period of the trajectory, which must contain at least one
-    full sampling interval.
+    full sampling interval; ``sigma`` must be finite and nonnegative.
     """
     _one_gain(alpha)
+    in_range("sigma", sigma, zero_ok=True)
     if traj.times.size <= traj.substeps:
         raise UsageError("trajectory does not contain a full sampling interval")
     x0, gamma0, eps = traj.states[0], traj.reference[0], traj.epsilon
@@ -448,11 +436,11 @@ def lemma1_growth_check(traj: Trajectory, M1: float, L: float) -> GrowthReport:
     oscillating components complete whole periods, the grid maxima cover
     the continuous sup up to grid resolution.  The bound is evaluated in
     the expm1 form M1*U*tau*(expm1(z)/z), which passes smoothly through
-    the constant-field limit L -> 0.  ``ok`` allows a margin down to -1e-8.
+    the constant-field limit L -> 0.  ``M1`` must be finite and positive,
+    and ``L`` finite and nonnegative.  ``ok`` allows a margin down to -1e-8.
     """
-    if M1 <= 0:
-        raise UsageError(f"M1 must be positive, got {M1}")
-    L = max(L, L_FLOOR)
+    in_range("M1", M1)
+    L = max(in_range("L", L, zero_ok=True), L_FLOOR)
     rows = traj.times.size
     margins = []
     u_sups = []
@@ -500,9 +488,13 @@ def contraction_check(sys: ControlSystem, scheme: BracketScheme,
     draws as one batch.  A draw that stops early raises the
     ``SimulationError`` of the first such draw; a draw that starts
     outside the system domain makes ``simulate`` refuse the whole batch
-    with ``DomainError``.
+    with ``DomainError``.  ``lam`` and ``delta`` must be finite and
+    positive, and ``nu`` finite and nonnegative.
     """
     _one_gain(params.alpha)
+    in_range("lam", lam)
+    in_range("nu", nu, zero_ok=True)
+    in_range("delta", delta)
     if not 0 < rho_prime < delta:
         raise UsageError("need 0 < rho_prime < delta")
     if n_draws < 1:

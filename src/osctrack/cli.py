@@ -44,6 +44,7 @@ from .errors import (
     SimulationError,
     UnsupportedSchemeError,
     UsageError,
+    in_range,
 )
 from .integrator import (
     SamplerGrid,
@@ -85,8 +86,7 @@ class RunConfig:
     semantics: str = "sampled"
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.rho < math.inf:
-            raise UsageError(f"rho must be finite and positive, got {self.rho}")
+        in_range("rho", self.rho)
         if self.seed < 0:
             raise UsageError("seed must be a nonnegative integer")
         if self.semantics not in _SEMANTICS:
@@ -130,16 +130,31 @@ def load_config_file(path: str) -> dict:
     return data
 
 
+# What certify reads in one mode only, by flag destination: the field bounds
+# without --empirical, which estimates them, and its seed and sample count.
+_FIELD_BOUNDS = ("m1", "m2", "m3", "lipschitz", "mu")
+_SAMPLING = ("seed", "bound_samples")
+
+
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     """Merge config file values with command-line flags; flags win.
 
     A subcommand reads a config key only where it has the matching flag,
     so the file is refused on a key the subcommand would not read, as the
     flag is: certify's ``x0``, ``substeps`` and ``semantics``, and run's and
-    sweep's ``seed``."""
+    sweep's ``seed``.  So are the flags and keys certify's mode does not read:
+    ``_FIELD_BOUNDS`` with ``--empirical``, ``_SAMPLING`` without it."""
     values: dict = {}
     if getattr(args, "config", None):
         values.update(load_config_file(args.config))
+    if args.command == "certify":
+        skip = _FIELD_BOUNDS if args.empirical else _SAMPLING
+        unread = ([f"config key {key}" for key in skip if key in values]
+                  + [f"--{key.replace('_', '-')}" for key in skip
+                     if getattr(args, key) is not None])
+        if unread:
+            raise UsageError(f"certify {'with' if args.empirical else 'without'} "
+                             f"--empirical does not read {', '.join(unread)}")
     unread = sorted(key for key in values if not hasattr(args, key))
     if unread:
         raise UsageError(f"{args.command} does not read config keys: "
@@ -305,14 +320,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    analytic = {"--m1": args.m1, "--m2": args.m2, "--m3": args.m3,
-                "--lipschitz": args.lipschitz, "--mu": args.mu}
-    sampling = {"--seed": args.seed, "--bound-samples": args.bound_samples}
-    unread = [flag for flag, value in (analytic if args.empirical else sampling).items()
-              if value is not None]
-    if unread:
-        raise UsageError(f"certify {'with' if args.empirical else 'without'} --empirical "
-                         f"does not read {', '.join(unread)}")
     config = build_run_config(args)
     scenario, curve, params, *_ = resolve_run(config)
     out_dir = output_directory(config)
@@ -325,13 +332,14 @@ def cmd_certify(args: argparse.Namespace) -> int:
                                   **samples)
         m1, m2, m3, lip, mu = sup.M1, sup.M2, sup.M3, sup.L, sup.mu
         provenance = "empirical"
-    elif None not in analytic.values():
-        m1, m2, m3, lip, mu = analytic.values()
-        provenance = "analytic"
     else:
-        raise UsageError(
-            "supply all of --m1 --m2 --m3 --lipschitz --mu, or pass --empirical "
-            "to estimate them by sampling the tracking tube")
+        bounds = [getattr(args, key) for key in _FIELD_BOUNDS]
+        if None in bounds:
+            raise UsageError(
+                "supply all of --m1 --m2 --m3 --lipschitz --mu, or pass --empirical "
+                "to estimate them by sampling the tracking tube")
+        m1, m2, m3, lip, mu = bounds
+        provenance = "analytic"
 
     inputs = CertificateInputs(
         r=args.r, rho=config.rho, rho_prime=args.rho_prime,

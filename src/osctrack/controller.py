@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatchError, UsageError
+from .errors import DimensionMismatchError, UsageError, in_range
 from .systems import BracketScheme, ControlSystem, build_gain_matrix
 
 
@@ -30,8 +30,7 @@ class ControllerParams:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _gain(self.alpha))
-        if not 0 < self.epsilon < np.inf:
-            raise UsageError(f"epsilon must be finite and positive, got {self.epsilon}")
+        in_range("epsilon", self.epsilon)
 
 
 def coefficients(sys: ControlSystem, scheme: BracketScheme,
@@ -123,9 +122,7 @@ def _gain(alpha):
     classic semantics and the certificate functions need one gain.  Any
     other value is refused with ``UsageError``."""
     if not np.ndim(alpha):
-        if not 0 < alpha < np.inf:
-            raise UsageError(f"alpha must be finite and positive, got {alpha}")
-        return alpha
+        return in_range("alpha", alpha)
     gains = np.asarray(alpha, dtype=float)
     if gains.ndim != 1 or not gains.size or not np.all((0 < gains) & (gains < np.inf)):
         raise UsageError("alpha must be one gain or a 1-D array of finite positive "

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateCurveError, UsageError
+from .errors import DegenerateCurveError, UsageError, in_range
 
 
 def _stacked(components):
@@ -49,7 +49,7 @@ class ReferenceCurve:
     deriv2: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        _check_horizon(self.horizon)
+        in_range("horizon", self.horizon)
 
     def __call__(self, t):
         return self.eval(t)
@@ -85,15 +85,10 @@ def velocity_bound(deriv, horizon: float) -> float:
     on the block size, and a NaN speed anywhere makes it NaN.  The margin
     covers what the sample can miss between grid points.
     """
-    _check_horizon(horizon)
+    in_range("horizon", horizon)
     speeds = [np.max(np.linalg.norm(np.asarray(deriv(ts), dtype=float), axis=-1))
               for ts in _grid_blocks(horizon)]
     return 1.01 * float(np.max(speeds))
-
-
-def _check_horizon(horizon: float) -> None:
-    if not 0 < horizon < np.inf:
-        raise UsageError(f"horizon must be finite and positive, got {horizon}")
 
 
 def curve_gamma1(horizon: float = 40.0) -> ReferenceCurve:

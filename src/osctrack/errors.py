@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one range check."""
 
 from __future__ import annotations
 
@@ -11,6 +11,15 @@ class OscTrackError(Exception):
 
 class UsageError(OscTrackError, ValueError):
     """Invalid arguments or configuration supplied by the caller."""
+
+
+def in_range(name: str, value, *, zero_ok: bool = False):
+    """``value`` when it is finite and positive, or finite and nonnegative
+    with ``zero_ok``; otherwise ``UsageError`` naming it.  NaN is refused."""
+    if not ((0 <= value if zero_ok else 0 < value) and value < np.inf):
+        wanted = "nonnegative and finite" if zero_ok else "finite and positive"
+        raise UsageError(f"{name} must be {wanted}, got {value}")
+    return value
 
 
 class DimensionMismatchError(UsageError):

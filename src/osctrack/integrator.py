@@ -38,6 +38,7 @@ from .errors import (
     RankConditionError,
     SimulationError,
     UsageError,
+    in_range,
 )
 from .systems import BracketScheme, ControlSystem
 
@@ -149,10 +150,8 @@ class SamplerGrid:
     substeps: int | None = None
 
     def __post_init__(self):
-        if not 0 < self.epsilon < np.inf:
-            raise UsageError(f"epsilon must be finite and positive, got {self.epsilon}")
-        if not 0 < self.horizon < np.inf:
-            raise UsageError(f"horizon must be finite and positive, got {self.horizon}")
+        in_range("epsilon", self.epsilon)
+        in_range("horizon", self.horizon)
         if self.substeps is not None and not (
                 isinstance(self.substeps, (int, np.integer)) and self.substeps >= 1):
             raise UsageError(f"substeps must be a positive integer, got {self.substeps}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, in_range
 from .integrator import Trajectory
 
 # Relative slack when deciding whether a distance sits inside the tube,
@@ -23,12 +23,6 @@ TUBE_EDGE_RTOL = 1e-9
 _BLOCK_ROWS = 2048
 
 
-def _above_tube(dist: np.ndarray, rho: float) -> np.ndarray:
-    if rho < 0:
-        raise UsageError(f"tube radius must be nonnegative, got {rho}")
-    return np.maximum(0.0, dist - rho)
-
-
 def entry_time(traj: Trajectory, rho: float) -> float:
     """First time after which the trajectory never leaves the rho-tube.
 
@@ -37,9 +31,10 @@ def entry_time(traj: Trajectory, rho: float) -> float:
     first of these points after the last one outside the tube.  Returns
     0.0 when it never leaves the tube at all, and inf when it is still
     outside at the end of the record.  The record is searched from its
-    end, ``_BLOCK_ROWS`` steps at a time.
+    end, ``_BLOCK_ROWS`` steps at a time.  ``rho`` must be finite and
+    nonnegative.
     """
-    threshold = rho * (1.0 + TUBE_EDGE_RTOL)
+    threshold = in_range("tube radius", rho, zero_ok=True) * (1.0 + TUBE_EDGE_RTOL)
     if traj.dist[-1] > threshold:
         return np.inf
     # Point p of step i is at times[i] + offsets[p], its node being p = 0.
@@ -98,7 +93,7 @@ def stability_report(traj: Trajectory, rho: float) -> StabilityReport:
     t_enter = entry_time(traj, rho)
     # The fit reads only the sampling instants, so only they are formed.
     idx = traj.sample_indices()
-    times, tube = traj.times[idx], _above_tube(traj.dist[idx], rho)
+    times, tube = traj.times[idx], np.maximum(0.0, traj.dist[idx] - rho)
     transient = (times < t_enter) & (tube > 0)
     fitted_lambda = fitted_C = None
     if np.count_nonzero(transient) >= 2:

@@ -139,8 +139,9 @@ def test_control_magnitude_constants_frozen():
 
 
 def test_control_magnitude_constants_rejects_bad_mu():
-    with pytest.raises(UsageError):
-        control_magnitude_constants(UNICYCLE_SCHEME, 15.0, 0.0)
+    for mu in (0.0, np.nan, np.inf):
+        with pytest.raises(UsageError):
+            control_magnitude_constants(UNICYCLE_SCHEME, 15.0, mu)
 
 
 @pytest.mark.parametrize("eps", [0.04, 1e-6])
@@ -151,8 +152,9 @@ def test_sigma_value_matches_hand_formula(unicycle_inputs, eps):
 
 
 def test_sigma_value_rejects_nonpositive_eps(unicycle_inputs):
-    with pytest.raises(UsageError):
-        sigma_value(UNICYCLE_SCHEME, 15.0, unicycle_inputs, 0.0)
+    for eps in (0.0, np.nan, np.inf):
+        with pytest.raises(UsageError):
+            sigma_value(UNICYCLE_SCHEME, 15.0, unicycle_inputs, eps)
 
 
 @pytest.mark.parametrize("overrides", [
@@ -713,8 +715,9 @@ def test_lemma1_rejects_bad_m1(unicycle, gamma1):
     params = ControllerParams(alpha=15.0, epsilon=0.1)
     traj = simulate(unicycle, UNICYCLE_SCHEME, params, gamma1,
                     np.array([0.0, 0.0, 1.0]), SamplerGrid(0.1, 0.1))
-    with pytest.raises(UsageError):
-        lemma1_growth_check(traj, M1=0.0, L=1.0)
+    for M1, L in [(0.0, 1.0), (np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan)]:
+        with pytest.raises(UsageError):
+            lemma1_growth_check(traj, M1=M1, L=L)
 
 
 def test_contraction_translation_system_exact():
@@ -745,6 +748,22 @@ def test_contraction_check_validation(unicycle, gamma1):
     with pytest.raises(UsageError):
         contraction_check(unicycle, UNICYCLE_SCHEME, params, gamma1,
                           lam=1.0, nu=gamma1.nu, rho_prime=1.0, delta=0.5)
+
+
+def test_contraction_and_volterra_refuse_bad_constants(unicycle, gamma1):
+    """NaN passes every sign test, so each constant's range is checked: a
+    NaN rate would pass every draw, and a NaN sigma would give a NaN bound."""
+    params = ControllerParams(alpha=15.0, epsilon=0.01)
+    kwargs = dict(lam=1.0, nu=gamma1.nu, rho_prime=0.25, delta=2.0, n_draws=20)
+    for name, value in [("lam", np.nan), ("lam", 0.0), ("lam", -50.0),
+                        ("nu", np.nan), ("nu", -5.0)]:
+        with pytest.raises(UsageError, match=f"{name} must be"):
+            contraction_check(unicycle, UNICYCLE_SCHEME, params, gamma1,
+                              **{**kwargs, name: value})
+    traj = simulate(unicycle, UNICYCLE_SCHEME, params, gamma1,
+                    np.array([0.0, 0.0, 1.0]), SamplerGrid(0.01, 0.01))
+    with pytest.raises(UsageError, match="sigma must be"):
+        volterra_residual(traj, 15.0, sigma=np.nan)
 
 
 def reference_contraction_check(sys, scheme, params, curve, *, lam, nu, rho_prime,

@@ -287,6 +287,8 @@ class TestValidationErrors:
         (RUN_ARGS, {"seed": 7}),
         (["sweep", "--scenario", "unicycle", "--alphas", "15", "--epsilons", "0.1",
           "--horizon", "0.5", "--jobs", "1"], {"seed": 7}),
+        # Without --empirical nothing is sampled.
+        (CERTIFY_ANALYTIC, {"seed": 7}),
     ])
     def test_config_key_the_subcommand_does_not_read(self, tmp_path, capsys,
                                                      args, entry):

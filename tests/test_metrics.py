@@ -53,8 +53,11 @@ def synthetic_trajectory(times, dist, substeps=1, dense=None):
 
 def test_tube_distance_rejects_negative_radius():
     traj = synthetic_trajectory([0.0, 1.0], [1.0, 1.0])
-    with pytest.raises(UsageError, match="tube radius must be nonnegative"):
-        stability_report(traj, -0.1)
+    for rho in (-0.1, np.nan, np.inf):
+        with pytest.raises(UsageError, match="tube radius must be nonnegative"):
+            stability_report(traj, rho)
+        with pytest.raises(UsageError, match="tube radius must be nonnegative"):
+            entry_time(traj, rho)
 
 
 def test_entry_time_crossing():

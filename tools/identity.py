@@ -107,6 +107,14 @@ COMMANDS = [
     # Classic semantics: cell by cell.
     ["sweep", "--scenario", "unicycle", "--epsilons", "0.1,0.05", "--alphas", "1,15",
      "--jobs", "2", "--horizon", "1", "--semantics", "classic", "--substeps", "40"],
+    # Refused: exit 1 and an error line on stderr.  Flags the subcommand or
+    # certify's mode does not read, then values out of range.
+    ["run", "--scenario", "unicycle", "--seed", "7"],
+    ["certify", "--scenario", "unicycle", "--seed", "3"],
+    ["certify", "--scenario", "unicycle", "--empirical", "--m1", "1", "--mu", "7"],
+    ["certify", "--scenario", "unicycle", "--m1", "nan", "--m2", "1", "--m3", "1",
+     "--lipschitz", "1", "--mu", "1"],
+    ["run", "--scenario", "unicycle", "--rho", "nan"],
 ]
 
 MAIN = "import sys; from osctrack.cli import main; sys.exit(main(sys.argv[1:]))"
