@@ -377,10 +377,11 @@ def volterra_residual(traj: Trajectory, alpha: float, *,
     """
     _one_gain(alpha)
     in_range("sigma", sigma, zero_ok=True)
-    if traj.times.size <= traj.substeps:
+    marks = traj.sample_indices()
+    if marks.size < 2:
         raise UsageError("trajectory does not contain a full sampling interval")
     x0, gamma0, eps = traj.states[0], traj.reference[0], traj.epsilon
-    residual = traj.states[traj.substeps] - x0 + eps * alpha * (x0 - gamma0)
+    residual = traj.states[marks[1]] - x0 + eps * alpha * (x0 - gamma0)
     err0 = float(np.linalg.norm(x0 - gamma0))
     r_norm = float(np.linalg.norm(residual))
     bound = float(sigma * eps ** 1.5 * err0 ** 1.5)
@@ -441,11 +442,12 @@ def lemma1_growth_check(traj: Trajectory, M1: float, L: float) -> GrowthReport:
     """
     in_range("M1", M1)
     L = max(in_range("L", L, zero_ok=True), L_FLOOR)
-    rows = traj.times.size
+    # The sampling instants and the last row bound the intervals; a
+    # partial trace ends inside its last one.
+    bounds = np.union1d(traj.sample_indices(), [traj.times.size - 1])
     margins = []
     u_sups = []
-    for start in range(0, rows - 1, traj.substeps):
-        end = min(start + traj.substeps, rows - 1)
+    for start, end in zip(bounds[:-1], bounds[1:]):
         u_sup = float(np.max(np.sum(np.abs(traj.controls[start:end]), axis=1)))
         tau = traj.times[start + 1:end + 1] - traj.times[start]
         disp = np.linalg.norm(traj.states[start + 1:end + 1] - traj.states[start],

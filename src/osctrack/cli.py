@@ -21,6 +21,7 @@ Exit codes: 0 success, 1 validation error, 2 simulation failure,
 from __future__ import annotations
 
 import argparse
+import csv
 import itertools
 import json
 import math
@@ -221,14 +222,19 @@ def resolve_run(config: RunConfig, builds: dict | None = None
 
 
 def output_directory(config: RunConfig) -> Path:
+    """Where a command writes; ``_create`` makes it on the first write."""
     if config.output_dir is not None:
-        base = Path(config.output_dir)
-    elif os.environ.get("OSCTRACK_OUTPUT_DIR"):
-        base = Path(os.environ["OSCTRACK_OUTPUT_DIR"])
-    else:
-        base = Path.cwd()
-    base.mkdir(parents=True, exist_ok=True)
-    return base
+        return Path(config.output_dir)
+    if os.environ.get("OSCTRACK_OUTPUT_DIR"):
+        return Path(os.environ["OSCTRACK_OUTPUT_DIR"])
+    return Path.cwd()
+
+
+def _create(path: Path):
+    """Open an output file for writing, making its directory first, so
+    that a command refused before it writes leaves no directory behind."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w", encoding="utf-8", newline="\n")
 
 
 # Rows formatted and written at a time by ``write_trajectory_csv``.
@@ -252,7 +258,7 @@ def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
               + ["dist"])
     line = ",".join(["%.17g"] * len(header)) + "\n"
     columns = (traj.times, traj.states, traj.reference, traj.controls, traj.dist)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _create(path) as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, traj.times.size, _CSV_BLOCK_ROWS):
             block = np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in columns])
@@ -267,7 +273,7 @@ def _json_value(value):
 
 def write_json(path: Path, payload: dict) -> None:
     cleaned = {k: _json_value(v) for k, v in payload.items()}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _create(path) as fh:
         json.dump(cleaned, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -485,10 +491,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     path = out_dir / "sweep_summary.csv"
     names = ["alpha", "epsilon", "status", "steady_amplitude",
              "entry_time", "fitted_lambda", "flag"]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in rows:
-            fh.write(",".join(_sweep_cell(row[c]) for c in names) + "\n")
+    with _create(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(names)
+        writer.writerows([_sweep_cell(row[c]) for c in names] for row in rows)
     n_failed = sum(1 for row in rows if row["status"] != "ok")
     print(f"wrote {path} ({len(rows)} rows, {n_failed} failed)")
     return EXIT_OK
@@ -511,10 +517,7 @@ def _sweep_cell(value) -> str:
         return ""
     if isinstance(value, float):
         return f"{value:.17g}"
-    text = str(value)
-    if "," in text or '"' in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
+    return str(value)
 
 
 def cmd_list_scenarios(_: argparse.Namespace) -> int:

@@ -40,39 +40,7 @@ _BINOPS = {
 }
 
 
-def split_components(src: str) -> list[str]:
-    """Split a curve source string into component expressions.
-
-    ';' always separates components; ',' does too, but only outside
-    parentheses so function arguments stay intact.
-    """
-    parts = []
-    depth = 0
-    current = []
-    for ch in src:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise UsageError(f"unbalanced parentheses in {src!r}")
-        if ch == ";" or (ch == "," and depth == 0):
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    if depth != 0:
-        raise UsageError(f"unbalanced parentheses in {src!r}")
-    parts.append("".join(current))
-    parts = [p.strip() for p in parts]
-    if any(not p for p in parts):
-        raise UsageError(f"empty component in curve expression {src!r}")
-    return parts
-
-
 def _compile_node(node: ast.AST) -> Callable[[np.ndarray], np.ndarray]:
-    if isinstance(node, ast.Expression):
-        return _compile_node(node.body)
     if isinstance(node, ast.Constant):
         if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
             raise UsageError(f"only numeric constants allowed, got {node.value!r}")
@@ -121,15 +89,6 @@ def _compile_node(node: ast.AST) -> Callable[[np.ndarray], np.ndarray]:
                      "in curve expressions")
 
 
-def compile_component(src: str) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile one component expression into a vectorized function of t."""
-    try:
-        tree = ast.parse(src, mode="eval")
-    except SyntaxError as exc:
-        raise UsageError(f"cannot parse curve component {src!r}: {exc}") from None
-    return _compile_node(tree)
-
-
 def curve_from_expression(src: str, horizon: float = 40.0) -> ReferenceCurve:
     """Build a ReferenceCurve from a component expression string.
 
@@ -138,7 +97,22 @@ def curve_from_expression(src: str, horizon: float = 40.0) -> ReferenceCurve:
     are checked one grid block at a time, so the check holds only one
     block of curve values.
     """
-    funcs = [compile_component(p) for p in split_components(src)]
+    nodes = []
+    for piece in src.split(";"):
+        # With a comma appended, a piece parses as the tuple of its
+        # components, and a trailing comma or an empty piece does not; a
+        # parenthesized tuple stays one component, which _compile_node
+        # refuses.  A '#' would comment out the rest of the piece, that
+        # comma included.  Collapsed whitespace lets a component start a line.
+        text = " ".join(piece.split())
+        if "#" in text:
+            raise UsageError(f"comments not allowed in curve expressions: {src!r}")
+        try:
+            body = ast.parse(text + ",", mode="eval").body
+        except SyntaxError as exc:
+            raise UsageError(f"cannot parse curve component {text!r}: {exc}") from None
+        nodes += body.elts
+    funcs = [_compile_node(node) for node in nodes]
     ev = _stacked(lambda t: [f(t) for f in funcs])
 
     def dv(t):

@@ -109,14 +109,16 @@ class TestRun:
     def test_simulation_failure_flags_partial_output(self, tmp_path):
         # alpha * epsilon = 2.5: the sampled error map overshoots and the
         # car leaves its steering chart by t = 1.025.
-        code = run_cli(tmp_path, "run", "--scenario", "car", "--horizon", "3",
+        # The output directory does not exist yet: the partial trace makes it.
+        out = tmp_path / "out"
+        code = run_cli(out, "run", "--scenario", "car", "--horizon", "3",
                        "--alpha", "5", "--epsilon", "0.5")
         assert code == 2
-        meta = json.loads((tmp_path / "run_metadata.json").read_text())
+        meta = json.loads((out / "run_metadata.json").read_text())
         assert meta["partial_output"] is True
         assert meta["status"].startswith("failed: domain-exit")
-        assert (tmp_path / "trajectory.csv").exists()
-        assert not (tmp_path / "stability_report.json").exists()
+        assert (out / "trajectory.csv").exists()
+        assert not (out / "stability_report.json").exists()
 
 
 def whole_array_csv(traj):
@@ -319,6 +321,22 @@ class TestValidationErrors:
         assert errors[0].startswith("error:") and message in errors[0]
         assert errors[1] == errors[0]
         assert not (tmp_path / "sweep" / "sweep_summary.csv").exists()
+
+    @pytest.mark.parametrize("args, code", [
+        (["run", "--scenario", "car", "--x0", "0,0,1.6,0"], 1),
+        (["run", "--scenario", "unicycle", "--substeps", "3"], 1),
+        (["sweep", "--scenario", "unicycle", "--alphas", "1", "--epsilons", "0.1",
+          "--jobs", "0"], 1),
+        (["sweep", "--scenario", "unicycle", "--alphas", "1,nan", "--epsilons", "0.1"], 1),
+        (["certify", "--scenario", "unicycle", "--m1", "nan", "--m2", "1", "--m3", "1",
+          "--lipschitz", "1", "--mu", "1"], 1),
+        # A tube sample leaves the car's steering chart: no certificate.
+        (["certify", "--scenario", "car", "--empirical"], 3),
+    ])
+    def test_refused_command_creates_no_directory(self, tmp_path, args, code):
+        out = tmp_path / "out"
+        assert run_cli(out, *args) == code
+        assert not out.exists()
 
     def test_singular_expression_curve(self, tmp_path, capsys):
         """The input curve is at fault, so the run is refused before it starts."""
@@ -599,6 +617,23 @@ class TestSweep:
         cli._SWEEP_BUILDS.clear()
         assert ((tmp_path / "extra" / "sweep_summary.csv").read_bytes()
                 == (tmp_path / "plain" / "sweep_summary.csv").read_bytes())
+
+    def test_a_cell_with_a_comma_or_quote_is_quoted(self, tmp_path, monkeypatch):
+        """A summary cell holding the delimiter or a quote is quoted, and
+        its quotes doubled."""
+        from osctrack import cli
+
+        row = cli._row
+
+        def odd_status(*args):
+            return {**row(*args), "status": 'error: at x=[1, 2], "f"'}
+
+        monkeypatch.setattr(cli, "_row", odd_status)
+        assert run_cli(tmp_path, "sweep", "--scenario", "unicycle", "--alphas", "15",
+                       "--epsilons", "0.1", "--horizon", "0.5", "--jobs", "1") == 0
+        cli._SWEEP_BUILDS.clear()
+        line = (tmp_path / "sweep_summary.csv").read_text().splitlines()[1]
+        assert line.startswith('15,0.10000000000000001,"error: at x=[1, 2], ""f""",')
 
     def test_a_batch_refused_whole_gives_each_cell_its_own_error(self, tmp_path, capsys):
         """A start outside the steering chart makes simulate refuse the

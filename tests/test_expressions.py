@@ -6,35 +6,43 @@ import pytest
 from osctrack import curves
 from osctrack import UsageError, curve_from_expression
 from osctrack.curves import curve_gamma2
-from osctrack.expressions import compile_component, split_components
+
+TS = np.linspace(0, 5, 11)
 
 
 def test_split_on_semicolons_and_top_level_commas():
-    assert split_components("cos(t); sin(t); 0") == ["cos(t)", "sin(t)", "0"]
-    assert split_components("cos(t), sin(t), t/4") == ["cos(t)", "sin(t)", "t/4"]
-    # Commas inside calls do not split.
-    assert split_components("pow(t, 2), 1") == ["pow(t, 2)", "1"]
+    for src, components in [
+        ("cos(t); sin(t); 0", [np.cos(TS), np.sin(TS), 0 * TS]),
+        ("cos(t), sin(t), t/4", [np.cos(TS), np.sin(TS), TS / 4]),
+        # Commas inside calls do not separate.
+        ("pow(t, 2), 1", [TS ** 2, 1 + 0 * TS]),
+        ("cos(t); sin(t), t/4", [np.cos(TS), np.sin(TS), TS / 4]),
+        # A component may start on a new line.
+        ("cos(t),\nsin(t)", [np.cos(TS), np.sin(TS)]),
+        # A parenthesized component is not a parenthesized tuple.
+        ("(t), 1", [TS, 1 + 0 * TS]),
+    ]:
+        curve = curve_from_expression(src)
+        assert curve.dim == len(components), src
+        assert np.allclose(curve(TS), np.column_stack(components), atol=1e-14), src
 
 
 def test_split_rejects_bad_input():
-    with pytest.raises(UsageError):
-        split_components("cos(t,; 1")
-    with pytest.raises(UsageError):
-        split_components("cos(t)); 1")
-    with pytest.raises(UsageError):
-        split_components("cos(t);; 1")
+    # Unbalanced or empty; then a parenthesized tuple, a trailing comma,
+    # and a comment, which would hide the components after it.
+    for src in ["cos(t,; 1", "cos(t)); 1", "cos(t);; 1", "(t, 1)", "sin(t),",
+                "t, 1 # c, 2"]:
+        with pytest.raises(UsageError):
+            curve_from_expression(src)
 
 
 def test_component_evaluation():
-    f = compile_component("2*cos(t/2)*cos(t)")
-    ts = np.linspace(0, 5, 11)
-    assert np.allclose(f(ts), 2 * np.cos(ts / 2) * np.cos(ts), atol=1e-14)
-
-    g = compile_component("pi*t + e")
-    assert np.isclose(g(2.0), 2 * np.pi + np.e)
-
-    h = compile_component("pow(t, 3) - t**3")
-    assert np.allclose(h(ts), 0.0, atol=1e-12)
+    for src, values in [
+        ("2*cos(t/2)*cos(t)", 2 * np.cos(TS / 2) * np.cos(TS)),
+        ("pi*t + e", np.pi * TS + np.e),
+        ("pow(t, 3) - t**3", 0 * TS),
+    ]:
+        assert np.allclose(curve_from_expression(src)(TS)[:, 0], values, atol=1e-14), src
 
 
 def test_expression_curve_matches_closed_form():
@@ -70,12 +78,12 @@ def test_expression_curve_shapes():
 ])
 def test_whitelist_rejects(src):
     with pytest.raises(UsageError):
-        compile_component(src)
+        curve_from_expression(src)
 
 
 def test_unparseable_component():
     with pytest.raises(UsageError):
-        compile_component("cos(")
+        curve_from_expression("cos(")
 
 
 def test_empty_component_rejected():

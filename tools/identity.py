@@ -115,6 +115,11 @@ COMMANDS = [
     ["certify", "--scenario", "unicycle", "--m1", "nan", "--m2", "1", "--m3", "1",
      "--lipschitz", "1", "--mu", "1"],
     ["run", "--scenario", "unicycle", "--rho", "nan"],
+    # Both separators, and a comma inside a call.
+    ["run", "--scenario", "unicycle", "--horizon", "1",
+     "--curve", "cos(t/2); sin(t/2), pow(t, 2)/100"],
+    # A malformed spec: exit 1.
+    ["run", "--scenario", "unicycle", "--curve", "cos(t,; 1"],
 ]
 
 MAIN = "import sys; from osctrack.cli import main; sys.exit(main(sys.argv[1:]))"
