@@ -8,7 +8,6 @@ stability metrics, and certified sampling-period bounds.
 
 from .errors import (
     CertificationError,
-    DegenerateCurveError,
     DimensionMismatchError,
     DomainError,
     OscTrackError,

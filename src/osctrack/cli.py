@@ -38,7 +38,6 @@ from .controller import ControllerParams
 from .curves import CURVE_REGISTRY, ReferenceCurve, get_curve
 from .errors import (
     CertificationError,
-    DegenerateCurveError,
     DimensionMismatchError,
     DomainError,
     RankConditionError,
@@ -460,9 +459,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     batches = []
     for cells in columns.values():
         _, _, params, _, grid = runs[cells[0]]
-        # Too few substeps fail here, before any run starts, as in ``run``.
-        length = grid.n_intervals * grid.resolve(scenario.system, scenario.scheme,
-                                                 params) + 1
+        # Too few substeps or too fine a period fail here, before any run
+        # starts and before n_intervals can overflow, as in ``run``.
+        length = grid.resolve(scenario.system, scenario.scheme,
+                              params) * grid.n_intervals + 1
         size = max(1, min(_BATCH_ROWS // length, -(-len(cells) // parts)))
         batches += [cells[i:i + size] for i in range(0, len(cells), size)]
     # Every batch shares the scheme and horizon, so its cost goes with its
@@ -621,8 +621,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, DomainError, DegenerateCurveError,
-            RankConditionError) as exc:
+    except (UsageError, DomainError, RankConditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SimulationError as exc:

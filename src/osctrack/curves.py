@@ -2,9 +2,9 @@
 
 A reference curve is any smooth map t -> gamma(t) into the state space;
 it does not need to be a trajectory the system can actually follow.
-Curves carry their dimension, first (and optionally second) derivative,
-the horizon their bounds cover, and a bound nu on the velocity norm over
-[0, horizon], which feeds the sampling-period certificates.
+Curves carry their dimension, first derivative, the horizon their bounds
+cover, and a bound nu on the velocity norm over [0, horizon], which feeds
+the sampling-period certificates.
 
 Evaluation convention: a scalar t yields shape (n,), an array of shape
 (k,) yields shape (k, n).
@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateCurveError, UsageError, in_range
+from .errors import in_range
 
 
 def _stacked(components):
@@ -46,7 +46,6 @@ class ReferenceCurve:
     deriv: Callable[[np.ndarray], np.ndarray]
     horizon: float
     name: str = ""
-    deriv2: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         in_range("horizon", self.horizon)
@@ -91,6 +90,12 @@ def velocity_bound(deriv, horizon: float) -> float:
     return 1.01 * float(np.max(speeds))
 
 
+def _gamma1_planar_velocity(t):
+    """gamma1's planar velocity components, sharing their sines and cosines."""
+    s2, c2, s1, c1 = np.sin(t / 2), np.cos(t / 2), np.sin(t), np.cos(t)
+    return -s2 * c1 - 2 * c2 * s1, -s2 * s1 + 2 * c2 * c1
+
+
 def curve_gamma1(horizon: float = 40.0) -> ReferenceCurve:
     """Flower-shaped planar curve with a slowly rocking third component.
 
@@ -105,16 +110,9 @@ def curve_gamma1(horizon: float = 40.0) -> ReferenceCurve:
 
     @_stacked
     def dv(t):
-        s2, c2, s1, c1 = np.sin(t / 2), np.cos(t / 2), np.sin(t), np.cos(t)
-        return -s2 * c1 - 2 * c2 * s1, -s2 * s1 + 2 * c2 * c1, -np.sin(t / 10) / 10
+        return *_gamma1_planar_velocity(t), -np.sin(t / 10) / 10
 
-    @_stacked
-    def dv2(t):
-        s2, c2, s1, c1 = np.sin(t / 2), np.cos(t / 2), np.sin(t), np.cos(t)
-        return (-2.5 * c2 * c1 + 2 * s2 * s1, -2.5 * c2 * s1 - 2 * s2 * c1,
-                -np.cos(t / 10) / 100)
-
-    return ReferenceCurve(3, ev, dv, horizon, name="gamma1", deriv2=dv2)
+    return ReferenceCurve(3, ev, dv, horizon, name="gamma1")
 
 
 def curve_gamma2(horizon: float = 40.0) -> ReferenceCurve:
@@ -127,104 +125,33 @@ def curve_gamma2(horizon: float = 40.0) -> ReferenceCurve:
     def dv(t):
         return np.exp(1 - t), -2 * t * np.exp(-t ** 2), 0.0
 
-    @_stacked
-    def dv2(t):
-        return -np.exp(1 - t), (4 * t ** 2 - 2) * np.exp(-t ** 2), 0.0
-
-    return ReferenceCurve(3, ev, dv, horizon, name="gamma2", deriv2=dv2)
+    return ReferenceCurve(3, ev, dv, horizon, name="gamma2")
 
 
-# The heading table of curve_gamma3_admissible: the heading turns by at
-# most _HEADING_TURN between grid points, whose step lies between the two
-# bounds; a planar speed below _SPEED_MIN on the grid is degenerate.
-_HEADING_STEP_MAX = 1e-2
-_HEADING_STEP_MIN = 1e-4
-_HEADING_TURN = np.pi / 32
-_SPEED_MIN = 1e-4
+def curve_gamma3(horizon: float = 40.0) -> ReferenceCurve:
+    """gamma1's planar path with its tangent heading: admissible for the
+    unicycle, which can follow it exactly.
 
-
-def curve_gamma3_admissible(base: ReferenceCurve) -> ReferenceCurve:
-    """Admissible companion of a planar curve for the unicycle.
-
-    Keeps the first two components of ``base`` and replaces the third by
-    the heading angle of the planar path, so the result can be followed
-    exactly by a unicycle.  The heading is atan2(y', x') taken on its
-    continuous branch: a grid tabulates the unwrapped angle, and at a query
-    time the exact atan2 is shifted by the multiple of 2 pi that puts it
-    nearest the interpolated table, which starts at atan2 at t = 0.  Its
-    rate, the heading component of ``deriv``, is
-
-        theta' = (x' y'' - y' x'') / (x'^2 + y'^2).
-
-    The grid's step is chosen from that rate on a probe grid of step 0.01:
-    between grid points the heading turns by at most pi/32 at the largest
-    rate probed, far below the pi at which unwrapping or the rounding
-    could pick another branch; the step is at most 0.01 and at least
-    1e-4, the step taken wherever the planar speed may come near 1e-4
-    between probe points.  So, wherever the probe resolves the rate, the
-    branch and the heading are those a table of step 1e-4 gives.  The
-    result keeps the horizon of ``base``; the grid extends past it by a
-    safety pad so the closed-loop simulation can sample slightly beyond it.
+    gamma1's planar velocity is (-sin(t/2), 2 cos(t/2)) turned by the
+    angle t, so its heading atan2(y', x') has the continuous branch
+    3t/2 + pi/2 - atan(sin t / (3 + cos t)) and the rate
+    1 + 2/(5 + 3 cos t).  The heading is the exact atan2 shifted by the
+    multiple of 2 pi that puts it nearest that branch.
     """
-    if base.deriv2 is None:
-        raise UsageError("heading construction needs second derivatives of the base curve")
-
-    t_end = base.horizon + 0.05 * base.horizon + 2.0
-
-    def grid(step):
-        ts = np.linspace(0.0, t_end, int(np.ceil(t_end / step)) + 1)
-        return ts, np.asarray(base.deriv(ts), dtype=float)
-
-    ts, d = grid(_HEADING_STEP_MAX)
-    dd = np.asarray(base.deriv2(ts), dtype=float)
-    speed = np.hypot(d[:, 0], d[:, 1])
-    if np.min(speed - 2 * _HEADING_STEP_MAX * np.hypot(dd[:, 0], dd[:, 1])) < _SPEED_MIN:
-        step = _HEADING_STEP_MIN
-    else:
-        rate = np.max(np.abs(d[:, 0] * dd[:, 1] - d[:, 1] * dd[:, 0]) / speed ** 2)
-        step = max(_HEADING_STEP_MIN,
-                   _HEADING_TURN / max(rate, _HEADING_TURN / _HEADING_STEP_MAX))
-    if step < _HEADING_STEP_MAX:
-        ts, d = grid(step)
-    if float(np.min(d[:, 0] ** 2 + d[:, 1] ** 2)) < _SPEED_MIN ** 2:
-        raise DegenerateCurveError(
-            "planar speed vanishes; the path has no well-defined heading")
-    branch = np.unwrap(np.arctan2(d[:, 1], d[:, 0]))
-
-    def heading(t_arr):
-        dv = np.asarray(base.deriv(t_arr), dtype=float)
-        raw = np.arctan2(dv[..., 1], dv[..., 0])
-        turns = np.round((np.interp(t_arr, ts, branch) - raw) / (2 * np.pi))
-        return raw + 2 * np.pi * turns
-
-    def heading_rate(t):
-        t_arr = np.asarray(t, dtype=float)
-        dv = np.asarray(base.deriv(t_arr), dtype=float)
-        dv2 = np.asarray(base.deriv2(t_arr), dtype=float)
-        return ((dv[..., 0] * dv2[..., 1] - dv[..., 1] * dv2[..., 0])
-                / (dv[..., 0] ** 2 + dv[..., 1] ** 2))
-
-    def _check_range(t_arr):
-        if np.any(t_arr < -1e-6) or np.any(t_arr > t_end + 1e-9):
-            raise UsageError(
-                f"heading curve only tabulated on [0, {t_end:.6g}], got time outside it")
-
+    @_stacked
     def ev(t):
-        t_arr = np.asarray(t, dtype=float)
-        _check_range(t_arr)
-        planar = np.asarray(base.eval(t_arr), dtype=float)[..., :2]
-        return np.concatenate(
-            [planar, heading(t_arr)[..., None]], axis=-1)
+        c2 = np.cos(t / 2)
+        dx, dy = _gamma1_planar_velocity(t)
+        raw = np.arctan2(dy, dx)
+        branch = 1.5 * t + np.pi / 2 - np.arctan(np.sin(t) / (3 + np.cos(t)))
+        turns = np.round((branch - raw) / (2 * np.pi))
+        return 2 * c2 * np.cos(t), 2 * c2 * np.sin(t), raw + 2 * np.pi * turns
 
-    def dv_full(t):
-        t_arr = np.asarray(t, dtype=float)
-        _check_range(t_arr)
-        planar = np.asarray(base.deriv(t_arr), dtype=float)[..., :2]
-        return np.concatenate(
-            [planar, heading_rate(t_arr)[..., None]], axis=-1)
+    @_stacked
+    def dv(t):
+        return *_gamma1_planar_velocity(t), 1 + 2 / (5 + 3 * np.cos(t))
 
-    return ReferenceCurve(3, ev, dv_full, base.horizon,
-                          name=f"{base.name or 'base'}-heading")
+    return ReferenceCurve(3, ev, dv, horizon, name="gamma1-heading")
 
 
 def curve_gamma4_underwater(horizon: float = 40.0) -> ReferenceCurve:
@@ -257,7 +184,7 @@ def curve_gamma4_car(horizon: float = 60.0) -> ReferenceCurve:
 CURVE_REGISTRY: dict[str, Callable[[float], ReferenceCurve]] = {
     "gamma1": curve_gamma1,
     "gamma2": curve_gamma2,
-    "gamma3": lambda horizon: curve_gamma3_admissible(curve_gamma1(horizon)),
+    "gamma3": curve_gamma3,
     "gamma4_underwater": curve_gamma4_underwater,
     "gamma4_car": curve_gamma4_car,
 }

@@ -46,14 +46,6 @@ class UnsupportedSchemeError(OscTrackError):
     """A bracket structure outside what the control synthesis covers."""
 
 
-class DegenerateCurveError(OscTrackError):
-    """A reference curve violates a prerequisite of the construction.
-
-    Typical case: the planar speed vanishes somewhere, so no heading
-    angle can be attached to the path.
-    """
-
-
 class SimulationError(OscTrackError):
     """Numerical integration had to abort before the horizon.
 

@@ -170,6 +170,13 @@ class SamplerGrid:
             raise UsageError(
                 f"{substeps} substeps cannot resolve oscillations up to harmonic "
                 f"{scheme.max_frequency}; need at least {needed}")
+        # Times j * epsilon + k * h (h = epsilon / substeps) stay below
+        # horizon + epsilon and are rounded twice: rows a step apart are
+        # distinct floats where h exceeds twice the float spacing there.
+        if not self.epsilon / substeps > 2 * np.spacing(self.horizon + self.epsilon):
+            raise UsageError(
+                f"epsilon {self.epsilon} is too fine for horizon {self.horizon}: at "
+                f"{substeps} steps an interval, the step times are not distinct floats")
         return substeps
 
     @property

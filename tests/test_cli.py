@@ -262,6 +262,14 @@ class TestValidationErrors:
         [*CERTIFY_ANALYTIC, "--bound-samples", "500"],
         ["certify", "--scenario", "unicycle", "--seed", "3"],
         [*CERTIFY_EMPIRICAL, "--bound-samples", "0"],
+        [*CERTIFY_EMPIRICAL, "--seed", "-1"],
+        ["run", "--scenario", "unicycle", "--x0", "a,b,c"],
+        ["run", "--scenario", "unicycle", "--x0", ","],
+        ["run", "--config", "no-such-config.json"],
+        # Steps too short for float64 to tell the step times apart.
+        ["run", "--scenario", "unicycle", "--epsilon", "1e-300", "--horizon", "1"],
+        ["sweep", "--scenario", "unicycle", "--alphas", "15", "--epsilons", "1e-300",
+         "--horizon", "1", "--jobs", "1"],
     ])
     def test_exit_code_one(self, tmp_path, capsys, args):
         assert run_cli(tmp_path, *args) == 1
@@ -281,6 +289,21 @@ class TestValidationErrors:
         (key,) = entry
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(key) in err
+
+    @pytest.mark.parametrize("text", [
+        "scenario = unicycle",
+        '["unicycle"]',
+        '{"scenario": "unicycle", "semantics": "averaged"}',
+    ])
+    def test_config_document_refused(self, tmp_path, capsys, text):
+        """A config file that is not JSON, not a JSON object, or names an
+        unknown semantics."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert run_cli(out, "run", "--config", str(cfg)) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
     @pytest.mark.parametrize("args, entry", [
         (CERTIFY_ANALYTIC, {"x0": [1.0, 2.0]}),
@@ -723,8 +746,7 @@ class TestListings:
         for name in ("gamma1", "gamma2", "gamma3", "gamma4_underwater",
                      "gamma4_car"):
             assert name in out
-        # The horizon nu was sampled over, not the end of gamma3's heading
-        # table (44) or infinity for a closed-form curve.
+        # The horizon nu was sampled over, not infinity for a closed-form curve.
         lines = out.splitlines()
         assert len(lines) == 5
         assert all(line.endswith(" horizon=40") for line in lines)

@@ -1,6 +1,7 @@
-"""Reference curves: derivatives, velocity bounds, heading construction."""
+"""Reference curves: derivatives, velocity bounds, gamma3's heading."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from scipy.integrate import quad, solve_ivp
 from osctrack import curves
 from osctrack import (
     CURVE_REGISTRY,
-    DegenerateCurveError,
     ReferenceCurve,
     UsageError,
     get_curve,
@@ -17,7 +17,6 @@ from osctrack import (
 from osctrack.curves import (
     curve_gamma1,
     curve_gamma2,
-    curve_gamma3_admissible,
     curve_gamma4_car,
     curve_gamma4_underwater,
     velocity_bound,
@@ -39,8 +38,6 @@ def test_analytic_derivatives_match_fd(factory, dim):
     assert curve.dim == dim
     ts = np.linspace(0.1, 39.9, 57)
     assert np.allclose(curve.deriv(ts), fd_deriv(curve.eval, ts), atol=1e-6)
-    if curve.deriv2 is not None:
-        assert np.allclose(curve.deriv2(ts), fd_deriv(curve.deriv, ts), atol=1e-6)
 
 
 def test_eval_shape_conventions():
@@ -120,6 +117,7 @@ def test_velocity_bound_nan_in_a_late_block(monkeypatch, block):
 
 # Each registry function written out one component at a time, each with
 # its own sines and cosines: the oracle for the curves' shared factors.
+# gamma1's acceleration, which no curve carries, is the heading oracles'.
 PER_COMPONENT = {
     ("gamma1", "eval"): [
         lambda t: 2 * np.cos(t / 2) * np.cos(t),
@@ -133,16 +131,21 @@ PER_COMPONENT = {
         lambda t: -2.5 * np.cos(t / 2) * np.cos(t) + 2 * np.sin(t / 2) * np.sin(t),
         lambda t: -2.5 * np.cos(t / 2) * np.sin(t) - 2 * np.sin(t / 2) * np.cos(t),
         lambda t: -np.cos(t / 10) / 100],
+    ("gamma3", "deriv"): [
+        lambda t: -np.sin(t / 2) * np.cos(t) - 2 * np.cos(t / 2) * np.sin(t),
+        lambda t: -np.sin(t / 2) * np.sin(t) + 2 * np.cos(t / 2) * np.cos(t),
+        lambda t: 1 + 2 / (5 + 3 * np.cos(t))],
     ("gamma4_car", "eval"): [
         lambda t: 5 * np.sin(t / 4),
         lambda t: 5 * np.sin(t / 4) * np.cos(t / 4),
         lambda t: np.zeros_like(t),
         lambda t: np.zeros_like(t)],
 }
+SHARED = [key for key in PER_COMPONENT if key != ("gamma1", "deriv2")]
 
 
-@pytest.mark.parametrize("name, what", list(PER_COMPONENT),
-                         ids=[f"{name}-{what}" for name, what in PER_COMPONENT])
+@pytest.mark.parametrize("name, what", SHARED,
+                         ids=[f"{name}-{what}" for name, what in SHARED])
 def test_shared_factors_keep_the_bits(name, what):
     """On the velocity bound's grid, and at a scalar time, a registry
     function equals its per-component formulas bit for bit."""
@@ -154,18 +157,20 @@ def test_shared_factors_keep_the_bits(name, what):
     assert np.array_equal(func(7.3), scalar)
 
 
-def table_end(horizon):
-    """The end of the heading table of curve_gamma3_admissible for a base
-    curve of this horizon: 1.05 horizon + 2, a pad past the horizon."""
-    return horizon + 0.05 * horizon + 2.0
+def gamma1_turn_rate(t):
+    """theta' = (x' y'' - y' x'') / (x'^2 + y'^2), the rate of gamma1's
+    planar heading, from the per-component formulas."""
+    dx, dy = (f(t) for f in PER_COMPONENT["gamma1", "deriv"][:2])
+    ddx, ddy = (f(t) for f in PER_COMPONENT["gamma1", "deriv2"][:2])
+    return (dx * ddy - dy * ddx) / (dx ** 2 + dy ** 2)
 
 
-def heading_on_fine_table(base, horizon, t):
-    """The heading of curve_gamma3_admissible as a table of step 1e-4
-    gives it: the unwrapped atan2 tabulated on that grid picks the branch
-    of the exact atan2 at t."""
-    t_end = table_end(horizon)
-    ts = np.linspace(0.0, t_end, int(np.ceil(t_end / 1e-4)) + 1)
+def heading_on_fine_table(horizon, t):
+    """gamma1's heading as a table of step 1e-4 on [0, 2 horizon] gives it:
+    the unwrapped atan2 tabulated on that grid picks the branch of the
+    exact atan2 at t."""
+    base = curve_gamma1(horizon)
+    ts = np.linspace(0.0, 2 * horizon, int(np.ceil(2 * horizon / 1e-4)) + 1)
     d = base.deriv(ts)
     branch = np.unwrap(np.arctan2(d[:, 1], d[:, 0]))
     dv = base.deriv(t)
@@ -175,18 +180,28 @@ def heading_on_fine_table(base, horizon, t):
 
 @pytest.mark.parametrize("horizon", [10.0, 40.0])
 def test_heading_equals_that_of_the_fine_table(horizon):
-    """The heading table's step comes from the heading rate; on a dense
-    grid over the whole tabulated range the heading is the one a table of
-    step 1e-4 gives, bit for bit."""
-    base = curve_gamma1(horizon)
-    curve = curve_gamma3_admissible(base)
-    t = np.linspace(0.0, table_end(horizon), 400_001)
-    assert np.array_equal(curve(t)[:, 2], heading_on_fine_table(base, horizon, t))
+    """On a dense grid over [0, 2 horizon], past the horizon, the closed-form
+    branch picks the heading a table of step 1e-4 gives, bit for bit."""
+    curve = get_curve("gamma3", horizon)
+    t = np.linspace(0.0, 2 * horizon, 400_001)
+    assert np.array_equal(curve(t)[:, 2], heading_on_fine_table(horizon, t))
+
+
+def test_gamma3_build_allocates_no_table():
+    """Building gamma3 holds nothing that grows with the horizon: at
+    horizon 1e4 it peaks below 1 MB."""
+    tracemalloc.start()
+    try:
+        get_curve("gamma3", horizon=1e4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 @pytest.fixture(scope="module")
 def gamma3():
-    return curve_gamma3_admissible(curve_gamma1())
+    return get_curve("gamma3", 40.0)
 
 
 class TestHeadingCurve:
@@ -207,33 +222,24 @@ class TestHeadingCurve:
         residual = dv[:, 0] * np.sin(vals[:, 2]) - dv[:, 1] * np.cos(vals[:, 2])
         assert np.max(np.abs(residual)) < 1e-6
 
+    def test_rate_is_that_of_the_planar_derivatives(self, gamma3):
+        ts = np.linspace(0, 80, 100_001)
+        assert np.allclose(gamma3.deriv(ts)[:, 2], gamma1_turn_rate(ts),
+                           rtol=1e-14, atol=0)
+
     def test_heading_against_independent_integration(self, gamma3):
         """Re-integrate the heading rate with an adaptive solver."""
-        base = curve_gamma1()
-
-        def rate(t, _):
-            d = base.deriv(t)
-            dd = base.deriv2(t)
-            return [(d[0] * dd[1] - d[1] * dd[0]) / (d[0] ** 2 + d[1] ** 2)]
-
         t_eval = np.linspace(0, 4 * np.pi, 41)
-        sol = solve_ivp(rate, (0, 4 * np.pi), [np.pi / 2], t_eval=t_eval,
-                        rtol=1e-11, atol=1e-12)
+        sol = solve_ivp(lambda t, _: [gamma1_turn_rate(t)], (0, 4 * np.pi), [np.pi / 2],
+                        t_eval=t_eval, rtol=1e-11, atol=1e-12)
         assert np.allclose(gamma3(t_eval)[:, 2], sol.y[0], atol=1e-6)
 
     @pytest.mark.parametrize("t_end", [7.3, 20.0, 39.9])
     def test_heading_matches_quadrature_of_its_rate(self, gamma3, t_end):
         """pi/2 plus the integral of theta' over unit pieces, each by
         adaptive Gauss-Kronrod quadrature."""
-        base = curve_gamma1()
-
-        def rate(t):
-            d = base.deriv(t)
-            dd = base.deriv2(t)
-            return (d[0] * dd[1] - d[1] * dd[0]) / (d[0] ** 2 + d[1] ** 2)
-
         knots = np.append(np.arange(0.0, t_end, 1.0), t_end)
-        pieces = [quad(rate, a, b, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+        pieces = [quad(gamma1_turn_rate, a, b, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
                   for a, b in zip(knots[:-1], knots[1:])]
         assert abs(gamma3(t_end)[2] - (np.pi / 2 + math.fsum(pieces))) < 1e-12
 
@@ -242,36 +248,6 @@ class TestHeadingCurve:
         fd = (gamma3(ts + 1e-6)[:, 2] - gamma3(ts - 1e-6)[:, 2]) / 2e-6
         assert np.allclose(gamma3.deriv(ts)[:, 2], fd, atol=1e-6)
 
-    def test_range_is_guarded(self, gamma3):
-        t_end = table_end(gamma3.horizon)
-        for outside in (t_end + 1.0, -1.0):
-            with pytest.raises(UsageError, match="only tabulated"):
-                gamma3(outside)
-            with pytest.raises(UsageError, match="only tabulated"):
-                gamma3.deriv(outside)
-        # Inside the pad past the horizon is fine.
-        assert np.all(np.isfinite(gamma3(t_end - 0.5)))
-        assert np.all(np.isfinite(gamma3(t_end)))
-
-    def test_requires_second_derivatives(self):
-        base = curve_gamma1()
-        stripped = ReferenceCurve(3, base.eval, base.deriv, base.horizon)
-        with pytest.raises(UsageError):
-            curve_gamma3_admissible(stripped)
-
-    def test_vanishing_planar_speed_rejected(self):
-        ev = lambda t: np.stack(
-            [np.broadcast_to(np.cos(t), np.shape(t)),
-             np.broadcast_to(0.0 * t, np.shape(t)),
-             np.broadcast_to(0.0 * t, np.shape(t))], axis=-1)
-        dv = lambda t: np.stack(
-            [-np.sin(t), 0.0 * t, 0.0 * t], axis=-1)
-        dv2 = lambda t: np.stack(
-            [-np.cos(t), 0.0 * t, 0.0 * t], axis=-1)
-        bad = ReferenceCurve(3, ev, dv, 10.0, deriv2=dv2)
-        with pytest.raises(DegenerateCurveError):
-            curve_gamma3_admissible(bad)
-
 
 def test_registry_lookup():
     curve = get_curve("gamma1", horizon=40.0)
@@ -279,7 +255,7 @@ def test_registry_lookup():
     heading = get_curve("gamma3", horizon=10.0)
     assert heading.dim == 3
     assert heading.horizon == 10.0
-    assert np.all(np.isfinite(heading(table_end(10.0))))
+    assert heading.name == "gamma1-heading"
     with pytest.raises(UsageError):
         get_curve("gamma99")
 
@@ -304,7 +280,7 @@ def test_expression_spec_with_or_without_prefix():
 @pytest.mark.parametrize("name", CURVE_REGISTRY)
 def test_registry_nu_is_the_sampled_velocity_bound(name):
     """nu, computed on first read, is the float velocity_bound returns
-    over the horizon the curve keeps (gamma3's heading table runs past it)."""
+    over the horizon the curve keeps."""
     curve = get_curve(name, horizon=12.5)
     assert curve.horizon == 12.5
     assert curve.nu == velocity_bound(curve.deriv, 12.5)

@@ -41,6 +41,7 @@ def test_component_evaluation():
         ("2*cos(t/2)*cos(t)", 2 * np.cos(TS / 2) * np.cos(TS)),
         ("pi*t + e", np.pi * TS + np.e),
         ("pow(t, 3) - t**3", 0 * TS),
+        ("+t", TS),
     ]:
         assert np.allclose(curve_from_expression(src)(TS)[:, 0], values, atol=1e-14), src
 
@@ -75,6 +76,9 @@ def test_expression_curve_shapes():
     "t @ t",
     "1 if t else 2",
     "'abc'",
+    "~t",
+    "not t",
+    "np.sin(t)",
 ])
 def test_whitelist_rejects(src):
     with pytest.raises(UsageError):

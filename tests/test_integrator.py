@@ -441,6 +441,9 @@ def test_grid_validation():
     with pytest.raises(UsageError):
         simulate(sys, scheme, params, curve_gamma1(), np.array([np.inf, 0, 0]),
                  SamplerGrid(0.1, 1.0))
+    for eps, horizon in ((1e-300, 1.0), (1e-300, 1e10), (1e-13, 1e4)):
+        with pytest.raises(UsageError, match="not distinct floats"):
+            SamplerGrid(eps, horizon).resolve(sys, scheme, ControllerParams(15.0, eps))
 
 
 def test_default_substeps_scale_with_frequency():
@@ -545,6 +548,28 @@ def test_domain_exit_aborts_with_partial_trajectory():
     assert err.partial is not None
     assert abs(err.partial.states[-1][2]) < np.pi / 2
     assert err.time <= 20.0
+
+
+def test_classic_stage_outside_the_domain_stops_the_run():
+    """Under classic semantics a stage state outside the domain fails the
+    stage's own solve: the run stops at the step's left node, whose finite
+    control the one-row trace keeps.  Sampled semantics stops a row later,
+    at the step's check."""
+    fields = (VectorField(dim=2, value=(1.0, 0.0)), VectorField(dim=2, value=(0.0, 1.0)))
+    sys = ControlSystem(2, 2, fields, domain=lambda x: x[..., 0] < 1)
+    scheme = BracketScheme(m=2, s1=(1, 2))
+    params = ControllerParams(alpha=20.0, epsilon=0.1)
+    run = (sys, scheme, params, get_curve("2; 0", horizon=1.0), np.array([0.99, 0.0]),
+           SamplerGrid(0.1, 1.0))
+    with pytest.raises(SimulationError, match="left the domain near t=0$") as exc:
+        classic_solution_simulate(*run)
+    err = exc.value
+    assert err.reason == "domain-exit"
+    assert err.partial.times.size == 1
+    np.testing.assert_array_equal(err.partial.controls, [[20.2, -0.0]])
+    assert err.partial.coefficient_evals == 1
+    with pytest.raises(SimulationError, match="left the domain by t=0.00416667$"):
+        simulate(*run)
 
 
 def make_vanishing_bracket():

@@ -120,6 +120,12 @@ COMMANDS = [
      "--curve", "cos(t/2); sin(t/2), pow(t, 2)/100"],
     # A malformed spec: exit 1.
     ["run", "--scenario", "unicycle", "--curve", "cos(t,; 1"],
+    # The admissible curve gamma3: acceptance criterion 2's run, and its
+    # certificate.
+    ["run", "--scenario", "unicycle", "--curve", "gamma3", "--alpha", "40",
+     "--epsilon", "0.025", "--horizon", "20"],
+    ["certify", "--scenario", "unicycle", "--curve", "gamma3", "--empirical",
+     "--bound-samples", "2000"],
 ]
 
 MAIN = "import sys; from osctrack.cli import main; sys.exit(main(sys.argv[1:]))"
