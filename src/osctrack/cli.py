@@ -240,7 +240,7 @@ def _create(path: Path):
 _CSV_BLOCK_ROWS = 1024
 
 # Member-rows (record rows times members) of one batched sweep run: some
-# 46 MB of car record, 2.5 default car runs of 144,001 rows.
+# 44 MB of car record, 7.5 default car runs of 48,001 rows.
 _BATCH_ROWS = 360_000
 
 
@@ -562,10 +562,9 @@ def _add_simulation(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--x0", help="initial state, comma separated")
     parser.add_argument("--substeps", type=int,
                         help="Runge-Kutta steps per sampling interval; the default "
-                             "is also the least: 16 per period of the fastest "
-                             "harmonic per oscillating control on a state-dependent "
-                             "field, at least 24: 24 for the unicycle, 48 for the "
-                             "car, 96 for the underwater vehicle")
+                             "is also the least, fitted to the built-in scenarios: "
+                             "12 for the unicycle, 16 for the car, 56 for the "
+                             "underwater vehicle")
     parser.add_argument("--semantics", choices=_SEMANTICS,
                         help="sampled (coefficients frozen per interval) or classic")
 

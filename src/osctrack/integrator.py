@@ -10,12 +10,12 @@ until the next sampling instant.
 The classical semantics instead lets the coefficients depend on the
 current state at every instant, which is the textbook closed-loop ODE.
 Both take ``substeps`` steps per sampling interval of one explicit
-Runge-Kutta step over a Butcher tableau held as data: Butcher's
-seven-stage method of order 6 (Hairer, Norsett & Wanner, *Solving
-Ordinary Differential Equations I*, section II.5).  Its stages also give
-a continuous extension of order 4 (section II.6) at no extra field
-evaluation, from which the distance to the reference is recorded at
-``DENSE_POINTS`` inside every step as well as at the nodes.
+Runge-Kutta step over a Butcher tableau held as data: the twelve-stage
+method of order 8 of Dormand and Prince's DOP853 (Hairer, Norsett &
+Wanner, *Solving Ordinary Differential Equations I*, section II.5).  Its
+stages also give a continuous extension of order 5 (section II.6) at no
+extra field evaluation, from which the distance to the reference is
+recorded at ``DENSE_POINTS`` inside every step as well as at the nodes.
 """
 
 from __future__ import annotations
@@ -42,42 +42,87 @@ from .errors import (
 )
 from .systems import BracketScheme, ControlSystem
 
-# Butcher's seven-stage method of order 6: nodes c, coefficients A
-# (strictly lower triangular, so the method is explicit) and weights b.
-_C = np.array([0.0, 1 / 3, 2 / 3, 1 / 3, 1 / 2, 1 / 2, 1.0])
-_A = np.array([
-    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [1 / 3, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [0.0, 2 / 3, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [1 / 12, 1 / 3, -1 / 12, 0.0, 0.0, 0.0, 0.0],
-    [-1 / 16, 9 / 8, -3 / 16, -3 / 8, 0.0, 0.0, 0.0],
-    [0.0, 9 / 8, -3 / 8, -3 / 4, 1 / 2, 0.0, 0.0],
-    [9 / 44, -9 / 11, 63 / 44, 18 / 11, 0.0, -16 / 11, 0.0],
-])
-_B = np.array([11 / 120, 0.0, 27 / 40, 27 / 40, -4 / 15, -4 / 15, 11 / 120])
+# The twelve-stage propagating method of order 8 of Dormand and Prince's
+# DOP853 (Prince & Dormand, J. Comput. Appl. Math. 7, 1981; Hairer,
+# Norsett & Wanner, section II.5): nodes c, coefficients A (strictly lower
+# triangular, so the method is explicit) and weights b, as published.
+_C = np.array([
+    0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510, 0.281649658092772603273242802490,
+    0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+    0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0])
+_A = np.zeros((12, 12))
+_A[1, :1] = [5.26001519587677318785587544488e-2]
+_A[2, :2] = [1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2]
+_A[3, :3] = [2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2]
+_A[4, :4] = [2.41365134159266685502369798665e-1, 0.0,
+             -8.84549479328286085344864962717e-1, 9.24834003261792003115737966543e-1]
+_A[5, :5] = [3.7037037037037037037037037037e-2, 0.0, 0.0,
+             1.70828608729473871279604482173e-1, 1.25467687566822425016691814123e-1]
+_A[6, :6] = [3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+             6.02165389804559606850219397283e-2, -1.7578125e-2]
+_A[7, :7] = [3.70920001185047927108779319836e-2, 0.0, 0.0,
+             1.70383925712239993810214054705e-1, 1.07262030446373284651809199168e-1,
+             -1.53194377486244017527936158236e-2, 8.27378916381402288758473766002e-3]
+_A[8, :8] = [6.24110958716075717114429577812e-1, 0.0, 0.0,
+             -3.36089262944694129406857109825, -8.68219346841726006818189891453e-1,
+             2.75920996994467083049415600797e1, 2.01540675504778934086186788979e1,
+             -4.34898841810699588477366255144e1]
+_A[9, :9] = [4.77662536438264365890433908527e-1, 0.0, 0.0,
+             -2.48811461997166764192642586468, -5.90290826836842996371446475743e-1,
+             2.12300514481811942347288949897e1, 1.52792336328824235832596922938e1,
+             -3.32882109689848629194453265587e1, -2.03312017085086261358222928593e-2]
+_A[10, :10] = [-9.3714243008598732571704021658e-1, 0.0, 0.0,
+               5.18637242884406370830023853209, 1.09143734899672957818500254654,
+               -8.14978701074692612513997267357, -1.85200656599969598641566180701e1,
+               2.27394870993505042818970056734e1, 2.49360555267965238987089396762,
+               -3.0467644718982195003823669022]
+_A[11, :11] = [2.27331014751653820792359768449, 0.0, 0.0,
+               -1.05344954667372501984066689879e1, -2.00087205822486249909675718444,
+               -1.79589318631187989172765950534e1, 2.79488845294199600508499808837e1,
+               -2.85899827713502369474065508674, -8.87285693353062954433549289258,
+               1.23605671757943030647266201528e1, 6.43392746015763530355970484046e-1]
+_B = np.array([
+    5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+    4.45031289275240888144113950566, 1.89151789931450038304281599044,
+    -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+    -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+    4.47106157277725905176885569043e-2])
 # Dense weights b_i(theta) = sum_k _B_DENSE[i, k] theta^(k+1), with b(1) = b:
-# they satisfy the eight order conditions of order 4 for every theta.
-# The solutions form a three-parameter family; this one gives stages 5
-# and 6, which share the node 1/2, equal weights.
-_B_DENSE = np.array([
-    [1.0, -27 / 10, 8 / 3, -7 / 8],
-    [0.0, 0.0, 0.0, 0.0],
-    [0.0, -27 / 10, 9.0, -45 / 8],
-    [0.0, 81 / 20, -9 / 2, 9 / 8],
-    [0.0, 2 / 5, -8 / 3, 2.0],
-    [0.0, 2 / 5, -8 / 3, 2.0],
-    [0.0, 11 / 20, -11 / 6, 11 / 8],
-])
-# The distinct nodes (0, 1/3, 1/2, 2/3, 1), at which the control is
-# tabulated, and the one each stage reads.
+# they satisfy the 17 order conditions of order 5 in every power of theta,
+# a continuous extension of order 5 (section II.6) from the same stages.
+# The conditions leave a family of solutions; this is its least-norm
+# member among those that, like b, give stages 2 to 5 no weight, with
+# the theta^5 column set to b minus the other four so that b(1) rounds to b.
+_B_DENSE = np.zeros((12, 5))
+_B_DENSE[[0, 5, 6, 7, 8, 9, 10, 11]] = [
+    [0.9902843968894829, -3.779014552237294, 6.49143186328308, -5.231554932211787,
+     1.5831469583930868],
+    [0.8411152682098915, 1.3944829909274017, 1.8835998859856438, -2.1258643803111306,
+     2.456979127940603],
+    [0.3790961564114951, 4.753429361668012, -13.442482047867447, 15.452865355796822,
+     -5.251390926694382],
+    [-1.2012980079329851, 0.5588752075048233, -4.705370686491869, 1.3046310724011148,
+     -1.7580415454916691],
+    [0.04751020015235289, -2.2281803872552843, 7.93680308157763, -8.316108874106531,
+     2.871140346589652],
+    [-0.04345394484796931, -3.8258999257890274, 14.123690391930204, -16.618125948173663,
+     6.211628477217939],
+    [-0.02007779405267318, 4.933180439869872, -19.774447770328834, 25.92218660981417,
+     -10.859476084498503],
+    [0.006823725170405245, -1.8068731346885025, 7.486775281911592, -10.388028903208992,
+     4.746013646543271],
+]
+# The distinct nodes, here all twelve, at which the control is tabulated,
+# and the one each stage reads.
 _NODES, _STAGE_NODE = np.unique(_C, return_inverse=True)
 _STAGE_NODE = tuple(_STAGE_NODE.tolist())
 
 # Fractions of a step at which the distance to the reference is also
 # recorded, inside every step.
-DENSE_POINTS = (0.2, 0.4, 0.6, 0.8)
+DENSE_POINTS = tuple(k / 8 for k in range(1, 8))
 # b_i(theta) at those fractions, shape (points, stages).
-_W_DENSE = (np.array(DENSE_POINTS)[:, None] ** np.arange(1, 5)) @ _B_DENSE.T
+_W_DENSE = (np.array(DENSE_POINTS)[:, None] ** np.arange(1, 6)) @ _B_DENSE.T
 # The weights of the sums a step forms, one row each: the states stages
 # 1, 2, ... read, the new state, and the states at DENSE_POINTS.
 _SUMS = np.vstack((_A[1:], _B, _W_DENSE))
@@ -95,42 +140,44 @@ _DIST_BLOCK_ROWS = 4096
 
 def default_substeps(sys: ControlSystem, scheme: BracketScheme) -> int:
     """Substeps per sampling interval when none are given, and the least
-    a grid accepts: ``max(24, 16 * scheme.max_frequency * coupled)``.
+    a grid accepts: ``max(12, 4 * (f + 1) * coupled + 10 * (coupled - 1))``,
+    f being ``scheme.max_frequency``.
 
     ``coupled`` counts the oscillating controls (those in a bracket pair
     or a nested triple) whose field depends on the state: each couples a
     fast oscillation to the state, while one on a constant field only
-    adds a forcing term.  So 16 steps per period of the fastest harmonic
-    per coupled control, and at least 24: 24 for the unicycle (harmonic
-    1, one coupled control), 48 for the car (harmonic 3, one) and 96 for
-    the underwater vehicle (harmonic 2; surge, pitch and yaw).  The
-    floors were measured per scenario; criterion 9 allows an endpoint
-    shift of 1e-6 when the substeps double, and the tests hold the
-    default grid to 1e-7:
+    adds a forcing term.  So 4 steps per harmonic up to the fastest, plus
+    4, for each coupled control, 10 more for each coupled control past
+    the first, and at least 12: 12 for the unicycle (harmonic 1, one
+    coupled control), 16 for the car (harmonic 3, one) and 56 for the
+    underwater vehicle (harmonic 2; surge, pitch and yaw).  The floors
+    were measured per scenario; criterion 9 allows an endpoint shift of
+    1e-6 when the substeps double, the tests hold the default grid to
+    1e-7, and the tracking metrics to 3e-4 relative (steady amplitude)
+    and 1e-3 s (entry time) against four times its substeps:
 
-    - unicycle: doubling moves the endpoint by at most 7.1e-9 relative
-      over 50 benchmark starts (gamma1, alpha=15, epsilon=0.1, H=10), and
-      by 9.2e-8 from 16 substeps.
+    - unicycle: doubling moves the endpoint by at most 3.9e-8 relative
+      over 50 benchmark starts (gamma1, alpha=15, epsilon=0.1, H=10), by
+      2.1e-7 from 11 substeps and by 1.1e-6 from 10.
     - car: doubling moves the endpoints of the benchmark's sweep cells
-      (alpha 3 to 10, epsilon 0.1 and 0.05, H=6) by at most 2.7e-9, by
-      1.5e-8 from 36 substeps and by 1.6e-7 from 24.
+      (alpha 3 to 10, epsilon 0.1 and 0.05, H=6) by at most 3.9e-9, and
+      by 4.3e-8 from 12 substeps, but at 12 and 14 the steady amplitude
+      moves by 4.6e-4 and 3.3e-4 relative (2.1e-4 at 16).
     - underwater vehicle: from its default start the pitch comes within
       0.053 of pi/2 in the first interval, where the fields grow like
-      1/cos(pitch).  There the nodes are 6.0e-3, 3.0e-3, 5.4e-4 and
-      1.3e-4 off an adaptive solution at 48, 64, 80 and 96 substeps
-      (the classical fourth-order step at 120: 5.4e-4); at 36 and 40 a
-      start 0.3 off the default leaves the domain.
+      1/cos(pitch).  There the nodes are 8.4e-5 off an adaptive solution
+      at 56 substeps and the points inside the steps 6.6e-4, against
+      2.9e-4 and 7.8e-3 at 48 and 1.1e-4 and 2.5e-3 at 52.
 
-    The factor ``coupled`` is fitted to these three systems, and no
-    scenario measures a floor beyond harmonic 3; the per-period term
-    keeps a faster scheme at 16 steps a period at least.
+    The rule is fitted to these three systems, and no scenario measures
+    a floor beyond harmonic 3 or three coupled controls.
     """
     if scheme.m != sys.m:
         raise UsageError(f"scheme is for m={scheme.m}, system has m={sys.m}")
     oscillating = {i for pair in scheme.s2 for i in pair}
     oscillating.update(i for term in scheme.degree2 for i in term.triple)
     coupled = sum(sys.fields[i - 1].value is None for i in oscillating)
-    return max(24, 16 * scheme.max_frequency * coupled)
+    return max(12, 4 * (scheme.max_frequency + 1) * coupled + 10 * (coupled - 1))
 
 
 @dataclass(frozen=True)
@@ -141,7 +188,7 @@ class SamplerGrid:
     ``substeps``, an integer, is the number of Runge-Kutta steps per
     sampling interval, at least ``default_substeps(sys, scheme)``; None
     picks that least count, at which doubling the substeps moves the
-    endpoint of the built-in scenarios' runs by at most 7.1e-9 relative
+    endpoint of the built-in scenarios' runs by at most 3.9e-8 relative
     (criterion 9 allows 1e-6).
     """
 
@@ -173,7 +220,11 @@ class SamplerGrid:
         # Times j * epsilon + k * h (h = epsilon / substeps) stay below
         # horizon + epsilon and are rounded twice: rows a step apart are
         # distinct floats where h exceeds twice the float spacing there.
-        if not self.epsilon / substeps > 2 * np.spacing(self.horizon + self.epsilon):
+        end = self.horizon + self.epsilon
+        if not math.isfinite(end):
+            raise UsageError(
+                f"horizon {self.horizon} plus epsilon {self.epsilon} overflows float64")
+        if not self.epsilon / substeps > 2 * np.spacing(end):
             raise UsageError(
                 f"epsilon {self.epsilon} is too fine for horizon {self.horizon}: at "
                 f"{substeps} steps an interval, the step times are not distinct floats")
@@ -523,14 +574,17 @@ def classic_solution_simulate(sys: ControlSystem, scheme: BracketScheme,
     """Closed-loop run where the coefficients track the state continuously.
 
     Every Runge-Kutta stage re-solves the coefficient system at the
-    stage's own state and time, so the result converges to the
-    classical solution of the instantaneous-feedback ODE as the grid is
-    refined.  It takes a single start x0 (n,) and a single gain.
+    stage's own state and time, twelve solves a step, so the result
+    converges to the classical solution of the instantaneous-feedback
+    ODE as the grid is refined.  It takes a single start x0 (n,) and a
+    single gain.
 
     The right-hand side is only as smooth as that solve, and out of the
     controller's regime the convergence is poor: on the car at alpha=5,
-    epsilon=0.5 (horizon 3) the default 48 substeps end 2.6e-2 off a run
-    at 384 (largest component), and the runs at 96, 192 and 384 still
-    differ by 5e-4 and 8e-4.  Sampled semantics shows no such effect.
+    epsilon=0.5 (horizon 3) a stage state leaves the steering chart at
+    the default 16 substeps (t=0.19) and at 20; 24 substeps end 2.8e-2
+    off a run at 384 (largest component), and the runs at 96, 192 and
+    384 still differ by 4.2e-3 and 1.3e-3.  Sampled semantics shows no
+    such effect.
     """
     return _integrate(sys, scheme, params, curve, x0, grid, freeze=False)

@@ -20,7 +20,7 @@ from .integrator import Trajectory
 TUBE_EDGE_RTOL = 1e-9
 
 # Steps of the record that ``entry_time`` compares with the tube at a time.
-_BLOCK_ROWS = 2048
+_BLOCK_ROWS = 1024
 
 
 def entry_time(traj: Trajectory, rho: float) -> float:

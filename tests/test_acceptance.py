@@ -46,21 +46,21 @@ from tests.test_systems import fd_bracket
 from tests.test_scenarios import random_states
 
 # The least grid that both scenarios of the shared runs admit: the
-# underwater vehicle's (the unicycle's is 24).
-SUBSTEPS = 96
+# underwater vehicle's (the unicycle's is 12).
+SUBSTEPS = 56
 TIMING_REPEATS = 3
 
-# Criterion 1: at eps=0.05 with 24 substeps the Runge-Kutta step (eps/48)
-# and the step count over the horizon (19,200) are those of the eps=0.1 runs.
+# Criterion 1: eps=0.05 on the unicycle's least grid, 12 substeps (9,600
+# Runge-Kutta steps over the horizon).
 FINE_EPSILON = 0.05
-FINE_SUBSTEPS = 24
+FINE_SUBSTEPS = 12
 
 # Criterion 5: alpha * eps < 1 keeps the sampled error map along the
-# directly actuated directions contracting, and 48 substeps is the
+# directly actuated directions contracting, and 16 substeps is the
 # least grid the car admits.
 CAR_ALPHA = 10.0
 CAR_EPSILON = 0.02
-CAR_SUBSTEPS = 48
+CAR_SUBSTEPS = 16
 
 
 class TimedRun(NamedTuple):

@@ -270,6 +270,8 @@ class TestValidationErrors:
         ["run", "--scenario", "unicycle", "--epsilon", "1e-300", "--horizon", "1"],
         ["sweep", "--scenario", "unicycle", "--alphas", "15", "--epsilons", "1e-300",
          "--horizon", "1", "--jobs", "1"],
+        # Step times beyond the largest float64.
+        ["run", "--scenario", "unicycle", "--epsilon", "1e308", "--horizon", "1e308"],
     ])
     def test_exit_code_one(self, tmp_path, capsys, args):
         assert run_cli(tmp_path, *args) == 1
@@ -570,8 +572,8 @@ class TestSweep:
         monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
         batches = []
         record_batches(monkeypatch, cli, batches)
-        # 241 rows at eps=0.05 and 49 at eps=0.3: two and ten gains a batch.
-        monkeypatch.setattr(cli, "_BATCH_ROWS", 500)
+        # 121 rows at eps=0.05 and 25 at eps=0.3: two and ten gains a batch.
+        monkeypatch.setattr(cli, "_BATCH_ROWS", 250)
         code = run_cli(tmp_path, "sweep", "--scenario", "unicycle",
                        "--alphas", "1,15,7", "--epsilons", "0.3,0.05",
                        "--horizon", "0.5", "--jobs", "1")

@@ -63,13 +63,13 @@ def test_single_interval_against_adaptive_solver():
     states at every node and the distances inside every step, on the
     unicycle at 200 substeps and on each built-in scenario's default grid.
 
-    From starts 0.1 off the defaults, the default grids' nodes are 3.2e-8
-    (unicycle), 3.2e-8 (car) and 7.3e-8 (underwater) off the adaptive
-    solution, the points inside the steps, of order 4, 1.5e-6, 5.3e-7
-    and 6.5e-6.  The underwater vehicle's default start is its hard case:
+    From starts 0.1 off the defaults, the default grids' nodes are 1.7e-9
+    (unicycle), 8.3e-8 (car) and 1.0e-8 (underwater) off the adaptive
+    solution, the points inside the steps, of order 5, 3.5e-6, 8.9e-6
+    and 5.3e-6.  The underwater vehicle's default start is its hard case:
     its pitch peaks 0.053 below pi/2 in the first interval, and the nodes
-    are 1.3e-4 off (the classical fourth-order step at 120: 5.4e-4), the
-    points inside 1.7e-3."""
+    are 8.4e-5 off (the classical fourth-order step at 120: 5.4e-4), the
+    points inside 6.6e-4."""
     sys, scheme = make_unicycle()
     cases = [(sys, scheme, ControllerParams(alpha=15.0, epsilon=0.1), curve_gamma1(),
               np.array([0.0, 0.0, 1.0]), 200, 1e-8, 1e-8)]
@@ -104,14 +104,85 @@ def test_single_interval_against_adaptive_solver():
 
 def test_tableau_rows_sum_to_the_nodes():
     """A 1 = c, A strictly lower triangular (explicit), b(1) = b, and the
-    control is tabulated at the five distinct nodes."""
+    control is tabulated at the twelve distinct nodes."""
     A, c = integrator._A, integrator._C
     np.testing.assert_allclose(A.sum(axis=1), c, rtol=0, atol=1e-15)
     assert not np.triu(A).any()
     np.testing.assert_allclose(integrator._B_DENSE.sum(axis=1), integrator._B,
                                rtol=0, atol=1e-15)
-    np.testing.assert_allclose(integrator._NODES, [0, 1 / 3, 1 / 2, 2 / 3, 1], atol=1e-16)
+    assert integrator._NODES.size == 12
+    np.testing.assert_array_equal(integrator._NODES, np.sort(c))
     np.testing.assert_array_equal(integrator._NODES[list(integrator._STAGE_NODE)], c)
+
+
+def test_tableau_is_that_of_dop853():
+    """The literals are scipy's DOP853 coefficients, bit for bit: its first
+    twelve stages, which propagate the solution."""
+    from scipy.integrate._ivp import dop853_coefficients as dop853
+
+    for ours, theirs in ((integrator._A, dop853.A[:12, :12]),
+                         (integrator._B, dop853.B), (integrator._C, dop853.C[:12])):
+        assert ours.shape == theirs.shape
+        assert ours.tobytes() == theirs.tobytes()
+
+
+def rooted_trees(order):
+    """The rooted trees with ``order`` vertices, each the sorted tuple of
+    the subtrees at its root."""
+    if order == 1:
+        return [()]
+
+    def forests(size, largest):
+        # Multisets of trees of ``size`` vertices in all, none above ``largest``.
+        if size == 0:
+            yield ()
+            return
+        for first in range(min(size, largest), 0, -1):
+            for tree in rooted_trees(first):
+                for rest in forests(size - first, first):
+                    yield (tree,) + rest
+
+    return sorted({tuple(sorted(forest)) for forest in forests(order - 1, order - 1)})
+
+
+def tree_order(tree):
+    return 1 + sum(map(tree_order, tree))
+
+
+def tree_density(tree):
+    """gamma(t): the order of t times the densities of its subtrees."""
+    return tree_order(tree) * int(np.prod([tree_density(sub) for sub in tree]))
+
+
+def elementary_weights(tree, A):
+    """Phi_i(t) per stage i: the product over the root's subtrees s of
+    sum_j a_ij Phi_j(s)."""
+    out = np.ones(A.shape[0])
+    for sub in tree:
+        out = out * (A @ elementary_weights(sub, A))
+    return out
+
+
+def test_weights_meet_every_order_condition_up_to_8():
+    """b . Phi(t) = 1 / gamma(t) for all 200 rooted trees of order 8 or
+    less; the counts per order are those of OEIS A000081."""
+    trees = [rooted_trees(order) for order in range(1, 9)]
+    assert [len(level) for level in trees] == [1, 1, 2, 4, 9, 20, 48, 115]
+    for level in trees:
+        for tree in level:
+            weight = integrator._B @ elementary_weights(tree, integrator._A)
+            assert abs(weight - 1 / tree_density(tree)) < 1e-14, tree
+
+
+def test_dense_weights_meet_every_order_5_condition_in_every_power():
+    """b(theta) . Phi(t) = theta^|t| / gamma(t) for every theta, for the 17
+    trees of order 5 or less: each power of theta on its own."""
+    for order in range(1, 6):
+        for tree in rooted_trees(order):
+            per_power = integrator._B_DENSE.T @ elementary_weights(tree, integrator._A)
+            want = np.zeros(5)
+            want[order - 1] = 1 / tree_density(tree)
+            np.testing.assert_allclose(per_power, want, rtol=0, atol=1e-12, err_msg=str(tree))
 
 
 def fixed_step_errors(n_steps, semantics, horizon=1.0):
@@ -146,14 +217,14 @@ def fixed_step_errors(n_steps, semantics, horizon=1.0):
     return abs(float(y[0]) - (2 * np.exp(np.sin(horizon)) - 1)), worst_inside
 
 
-def test_step_has_order_6_and_its_dense_points_order_4():
+def test_step_has_order_8_and_its_dense_points_order_5():
     """Under both semantics, halving the step divides the end error by
-    about 2^6; the error at the points inside the steps by at least 2^4."""
+    about 2^8; the error at the points inside the steps by at least 2^5."""
     for semantics in ("sampled", "classic"):
-        errors = [fixed_step_errors(n, semantics) for n in (8, 16, 32)]
+        errors = [fixed_step_errors(n, semantics, horizon=2.0) for n in (4, 8, 16)]
         for (end, inside), (end_half, inside_half) in zip(errors, errors[1:]):
-            assert 5.5 < np.log2(end / end_half) < 6.5, semantics
-            assert np.log2(inside / inside_half) >= 4.0, semantics
+            assert 7.5 < np.log2(end / end_half) < 8.5, semantics
+            assert np.log2(inside / inside_half) >= 5.0, semantics
         assert errors[-1][0] < 1e-11, semantics
 
 
@@ -359,7 +430,7 @@ def test_times_and_dist_equal_whole_record_formulas(monkeypatch, case, block):
     else:
         scenario = get_scenario("unicycle")
         params = scenario.default_params
-        horizon = 18.0 if case == "single" else 18.37
+        horizon = 36.0 if case == "single" else 36.37
         x0, grid = scenario.default_x0, SamplerGrid(params.epsilon, horizon)
     traj = simulate(scenario.system, scenario.scheme, params,
                     get_curve(scenario.default_curve, horizon=horizon), x0, grid)
@@ -444,22 +515,25 @@ def test_grid_validation():
     for eps, horizon in ((1e-300, 1.0), (1e-300, 1e10), (1e-13, 1e4)):
         with pytest.raises(UsageError, match="not distinct floats"):
             SamplerGrid(eps, horizon).resolve(sys, scheme, ControllerParams(15.0, eps))
+    # Where horizon + epsilon overflows, that is the reason given.
+    with pytest.raises(UsageError, match="plus epsilon 1e[+]308 overflows float64"):
+        SamplerGrid(1e308, 1e308).resolve(sys, scheme, ControllerParams(15.0, 1e308))
 
 
 def test_default_substeps_scale_with_frequency():
-    """16 steps per period of the fastest harmonic per oscillating control
-    on a field that may depend on the state (one not given by its value),
-    and at least 24."""
+    """4 steps per harmonic up to the fastest, plus 4, per oscillating
+    control on a field that may depend on the state (one not given by its
+    value), 10 more per such control past the first, and at least 12."""
     sys = get_scenario("unicycle").system
-    assert default_substeps(sys, BracketScheme(m=2, s1=(1, 2))) == 24
+    assert default_substeps(sys, BracketScheme(m=2, s1=(1, 2))) == 12
     fast = BracketScheme(m=2, s1=(1, 2), s2=((1, 2),), kappa=(7,))
-    assert default_substeps(sys, fast) == 112
+    assert default_substeps(sys, fast) == 32
     constant = ControlSystem(3, 2, tuple(VectorField(dim=3, value=v)
                                          for v in np.eye(3)[:2]))
-    assert default_substeps(constant, fast) == 24
-    assert default_substeps(make_unicycle()[0], fast) == 224  # turn given by eval
+    assert default_substeps(constant, fast) == 12
+    assert default_substeps(make_unicycle()[0], fast) == 74  # turn given by eval
     assert [default_substeps(get_scenario(name).system, get_scenario(name).scheme)
-            for name in ("unicycle", "underwater", "car")] == [24, 96, 48]
+            for name in ("unicycle", "underwater", "car")] == [12, 56, 16]
     with pytest.raises(UsageError, match="scheme is for m=4"):
         default_substeps(sys, get_scenario("underwater").scheme)
 
@@ -559,16 +633,16 @@ def test_classic_stage_outside_the_domain_stops_the_run():
     sys = ControlSystem(2, 2, fields, domain=lambda x: x[..., 0] < 1)
     scheme = BracketScheme(m=2, s1=(1, 2))
     params = ControllerParams(alpha=20.0, epsilon=0.1)
-    run = (sys, scheme, params, get_curve("2; 0", horizon=1.0), np.array([0.99, 0.0]),
+    run = (sys, scheme, params, get_curve("2; 0", horizon=1.0), np.array([0.996, 0.0]),
            SamplerGrid(0.1, 1.0))
     with pytest.raises(SimulationError, match="left the domain near t=0$") as exc:
         classic_solution_simulate(*run)
     err = exc.value
     assert err.reason == "domain-exit"
     assert err.partial.times.size == 1
-    np.testing.assert_array_equal(err.partial.controls, [[20.2, -0.0]])
+    np.testing.assert_array_equal(err.partial.controls, [[20.08, -0.0]])
     assert err.partial.coefficient_evals == 1
-    with pytest.raises(SimulationError, match="left the domain by t=0.00416667$"):
+    with pytest.raises(SimulationError, match="left the domain by t=0.00833333$"):
         simulate(*run)
 
 
