@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .controller import ControllerParams
-from .curves import ReferenceCurve
+from .curves import ReferenceCurve, vector_norms
 from .errors import (
     CertificationError,
     UnsupportedSchemeError,
@@ -248,6 +248,16 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
+def _lipschitz(jacs: np.ndarray) -> float:
+    """Largest spectral norm of the Jacobians, the root of the largest
+    eigenvalue of J^T J; NaN when any J^T J is not finite, on which
+    ``eigvalsh`` would raise."""
+    jtj = jacs.swapaxes(-1, -2) @ jacs
+    finite = np.isfinite(jtj).all(axis=(-2, -1))
+    jtj[~finite] = 0.0
+    return np.sqrt(np.max(np.where(finite, np.linalg.eigvalsh(jtj)[..., -1], np.nan)))
+
+
 class SupBounds(NamedTuple):
     """Sampled sup bounds over the delta_prime tube, safety-inflated."""
 
@@ -305,7 +315,7 @@ def estimate_sup_bounds(sys: ControlSystem, scheme: BracketScheme,
         if not varying:
             return vals, None, first
         jacs = np.stack([sys.fields[i].jacobian(x) for i in varying], axis=1)
-        first[:, varying] = np.einsum("bikl,bjl->bijk", jacs, vals)
+        first[:, varying] = (jacs[:, :, None] @ vals[:, None, :, :, None])[..., 0]
         return vals, jacs, first
 
     # Every block of in-domain samples gets its gain matrices, as when the
@@ -333,11 +343,10 @@ def estimate_sup_bounds(sys: ControlSystem, scheme: BracketScheme,
             offset = scale[:, None] * w
             gap = lie_table(x + offset)[2] - lie_table(x - offset)[2]
             deriv = gap * (wn / (2.0 * step))[:, None, None, None]
-            total += np.sum(np.linalg.norm(deriv, axis=3), axis=(1, 2))
+            total += np.sum(vector_norms(deriv), axis=(1, 2))
         sups.append((
-            np.max(np.linalg.norm(vals, axis=2)), np.max(np.linalg.norm(first, axis=3)),
-            np.max(total / 6.0),
-            np.max(np.linalg.svd(jacs, compute_uv=False)[..., 0]) if varying else 0.0,
+            np.max(vector_norms(vals)), np.max(vector_norms(first)), np.max(total / 6.0),
+            _lipschitz(jacs) if varying else 0.0,
             np.max(1.0 / gains.singular_values[:, -1])))
     if singular is not None:
         raise CertificationError(

@@ -31,7 +31,7 @@ from .controller import (
     coefficients,
     make_control_function,
 )
-from .curves import ReferenceCurve
+from .curves import ReferenceCurve, vector_norms
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -339,17 +339,6 @@ def _rk_step(rhs: Callable, x: np.ndarray, shares: list, views: list) -> np.ndar
     return state
 
 
-def _distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distance of a to b along the last axis.  The squares are
-    summed one component at a time, each a long loop over all points,
-    where a norm over the short last axis would loop once per point."""
-    d = a - b
-    out = d[..., 0] * d[..., 0]
-    for component in range(1, d.shape[-1]):
-        out += d[..., component] * d[..., component]
-    return np.sqrt(out, out=out)
-
-
 def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerParams,
                curve: ReferenceCurve, x0: np.ndarray, grid: SamplerGrid,
                freeze: bool) -> Trajectory:
@@ -431,7 +420,8 @@ def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerPara
         if upto > formed:
             steps = slice(formed - base, upto - base)
             points = sums[steps, _B.size:].reshape(upto - formed, offsets.size, -1, sys.n)
-            dense[formed:upto, live] = _distance(points, gamma_dense[steps]).swapaxes(1, 2)
+            gap = points - gamma_dense[steps]
+            dense[formed:upto, live] = vector_norms(gap).swapaxes(1, 2)
             formed = upto
 
     def solve(t, state):
@@ -525,7 +515,7 @@ def _integrate(sys: ControlSystem, scheme: BracketScheme, params: ControllerPara
     dist = np.empty(states.shape[:2])
     for start in range(0, rows, _DIST_BLOCK_ROWS):
         block = slice(start, start + _DIST_BLOCK_ROWS)
-        dist[block] = _distance(states[block], gamma_all[block, None])
+        dist[block] = vector_norms(states[block] - gamma_all[block, None])
 
     def record(member, kept: int, n_intervals: int, evals: int, failed: dict):
         return Trajectory(

@@ -248,7 +248,7 @@ def test_criterion_01_unicycle_enters_and_stays(criterion_report, gamma1_fine_ru
     assert np.linalg.norm(traj.states[0] - traj.reference[0]) <= 2.0 + 1e-12
     entry = entry_time(traj, 0.5)
     first = float(traj.times[np.argmax(traj.dist <= 0.5)])
-    peak = float(traj.dist[traj.times >= 5.0].max())
+    peak = tail_error(traj, 5.0)
     timed_ok, timing = runtime_verdict(gamma1_fine_run)
     ok = regime < 0.5 and entry <= 5.0 and timed_ok
     criterion_report(1, ok,
@@ -333,7 +333,7 @@ def test_criterion_05_car_enters_and_stays(criterion_report):
                f"({exc.reason}), before the t<=20 tube deadline")
         return
     entry = entry_time(traj, 1.0)
-    peak = float(traj.dist[traj.times >= 20.0].max())
+    peak = tail_error(traj, 20.0)
     ok = step < 1.0 and regime < 1.0 and entry <= 20.0
     criterion_report(5, ok,
            f"{label}: inside 1.0-tube from t={entry:.2f} (need <= 20, "

@@ -45,7 +45,7 @@ from osctrack import (
 )
 from osctrack import certify
 from osctrack.certify import SupBounds, _row_norms
-from osctrack.curves import curve_gamma1
+from osctrack.curves import curve_gamma1, vector_norms
 from osctrack.systems import gain_matrices
 from conftest import fixed_target
 from tests.test_systems import components, constant, unicycle_fields, zero_jacobian
@@ -420,10 +420,30 @@ def test_estimate_sup_bounds_matches_per_sample_oracle(name, delta_prime):
     np.testing.assert_allclose(list(got), want, rtol=1e-12, atol=0.0)
 
 
+def lie_table_matmul(jacs, vals):
+    return (jacs[:, :, None] @ vals[:, None, :, :, None])[..., 0]
+
+
+def lipschitz_eigvalsh(jacs):
+    return np.sqrt(np.max(np.linalg.eigvalsh(jacs.swapaxes(-1, -2) @ jacs)[..., -1]))
+
+
+def lie_table_einsum(jacs, vals):
+    return np.einsum("bikl,bjl->bijk", jacs, vals)
+
+
+def lipschitz_svd(jacs):
+    return np.max(np.linalg.svd(jacs, compute_uv=False)[..., 0])
+
+
 def all_fields_sup_bounds(sys, scheme, curve, *, delta_prime, seed,
-                          n_samples=10_000, inflation=1.1):
+                          n_samples=10_000, inflation=1.1, lie_product=lie_table_matmul,
+                          norms=vector_norms, lipschitz=lipschitz_eigvalsh):
     """The batched estimate with every field differentiated, constant ones
-    included: the formula before constant fields were skipped."""
+    included: the formula before constant fields were skipped.  By default
+    it takes the package's kernels, so it agrees with the estimate to the
+    last bit; the einsum, SVD and np.linalg.norm kernels it took before
+    give the same numbers up to rounding."""
     xs = tube_samples(sys.n, curve, delta_prime=delta_prime, n_samples=n_samples,
                       seed=seed)
     gains = gain_matrices(sys, scheme, xs)
@@ -431,12 +451,12 @@ def all_fields_sup_bounds(sys, scheme, curve, *, delta_prime, seed,
     def lie_table(x):
         vals = np.stack([f.eval(x) for f in sys.fields], axis=1)
         jacs = np.stack([f.jacobian(x) for f in sys.fields], axis=1)
-        return vals, jacs, np.einsum("bikl,bjl->bijk", jacs, vals)
+        return vals, jacs, lie_product(jacs, vals)
 
     vals, jacs, first = lie_table(xs)
-    m1 = np.max(np.linalg.norm(vals, axis=2))
-    lip = np.max(np.linalg.svd(jacs, compute_uv=False)[..., 0])
-    m2 = np.max(np.linalg.norm(first, axis=3))
+    m1 = np.max(norms(vals))
+    lip = lipschitz(jacs)
+    m2 = np.max(norms(first))
     step = 1e-5 * np.maximum(1.0, _row_norms(xs))
     total = np.zeros(n_samples)
     for j3 in range(sys.m):
@@ -446,7 +466,7 @@ def all_fields_sup_bounds(sys, scheme, curve, *, delta_prime, seed,
         offset = scale[:, None] * w
         gap = lie_table(xs + offset)[2] - lie_table(xs - offset)[2]
         deriv = gap * (wn / (2.0 * step))[:, None, None, None]
-        total += np.sum(np.linalg.norm(deriv, axis=3), axis=(1, 2))
+        total += np.sum(norms(deriv), axis=(1, 2))
     m3 = np.max(total / 6.0)
     mu = np.max(1.0 / gains.singular_values[:, -1])
     return SupBounds(M1=inflation * float(m1), M2=inflation * float(m2),
@@ -466,6 +486,25 @@ def test_estimate_sup_bounds_equals_all_fields_formula(name, delta_prime, seed):
     kwargs = dict(delta_prime=delta_prime, seed=seed)
     assert (estimate_sup_bounds(scenario.system, scenario.scheme, curve, **kwargs)
             == all_fields_sup_bounds(scenario.system, scenario.scheme, curve, **kwargs))
+
+
+@pytest.mark.parametrize("seed", [0, 1001, 7])
+@pytest.mark.parametrize("name, delta_prime", [
+    ("unicycle", 2.5), ("underwater", 0.5), ("car", 0.5)])
+def test_estimate_sup_bounds_matches_the_einsum_and_svd_formula(name, delta_prime,
+                                                                 seed):
+    """The matmul Lie tables, the eigenvalues of J^T J and the summed
+    squares give the sups of the einsum, the Jacobian SVD and
+    np.linalg.norm up to rounding: L moves by an ulp (1.1000000000000003
+    to 1.1 on the unicycle) and the underwater M3 by 2.3e-14 at most."""
+    scenario = get_scenario(name)
+    curve = get_curve(scenario.default_curve, horizon=scenario.horizon)
+    kwargs = dict(delta_prime=delta_prime, seed=seed)
+    got = estimate_sup_bounds(scenario.system, scenario.scheme, curve, **kwargs)
+    want = all_fields_sup_bounds(
+        scenario.system, scenario.scheme, curve, lie_product=lie_table_einsum,
+        norms=lambda v: np.linalg.norm(v, axis=-1), lipschitz=lipschitz_svd, **kwargs)
+    np.testing.assert_allclose(list(got), list(want), rtol=1e-13, atol=0.0)
 
 
 def test_estimate_sup_bounds_all_constant_fields():
@@ -601,6 +640,28 @@ def test_estimate_sup_bounds_nan_in_a_late_block(monkeypatch, block):
         want = all_fields_sup_bounds(sys_nan, scheme, curve, **kwargs)
     assert list(np.isnan(want)) == [True, True, True, False, False]
     np.testing.assert_array_equal(got, want)
+
+
+def test_estimate_sup_bounds_nan_jacobian_gives_nan_lipschitz():
+    """A Jacobian that holds NaN, here where x1 > 0.3, makes L NaN, as
+    the docstring promises, instead of an eigensolver error; its Lie
+    table rows make M2 and M3 NaN too, while M1 and mu stay finite."""
+    def jacobian(x):  # of (0, 1 + x1^2), NaN in place of 2 x1 where x1 > 0.3
+        d = np.where(x[..., 0] > 0.3, np.nan, 2.0 * x[..., 0])
+        zero = np.zeros_like(d)
+        return np.stack([components(zero, zero), components(d, zero)], axis=-2)
+
+    fields = (VectorField(dim=2, eval=constant(1.0, 0.0), jacobian=zero_jacobian),
+              VectorField(dim=2, eval=lambda x: components(0.0, 1.0 + x[..., 0] ** 2),
+                          jacobian=jacobian))
+    sys_nan = ControlSystem(n=2, m=2, fields=fields)
+    scheme = BracketScheme(m=2, s1=(1, 2))
+    curve = fixed_target(np.zeros(2))
+    kwargs = dict(delta_prime=0.5, n_samples=200, seed=0)
+    assert (tube_samples(2, curve, **kwargs)[:, 0] > 0.3).any()
+    with np.errstate(invalid="ignore"):
+        got = estimate_sup_bounds(sys_nan, scheme, curve, **kwargs)
+    assert list(np.isnan(got)) == [False, True, True, True, False]
 
 
 def test_estimate_sup_bounds_memory_does_not_grow_with_samples():

@@ -12,8 +12,8 @@ output directory and the tree's root stripped and each warning's line
 number and source line dropped (a RuntimeWarning prints where it was
 raised, which moves with any edit to that file); and the exit code.  A probe, also run fresh per tree,
 prints the ``repr`` of ``contraction_check`` and ``volterra_scaling``
-reports, of ``estimate_sup_bounds`` results and of each registry curve's
-``nu``, and for batched ``simulate`` runs whose members stop, each
+reports, of ``estimate_sup_bounds`` results, of each registry curve's
+``nu`` and of the sweeps' expression curve's, and for batched ``simulate`` runs whose members stop, each
 member's failure and a sha256 of the arrays; these are compared line by
 line.  Next to each differing output file, stdout and probe line it
 prints how large the difference is: the largest absolute and relative
@@ -136,7 +136,9 @@ MAIN = "import sys; from osctrack.cli import main; sys.exit(main(sys.argv[1:]))"
 # each scenario's tube over its default horizon (certify's default
 # delta_prime for the unicycle, 0.5 for the others), passing the horizon
 # only to a tree whose estimate_sup_bounds still takes it (later trees read
-# curve.horizon), and nu of every registry curve at horizon 40.  Last,
+# curve.horizon), nu of every registry curve at horizon 40, and nu of the
+# sweeps' expression curve SWEEP_CURVE (the probe's second argument) at
+# horizon 6, the sweep's.  Last,
 # batches whose members stop: the car's domain-exit starts at alpha=5,
 # eps=0.5, the first of them as a batch of one, and unicycle starts at
 # alpha=1e160, which overflow.  Per batch, a sha256 of states, controls and
@@ -182,6 +184,7 @@ for name, delta_prime in (("unicycle", 2.5), ("underwater", 0.5), ("car", 0.5)):
     print(f"sup bounds {name} delta_prime={delta_prime}: {sup!r}")
 for name in CURVE_REGISTRY:
     print(f"nu {name}: {get_curve(name).nu!r}")
+print(f"nu sweep curve: {get_curve(sys.argv[2], horizon=6.0).nu!r}")
 
 
 def sha(*arrays):
@@ -407,7 +410,7 @@ def main(argv: list[str] | None = None) -> int:
             status = "DIFFERS: " + ", ".join(found) if found else "identical"
             print(f"{label}\n    exit {parent['exit code']}, "
                   f"{len(parent['files'])} files: {status}")
-        probes = [run(tree, PROBE, [str(out)], out) for tree in trees]
+        probes = [run(tree, PROBE, [str(out), SWEEP_CURVE], out) for tree in trees]
         peaks.append(("probe", *(probe["peak rss mb"] for probe in probes)))
         for tree, probe in zip(trees, probes):
             if probe["exit code"] != 0:
